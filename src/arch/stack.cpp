@@ -92,14 +92,6 @@ Stack Stack::allocate(std::size_t usable_bytes, bool huge) {
     return s;
 }
 
-void Stack::decommit() noexcept {
-    if (base_ != nullptr) {
-        const std::size_t ps = page_size();
-        ::madvise(static_cast<char*>(base_) + ps, mapped_ - ps,
-                  MADV_DONTNEED);
-    }
-}
-
 namespace {
 
 std::atomic<long> g_default_stack_cache{-1};  // -1 = no programmatic default
@@ -126,7 +118,6 @@ StackPool::StackPool(std::size_t stack_bytes, std::size_t max_cached)
                def >= 0) {
         max_cached_ = static_cast<std::size_t>(def);
     }
-    soft_watermark_ = max_cached_ / 2;
 }
 
 Stack StackPool::acquire() {
@@ -140,11 +131,6 @@ Stack StackPool::acquire() {
 
 void StackPool::recycle(Stack s) {
     if (free_.size() < max_cached_) {
-        if (free_.size() >= soft_watermark_) {
-            // Above the watermark keep the mapping but return the pages —
-            // a bulk spawn's worth of stacks must not pin RSS forever.
-            s.decommit();
-        }
         free_.push_back(std::move(s));
     }
     // else: `s` unmaps on scope exit
@@ -170,13 +156,18 @@ void StackPool::recycle_bulk(std::vector<Stack>& stacks) {
 }
 
 std::size_t default_stack_size() noexcept {
-    if (const char* env = std::getenv("LWT_STACKSIZE")) {
-        const long v = std::atol(env);
-        if (v >= 4096) {
-            return static_cast<std::size_t>(v);
+    // Read once: getenv walks the whole environment, and the per-create
+    // mmap path (Ult(fn, default_stack_size())) asks on every spawn.
+    static const std::size_t size = [] {
+        if (const char* env = std::getenv("LWT_STACKSIZE")) {
+            const long v = std::atol(env);
+            if (v >= 4096) {
+                return static_cast<std::size_t>(v);
+            }
         }
-    }
-    return 64 * 1024;
+        return std::size_t{64 * 1024};
+    }();
+    return size;
 }
 
 bool stack_huge_enabled() noexcept {
@@ -213,9 +204,7 @@ namespace {
 // stacks from thread_local destructor chains during static destruction.
 // Cap 1024 (LWT_STACK_CACHE still overrides inside StackPool): the create
 // benchmarks keep thousands of units live per burst, and a cap that
-// swallows a whole burst is what turns per-spawn mmaps into pops. The
-// soft-watermark decommit inside StackPool keeps those cached-but-idle
-// stacks from pinning RSS.
+// swallows a whole burst is what turns per-spawn mmaps into pops.
 SharedStackPool& default_source() {
     static SharedStackPool* pool =
         new SharedStackPool(default_stack_size(), /*max_cached=*/1024);
@@ -229,15 +218,7 @@ StackCache& default_source_cache() {
 
 }  // namespace
 
-Stack acquire_default_stack() {
-    SharedStackPool& pool = default_source();
-    if (round_up_pages(default_stack_size()) != pool.stack_bytes()) {
-        // LWT_STACKSIZE changed after the source was built: serve the new
-        // size unpooled rather than hand out a wrong-sized stack.
-        return Stack::allocate(default_stack_size());
-    }
-    return default_source_cache().acquire();
-}
+Stack acquire_default_stack() { return default_source_cache().acquire(); }
 
 void recycle_default_stack(Stack s) noexcept {
     if (!s.valid()) {

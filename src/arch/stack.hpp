@@ -35,12 +35,6 @@ class Stack {
     static Stack allocate(std::size_t usable_bytes);
     static Stack allocate(std::size_t usable_bytes, bool huge);
 
-    /// Give the usable pages back to the OS (madvise MADV_DONTNEED) while
-    /// keeping the mapping — the next use refaults zero pages. Lets a pool
-    /// cache many stacks without pinning peak RSS forever. The guard page
-    /// is untouched. No-op on an invalid stack.
-    void decommit() noexcept;
-
     /// Highest usable address (stacks grow downward); pass to make_fcontext.
     [[nodiscard]] void* top() const noexcept {
         return static_cast<char*>(base_) + mapped_;
@@ -65,8 +59,8 @@ class StackPool {
     /// `stack_bytes` is the usable size of every pooled stack; `max_cached`
     /// caps how many free stacks are retained before unmapping extras. The
     /// LWT_STACK_CACHE env var (a stack count) overrides `max_cached` when
-    /// set. Stacks cached beyond the soft watermark (half the cap) are
-    /// decommitted so bulk spawns don't pin peak RSS forever.
+    /// set. A cached stack keeps the pages its last user touched: acquire()
+    /// hands back the most recently recycled stack, still warm.
     explicit StackPool(std::size_t stack_bytes, std::size_t max_cached = 64);
 
     /// Pop a cached stack or map a fresh one.
@@ -86,7 +80,6 @@ class StackPool {
   private:
     std::size_t stack_bytes_;
     std::size_t max_cached_;
-    std::size_t soft_watermark_;
     std::vector<Stack> free_;
 };
 
@@ -189,7 +182,8 @@ class StackCache {
     std::vector<Stack> drain_;  // scratch, avoids reallocating per drain
 };
 
-/// Default ULT stack size: LWT_STACKSIZE env var (bytes) or 64 KiB.
+/// Default ULT stack size: LWT_STACKSIZE env var (bytes) or 64 KiB, read
+/// once at first use.
 std::size_t default_stack_size() noexcept;
 
 /// Programmatic default for the per-pool free-stack cap, consulted by
@@ -228,13 +222,13 @@ void stack_thp_force_failure(bool fail) noexcept;
 //
 // Every personality's plain `new core::Ult(fn)` draws its stack here: a
 // thread-local StackCache in front of one leaked SharedStackPool of
-// default_stack_size() stacks. Creation pops a plain vector; the shared
-// lock is paid once per kBatch refill/drain. Stacks whose size does not
-// match the pool (LWT_STACKSIZE changed mid-process) bypass the pool.
+// default_stack_size() stacks, capped at 1024 free stacks (LWT_STACK_CACHE
+// overrides). Creation pops a plain vector; the shared lock is paid once
+// per kBatch refill/drain.
 
 /// Pop a pooled default-size stack (mapping fresh ones in batches on miss).
 Stack acquire_default_stack();
-/// Return a stack from acquire_default_stack(); mismatched sizes unmap.
+/// Return a stack from acquire_default_stack(); other sizes unmap.
 void recycle_default_stack(Stack s) noexcept;
 /// Stacks currently cached in the shared tier of the default source
 /// (excludes per-thread caches; diagnostics/tests).

@@ -121,6 +121,100 @@ void record_handoff_latency(std::uint64_t stamp) noexcept {
     hist.record(arch::rdtsc() - stamp);
 }
 
+/// Register the running ULT as `unit`'s joiner and, on success, suspend
+/// until the terminator's wake. Returns what the registration found:
+/// kJoinerNone means we were registered, woke, and the join is done.
+std::uintptr_t block_as_joiner(Ult* self, WorkUnit* unit) {
+    // Arm the kBlocking/kWakePending handshake BEFORE publishing ourselves:
+    // the terminator's wake may fire the instant the CAS lands, even
+    // before we reach suspend().
+    self->state.store(State::kBlocking, std::memory_order_release);
+    const std::uintptr_t prev = register_joiner(
+        unit, reinterpret_cast<std::uintptr_t>(self) | kJoinerUltTag);
+    if (prev != kJoinerNone) {
+        self->state.store(State::kRunning, std::memory_order_relaxed);
+        return prev;
+    }
+    self->suspend(YieldStatus::kBlocked);
+    // Only the terminator's wake routes through the slot, so resuming means
+    // the join is done and published. Do NOT touch the unit from here on
+    // (not even to assert): a concurrent poll-mode joiner can observe the
+    // publish and let its caller free the unit before we are rescheduled.
+    // The handoff stamp therefore arrives in OUR descriptor.
+    record_handoff_latency(
+        self->obs_handoff_tsc.exchange(0, std::memory_order_relaxed));
+    return kJoinerNone;
+}
+
+/// Wake a ULT joiner from the terminating `stream`. A joiner that would be
+/// queued on this stream's main pool runs next here instead: the stream
+/// would dispatch it from that pool anyway, only after everything queued
+/// ahead of it. Only the scheduler context plants the hint (a ULT that is
+/// running a unit inline still owns the slot for its own yield_to), and
+/// only a fully blocked joiner can be claimed. Another stream's joiner, a
+/// kBlocking handshake still in flight or a taken hint slot fall back to
+/// the ordinary wake.
+void wake_joiner(Ult* joiner, XStream* stream) noexcept {
+    if (Ult::current() == nullptr && stream->next_hint() == nullptr &&
+        joiner->home_pool.load(std::memory_order_relaxed) ==
+            stream->scheduler().main_pool() &&
+        Ult::claim_blocked(joiner)) {
+        stream->set_next_hint(joiner);
+        return;
+    }
+    Ult::wake(joiner);
+}
+
+/// What try_join_steal did with the join target.
+enum class JoinSteal : std::uint8_t {
+    kMissed,  ///< not claimable from this stream; wait for it instead
+    kRan,     ///< claimed and dispatched; it may have yielded or blocked
+    kJoined,  ///< join complete; the caller must not touch the unit again
+};
+
+/// Work-first join stealing: if `unit` is still kReady and its pool can
+/// remove() by identity, pull it and run it on `stream`, the caller's own
+/// stream — inline for tasklets and native callers. A ULT joining a ULT
+/// hands the stream to the child as its next unit and blocks in the
+/// child's joiner slot (kJoined once resumed); if another joiner holds the
+/// slot it yields behind the child instead (the yield_to shape, kRan).
+JoinSteal try_join_steal(WorkUnit* unit, XStream* stream) {
+    if (unit->state.load(std::memory_order_acquire) != State::kReady) {
+        return JoinSteal::kMissed;
+    }
+    // The home_pool read races with a concurrent dispatch (relaxed by
+    // design), but remove() verifies identity under the pool's own
+    // synchronisation: a stale pointer simply fails to find the unit.
+    Pool* pool = unit->home_pool.load(std::memory_order_relaxed);
+    if (pool == nullptr || !stream->scheduler().can_run_from(pool) ||
+        !pool->remove(unit)) {
+        // Placement guard: a unit queued where this stream could never
+        // dispatch from (another stream's private pool) must run there —
+        // stealing it would silently migrate explicitly-placed work.
+        return JoinSteal::kMissed;
+    }
+    // The unit is ours: it sits in no pool and no scheduler can see it.
+    Ult* self = Ult::current();
+    if (unit->kind == Kind::kUlt && self != nullptr) {
+        // ULT joining a ULT: hand the stream to the child and block in its
+        // slot. The child cannot terminate before we are registered — it
+        // runs only once we suspend — and its termination on this stream
+        // resumes us right behind it (wake_joiner).
+        stream->set_next_hint(unit);
+        if (block_as_joiner(self, unit) == kJoinerNone) {
+            return JoinSteal::kJoined;
+        }
+        // A second joiner holds the slot: go back to our home pool behind
+        // the child (the yield_to shape) and poll again from there.
+        self->suspend(YieldStatus::kYielded);
+        return JoinSteal::kRan;
+    }
+    // Tasklet target, or a native-thread joiner driving its stream: run
+    // the child inline on this stack, exactly as progress() would.
+    stream->run_unit(unit);
+    return JoinSteal::kRan;
+}
+
 }  // namespace
 
 JoinMode join_mode() noexcept {
@@ -136,7 +230,7 @@ void set_join_mode(JoinMode mode) noexcept {
     g_join_mode_set.store(true, std::memory_order_release);
 }
 
-void publish_termination(WorkUnit* unit) noexcept {
+void publish_termination(WorkUnit* unit, XStream* stream) noexcept {
     const std::uint64_t stamp =
         Metrics::instance().enabled() ? arch::rdtsc() : 0;
     if (stamp != 0) {
@@ -156,7 +250,7 @@ void publish_termination(WorkUnit* unit) noexcept {
         case kJoinerUltTag: {
             auto* joiner = reinterpret_cast<Ult*>(waiter & ~kJoinerTagMask);
             joiner->obs_handoff_tsc.store(stamp, std::memory_order_relaxed);
-            Ult::wake(joiner);
+            wake_joiner(joiner, stream);
             break;
         }
         case kJoinerThreadTag: {
@@ -181,38 +275,6 @@ bool register_counter_joiner(WorkUnit* unit, EventCounter* counter) noexcept {
                                kJoinerCounterTag) == kJoinerNone;
 }
 
-bool try_join_steal(WorkUnit* unit) {
-    XStream* stream = XStream::current();
-    assert(stream != nullptr);
-    if (unit->state.load(std::memory_order_acquire) != State::kReady) {
-        return false;
-    }
-    // The home_pool read races with a concurrent dispatch (relaxed by
-    // design), but remove() verifies identity under the pool's own
-    // synchronisation: a stale pointer simply fails to find the unit.
-    Pool* pool = unit->home_pool.load(std::memory_order_relaxed);
-    if (pool == nullptr || !stream->scheduler().can_run_from(pool) ||
-        !pool->remove(unit)) {
-        // Placement guard: a unit queued where this stream could never
-        // dispatch from (another stream's private pool) must run there —
-        // stealing it would silently migrate explicitly-placed work.
-        return false;
-    }
-    // The unit is ours: it sits in no pool and no scheduler can see it.
-    Ult* self = Ult::current();
-    if (unit->kind == Kind::kUlt && self != nullptr) {
-        // ULT joining a ULT: hand the stream to the child (yield_to shape);
-        // we go back to our home pool behind it.
-        stream->set_next_hint(unit);
-        self->suspend(YieldStatus::kYielded);
-        return true;
-    }
-    // Tasklet target, or a native-thread joiner driving its stream: run
-    // the child inline on this stack, exactly as progress() would.
-    stream->run_unit(unit);
-    return true;
-}
-
 void join_unit(WorkUnit* unit) {
     if (unit == nullptr) {
         return;
@@ -233,39 +295,27 @@ void join_unit(WorkUnit* unit) {
         }
         // Work-first: while the child is still queued, run it ourselves
         // instead of sleeping on it.
-        if (may_steal && try_join_steal(unit)) {
-            // A ULT joiner keeps re-stealing (the yield_to shape: each pass
-            // hands the stream to the child again, the myth_join loop). A
-            // native joiner runs the child inline at most ONCE: if it
-            // yielded instead of terminating, the parked wait below drains
-            // the stream's pools in order — re-stealing here would run the
-            // child out of turn, jumping yield_to hints and queue order.
+        const JoinSteal steal =
+            may_steal ? try_join_steal(unit, stream) : JoinSteal::kMissed;
+        if (steal == JoinSteal::kJoined) {
+            return;  // resumed behind the child: no unit access past here
+        }
+        if (steal == JoinSteal::kRan) {
+            // A ULT joiner keeps re-stealing: after a tasklet it ran
+            // inline, or as a second joiner that yielded behind a ULT
+            // child (the myth_join loop). A native joiner runs the child
+            // inline at most ONCE: if it yielded instead of terminating,
+            // the parked wait below drains the stream's pools in order —
+            // re-stealing here would run the child out of turn, jumping
+            // yield_to hints and queue order.
             if (Ult::current() == nullptr) {
                 may_steal = false;
             }
             continue;
         }
         if (Ult* self = Ult::current()) {
-            // Arm the kBlocking/kWakePending handshake BEFORE publishing
-            // ourselves: the terminator's Ult::wake may fire the instant
-            // the CAS lands, even before we reach suspend().
-            self->state.store(State::kBlocking, std::memory_order_release);
-            const std::uintptr_t prev = register_joiner(
-                unit, reinterpret_cast<std::uintptr_t>(self) | kJoinerUltTag);
-            if (prev == kJoinerNone) {
-                self->suspend(YieldStatus::kBlocked);
-                // Only the terminator's wake routes through the slot, so
-                // resuming means the join is done and published. Do NOT
-                // touch the unit from here on (not even to assert): a
-                // concurrent poll-mode joiner can observe the publish and
-                // let its caller free the unit before we are rescheduled.
-                // The handoff stamp therefore arrives in OUR descriptor.
-                record_handoff_latency(self->obs_handoff_tsc.exchange(
-                    0, std::memory_order_relaxed));
-                return;
-            }
-            self->state.store(State::kRunning, std::memory_order_relaxed);
-            if (prev == kJoinerTerminated) {
+            const std::uintptr_t prev = block_as_joiner(self, unit);
+            if (prev == kJoinerNone || prev == kJoinerTerminated) {
                 return;
             }
             poll_join(unit);  // second joiner: degrade, don't deadlock

@@ -6,7 +6,9 @@
 // exactly ONE wakeup. Before suspending, the joiner first tries to *steal*
 // the join target: if the unit is still kReady in a removable pool it runs
 // the child itself (work-first, the Cilk/MassiveThreads discipline),
-// saving the full queue round-trip Figures 3/8 measure.
+// saving the full queue round-trip Figures 3/8 measure. A ULT joiner whose
+// child terminates on the joiner's own stream resumes right behind it, as
+// that stream's next unit, instead of at the tail of its pool.
 //
 // LWT_JOIN=poll restores the old polling joins for A/B ablation.
 #pragma once
@@ -18,6 +20,7 @@
 namespace lwt::core {
 
 class EventCounter;
+class XStream;
 
 /// Which join implementation the process uses (LWT_JOIN=handoff|poll,
 /// default handoff). Cached after the first read; tests may override with
@@ -41,14 +44,6 @@ void set_join_mode(JoinMode mode) noexcept;
 /// side must keep reading the unit's state).
 void join_unit(WorkUnit* unit);
 
-/// Work-first join stealing: if `unit` is still kReady and its pool can
-/// remove() by identity, pull it and run it on the calling stream — inline
-/// for tasklets and native callers, via a scheduler hint (yield_to shape)
-/// for a ULT joining a ULT. Returns true when the unit was claimed and
-/// dispatched (it may have yielded/blocked rather than terminated).
-/// Requires XStream::current() != nullptr.
-bool try_join_steal(WorkUnit* unit);
-
 /// Register a countdown EventCounter as `unit`'s joiner: the terminator
 /// will signal() it. Returns false when the unit already terminated (or
 /// the slot is occupied) — the caller must balance the count itself.
@@ -57,9 +52,11 @@ bool register_counter_joiner(WorkUnit* unit, EventCounter* counter) noexcept;
 /// Terminator side: stamp the signal->resume clock (unit-side before the
 /// exchange, and into WAITER-owned memory — the joiner's obs_handoff_tsc
 /// or the thread waiter record — for a registered, suspended joiner),
-/// publish the joiner slot, and wake whoever was registered. Called by
-/// XStream::finish_unit for every non-detached unit; the exchange is the
-/// terminator's LAST access to the unit.
-void publish_termination(WorkUnit* unit) noexcept;
+/// publish the joiner slot, and wake whoever was registered. A blocked ULT
+/// joiner whose home pool is `stream`'s main pool becomes `stream`'s next
+/// unit instead of joining that pool's tail. Called by the terminating
+/// stream's XStream::finish_unit for every non-detached unit; the exchange
+/// is the terminator's LAST access to the unit.
+void publish_termination(WorkUnit* unit, XStream* stream) noexcept;
 
 }  // namespace lwt::core

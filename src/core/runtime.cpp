@@ -107,6 +107,9 @@ Runtime::Runtime(std::size_t num_streams, const SchedulerFactory& factory,
 
 Runtime::~Runtime() {
     sampler_.stop();  // before the pools' queues quiesce/detach
+    // Detach first: a unit still hinted on the primary goes back to its
+    // pool, where the draining streams below can run it.
+    primary().detach_caller();
     for (std::size_t i = 1; i < streams_.size(); ++i) {
         streams_[i]->stop_and_join();
     }
@@ -116,7 +119,6 @@ Runtime::~Runtime() {
     SchedStats lot_stats;
     lot_stats.wakeups_avoided = lot_.wakeups_avoided();
     accumulate_sched_counters(lot_stats);
-    primary().detach_caller();
     // The pools belong to the caller and outlive this runtime (and with it
     // the lot): detach the wakers before the lot dies.
     for (Pool* pool : wired_pools_) {

@@ -22,6 +22,21 @@ YieldStatus decode(void* p) noexcept {
     return static_cast<YieldStatus>(reinterpret_cast<std::uintptr_t>(p));
 }
 
+void record_wake(Ult* ult) noexcept {
+    Tracer::instance().record(TraceEvent::kWake, ult);
+    if (Metrics::instance().enabled()) {
+        // Consume the block stamp exactly once even if wakers race; a
+        // kBlocking-stage wake reads a stamp from the unit's *previous*
+        // block, which is at worst one stale sample.
+        const std::uint64_t blocked_at =
+            ult->obs_block_tsc.exchange(0, std::memory_order_relaxed);
+        if (blocked_at != 0) {
+            Metrics::instance().record_wake_latency(arch::rdtsc() -
+                                                    blocked_at);
+        }
+    }
+}
+
 }  // namespace
 
 Ult::Ult(UniqueFunction f, std::size_t stack_bytes)
@@ -80,18 +95,7 @@ YieldStatus Ult::resume_on_this_thread() {
 }
 
 void Ult::wake(Ult* ult) {
-    Tracer::instance().record(TraceEvent::kWake, ult);
-    if (Metrics::instance().enabled()) {
-        // Consume the block stamp exactly once even if wakers race; a
-        // kBlocking-stage wake reads a stamp from the unit's *previous*
-        // block, which is at worst one stale sample.
-        const std::uint64_t blocked_at =
-            ult->obs_block_tsc.exchange(0, std::memory_order_relaxed);
-        if (blocked_at != 0) {
-            Metrics::instance().record_wake_latency(arch::rdtsc() -
-                                                    blocked_at);
-        }
-    }
+    record_wake(ult);
     for (;;) {
         State s = ult->state.load(std::memory_order_acquire);
         if (s == State::kBlocking) {
@@ -112,6 +116,16 @@ void Ult::wake(Ult* ult) {
             return;  // already awake (or racing waker won)
         }
     }
+}
+
+bool Ult::claim_blocked(Ult* ult) noexcept {
+    State expected = State::kBlocked;
+    if (!ult->state.compare_exchange_strong(expected, State::kReady,
+                                            std::memory_order_acq_rel)) {
+        return false;
+    }
+    record_wake(ult);
+    return true;
 }
 
 void yield_anywhere() {

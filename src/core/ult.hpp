@@ -62,6 +62,13 @@ class Ult final : public WorkUnit {
     /// is already awake.
     static void wake(Ult* ult);
 
+    /// Wake a fully suspended (kBlocked) ULT without queueing it: on success
+    /// it is kReady in no pool and the caller must dispatch it (the join
+    /// path plants it as its stream's next unit). Fails, leaving the ULT
+    /// untouched, in any other state — while the kBlocking handshake is
+    /// still in flight only wake() can reach it.
+    static bool claim_blocked(Ult* ult) noexcept;
+
     // --- scheduler-side interface (used by XStream) ---
 
     /// Resume (or first-start) the ULT on the calling OS thread. Returns the

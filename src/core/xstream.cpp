@@ -1,6 +1,7 @@
 #include "core/xstream.hpp"
 
 #include <cassert>
+#include <utility>
 
 #include "arch/cpu.hpp"
 #include "core/join.hpp"
@@ -75,6 +76,12 @@ void XStream::attach_caller() noexcept {
 
 void XStream::detach_caller() noexcept {
     if (tl_current_xstream == this) {
+        if (WorkUnit* unit = std::exchange(next_hint_, nullptr)) {
+            // A hinted unit sits in no pool; a work-first child was never
+            // in one and has no home yet.
+            Pool* home = unit->home_pool.load(std::memory_order_relaxed);
+            (home != nullptr ? home : scheduler().main_pool())->push(unit);
+        }
         tl_current_xstream = nullptr;
         set_this_thread_stream(kNoStream);
     }
@@ -177,7 +184,7 @@ void XStream::finish_unit(WorkUnit* unit) {
     // Direct handoff (core/join.hpp): publish the joiner slot and wake the
     // registered waiter — the terminator's last access to the unit. Joiners
     // gate reclaim on this publish (join_done), not on the state store.
-    publish_termination(unit);
+    publish_termination(unit, this);
 }
 
 void XStream::run_unit(WorkUnit* unit) {

@@ -70,7 +70,9 @@ class XStream {
     void stop_and_join();
 
     /// Adopt the *calling* OS thread as this stream (used for the primary
-    /// stream: the program's main thread). Pair with detach_caller().
+    /// stream: the program's main thread). Pair with detach_caller(), which
+    /// requeues a still-pending next hint into its pool: nothing drives the
+    /// stream afterwards, so the hint would otherwise never run.
     void attach_caller() noexcept;
     void detach_caller() noexcept;
 
@@ -111,6 +113,9 @@ class XStream {
     /// Instruct the loop to run `unit` next, bypassing scheduler selection
     /// (yield_to support). The unit must already be out of every pool.
     void set_next_hint(WorkUnit* unit) noexcept { next_hint_ = unit; }
+    /// The unit planted by set_next_hint and not yet dispatched, or
+    /// nullptr. Driving thread only, like set_next_hint.
+    [[nodiscard]] WorkUnit* next_hint() const noexcept { return next_hint_; }
 
     /// Scheduler at the top of the stack (base scheduler if none pushed).
     [[nodiscard]] Scheduler& scheduler() noexcept;

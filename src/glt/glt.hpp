@@ -219,7 +219,8 @@ struct RuntimeOptions {
     std::optional<core::JoinMode> join;
     /// Idle-stream ladder policy (LWT_IDLE_POLICY); nullopt = backoff.
     std::optional<sync::IdlePolicy> idle;
-    /// Free-stack cache cap per pool (LWT_STACK_CACHE); nullopt = 64.
+    /// Free-stack cap of the default ULT stack source (LWT_STACK_CACHE);
+    /// nullopt = 1024.
     std::optional<std::size_t> stack_cache;
     /// Back ULT stacks with transparent huge pages — MADV_HUGEPAGE on the
     /// usable range, guard page intact (LWT_STACK_HUGE); nullopt = off.

@@ -88,10 +88,12 @@ Library::Library(Config config) : config_(config) {
 
 Library::~Library() {
     introspect_.reset();
+    // Before the workers drain: a unit still hinted on the primary goes
+    // back to its deque, where they can steal it.
+    primary_->detach_caller();
     for (auto& w : workers_) {
         w->stop_and_join();
     }
-    primary_->detach_caller();
 }
 
 void Library::run(core::UniqueFunction main_fn) {

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <deque>
+#include <iterator>
 #include <mutex>
 #include <optional>
 #include <span>
@@ -66,13 +67,15 @@ class LockedDeque {
         return out;
     }
 
-    /// Remove the first element equal to `value` (O(n); supports yield_to's
-    /// pop-specific-unit operation). Returns false when absent.
+    /// Remove the last element equal to `value` (O(n); supports yield_to's
+    /// and join-stealing's pop-specific-unit operation). The scan starts at
+    /// the back, where the unit those callers want — usually the one pushed
+    /// last — sits. Returns false when absent.
     bool remove(const T& value) {
         std::lock_guard guard(lock_);
-        for (auto it = items_.begin(); it != items_.end(); ++it) {
+        for (auto it = items_.rbegin(); it != items_.rend(); ++it) {
             if (*it == value) {
-                items_.erase(it);
+                items_.erase(std::next(it).base());
                 return true;
             }
         }

@@ -272,7 +272,13 @@ TEST(StackTest, HugeDefaultResolution) {
 
 // --- stack pools --------------------------------------------------------------
 
-TEST(StackTest, StackPoolCapsAndDecommits) {
+/// The word just below a stack's top: the first bytes a ULT touches.
+std::uintptr_t* top_word(const arch::Stack& s) {
+    return reinterpret_cast<std::uintptr_t*>(static_cast<char*>(s.top()) -
+                                             sizeof(std::uintptr_t));
+}
+
+TEST(StackTest, StackPoolCapsAndKeepsCachedPages) {
     if (std::getenv("LWT_STACK_CACHE") != nullptr) {
         GTEST_SKIP() << "LWT_STACK_CACHE set in the environment";
     }
@@ -283,10 +289,25 @@ TEST(StackTest, StackPoolCapsAndDecommits) {
         stacks.push_back(pool.acquire());
     }
     for (auto& s : stacks) {
+        // Sentinel: the stack's own top address, so any re-acquire order
+        // can check it.
+        *top_word(s) = reinterpret_cast<std::uintptr_t>(s.top());
         pool.recycle(std::move(s));
     }
     EXPECT_EQ(pool.cached(), 8u);  // extras freed at the cap
     EXPECT_EQ(arch::stack_unmap_count() - unmaps0, 4u);
+    // Every cached stack comes back with its pages intact: the pool must
+    // not decommit (and so refault) a stack it is about to hand out again.
+    stacks.clear();
+    for (int i = 0; i < 8; ++i) {
+        stacks.push_back(pool.acquire());
+        EXPECT_EQ(*top_word(stacks.back()),
+                  reinterpret_cast<std::uintptr_t>(stacks.back().top()))
+            << "cached stack " << i << " lost its pages";
+    }
+    for (auto& s : stacks) {
+        pool.recycle(std::move(s));
+    }
     // Bulk churn through the pool reuses the cached stacks.
     const std::uint64_t maps0 = arch::stack_map_count();
     for (int round = 0; round < 3; ++round) {

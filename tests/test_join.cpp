@@ -283,10 +283,11 @@ TEST(JoinCore, EventCounterReusesAcrossRounds) {
 
 #if !defined(LWT_TSAN)
 
-TEST(JoinCore, UltJoinerStealsViaYieldTo) {
+TEST(JoinCore, UltJoinerResumesRightAfterStolenChild) {
     // Parent ULT joins a still-queued sibling: the join must hand the
-    // stream straight to the joinee (yield_to shape), running it ahead of
-    // units queued before it.
+    // stream straight to the joinee, running it ahead of units queued
+    // before it, and the parent must resume as soon as the joinee exits —
+    // not from the back of the FIFO.
     lwt::core::DequePool pool;  // FIFO: b would run before c normally
     lwt::core::XStream stream(0, std::make_unique<lwt::core::Scheduler>(
                                      std::vector<lwt::core::Pool*>{&pool}));
@@ -303,7 +304,7 @@ TEST(JoinCore, UltJoinerStealsViaYieldTo) {
     pool.push(b);
     pool.push(c);
     stream.run_until([&] { return order.size() == 3; });
-    EXPECT_EQ(order, (std::vector<int>{2, 1, 3}));
+    EXPECT_EQ(order, (std::vector<int>{2, 3, 1}));
     EXPECT_TRUE(b->join_done() || !b->terminated());
     lwt::core::join_unit(b);
     delete b;
@@ -313,7 +314,8 @@ TEST(JoinCore, UltJoinerStealsViaYieldTo) {
 
 TEST(JoinCore, UltJoinerSuspendsUntilTermination) {
     // The joinee runs on ANOTHER stream: the joining ULT must suspend
-    // (kBlocked) and be requeued by the terminator's wake, not poll.
+    // (kBlocked) and be requeued by the terminator's wake, not poll — into
+    // its own stream's pool, not onto the terminating stream.
     lwt::core::DequePool mine;
     lwt::core::DequePool theirs;
     lwt::core::XStream me(0, std::make_unique<lwt::core::Scheduler>(
@@ -329,18 +331,93 @@ TEST(JoinCore, UltJoinerSuspendsUntilTermination) {
         child_ran.store(true);
     });
     std::atomic<bool> joined{false};
+    lwt::core::XStream* resumed_on = nullptr;
     auto* parent = new lwt::core::Ult([&] {
         lwt::core::join_unit(child);
         EXPECT_TRUE(child_ran.load());
+        resumed_on = lwt::core::XStream::current();
         joined.store(true);
     });
     parent->detached = true;
     theirs.push(child);
     mine.push(parent);
     me.run_until([&] { return joined.load(); });
+    EXPECT_EQ(resumed_on, &me);
     delete child;
     me.detach_caller();
     other->stop_and_join();
+}
+
+TEST(JoinCore, WokenJoinerRunsRightAfterChildOnItsStream) {
+    // The joinee is blocked when the join starts, so there is nothing to
+    // steal: the parent registers and blocks. The joinee is then woken to
+    // the back of the FIFO, behind x1 and ahead of x2. When it terminates
+    // on the parent's own stream the parent must run next — before x2,
+    // which a wake to the pool's tail would run first.
+    lwt::core::DequePool pool;
+    lwt::core::XStream stream(0, std::make_unique<lwt::core::Scheduler>(
+                                     std::vector<lwt::core::Pool*>{&pool}));
+    stream.attach_caller();
+    std::vector<int> order;
+    lwt::core::EventCounter gate(1);
+    auto* x1 = new lwt::core::Tasklet([&] { order.push_back(1); });
+    auto* x2 = new lwt::core::Tasklet([&] { order.push_back(4); });
+    x1->detached = true;
+    x2->detached = true;
+    auto* child = new lwt::core::Ult([&] {
+        gate.wait();
+        order.push_back(2);
+    });
+    auto* parent = new lwt::core::Ult([&] {
+        lwt::core::join_unit(child);
+        order.push_back(3);
+    });
+    parent->detached = true;
+    auto* opener = new lwt::core::Tasklet([&] {
+        pool.push(x1);
+        gate.signal();  // child requeued behind x1
+        pool.push(x2);
+    });
+    opener->detached = true;
+    pool.push(child);   // blocks on the gate
+    pool.push(parent);  // joins the blocked child
+    pool.push(opener);
+    stream.run_until([&] { return order.size() == 4; });
+    EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
+    delete child;
+    stream.detach_caller();
+}
+
+TEST(JoinCore, DetachRequeuesPendingHint) {
+    // A drive loop can return with a unit still planted as the stream's
+    // next hint (here the child a ULT joiner stole). Detaching must put it
+    // back in its pool, or nothing would ever run it.
+    lwt::core::DequePool pool;
+    lwt::core::XStream stream(0, std::make_unique<lwt::core::Scheduler>(
+                                     std::vector<lwt::core::Pool*>{&pool}));
+    stream.attach_caller();
+    bool joining = false;
+    bool joined = false;
+    auto* child = new lwt::core::Ult([] {});
+    auto* parent = new lwt::core::Ult([&] {
+        joining = true;
+        lwt::core::join_unit(child);
+        joined = true;
+    });
+    parent->detached = true;
+    pool.push(parent);
+    pool.push(child);
+    stream.run_until([&] { return joining; });  // returns with child hinted
+    stream.detach_caller();
+    ASSERT_EQ(pool.size_hint(), 1u);
+    lwt::core::WorkUnit* queued = pool.pop();
+    EXPECT_EQ(queued, child);
+    pool.push(queued);
+    stream.attach_caller();
+    stream.run_until([&] { return joined; });
+    EXPECT_TRUE(child->join_done());
+    delete child;
+    stream.detach_caller();
 }
 
 // --- handoff vs poll equivalence across the personalities --------------------
