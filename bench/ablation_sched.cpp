@@ -8,7 +8,6 @@
 //   * lock-free MPMC shared pool
 //   * private FIFO pools with round-robin dispatch (Argobots private)
 //   * private LIFO pools + random work stealing (MassiveThreads)
-//   * priority pool, all units least-urgent (overhead of the discipline)
 //
 // Part 2 ablates the idle ladder on the work-stealing configuration (spin
 // vs backoff vs park — see docs/idle_loop.md) and reports the steal
@@ -23,7 +22,6 @@
 #include "bench_common.hpp"
 #include "benchsupport/stats.hpp"
 #include "core/pool.hpp"
-#include "core/priority_pool.hpp"
 #include "core/runtime.hpp"
 #include "core/sched_stats.hpp"
 #include "core/scheduler.hpp"
@@ -34,7 +32,6 @@ namespace {
 using lwt::core::DequePool;
 using lwt::core::MpmcPool;
 using lwt::core::Pool;
-using lwt::core::PriorityPool;
 using lwt::core::Runtime;
 using lwt::core::Scheduler;
 using lwt::core::SharedFifoPool;
@@ -44,20 +41,16 @@ using lwt::core::Tasklet;
 enum class Policy {
     kSharedFifo,
     kSharedMpmc,
-    kSharedUnbounded,
     kPrivateRoundRobin,
     kPrivateStealing,
-    kPriority,
 };
 
 const char* policy_name(Policy p) {
     switch (p) {
         case Policy::kSharedFifo: return "shared FIFO (Go/gcc)";
         case Policy::kSharedMpmc: return "shared MPMC lock-free";
-        case Policy::kSharedUnbounded: return "shared MS-queue unbounded";
         case Policy::kPrivateRoundRobin: return "private FIFO + round-robin";
         case Policy::kPrivateStealing: return "private LIFO + stealing";
-        case Policy::kPriority: return "priority pool";
     }
     return "?";
 }
@@ -67,17 +60,11 @@ double run_policy(Policy policy, std::size_t threads, std::size_t n,
     // Build pools per policy.
     std::vector<std::unique_ptr<Pool>> pools;
     const bool shared = policy == Policy::kSharedFifo ||
-                        policy == Policy::kSharedMpmc ||
-                        policy == Policy::kSharedUnbounded ||
-                        policy == Policy::kPriority;
+                        policy == Policy::kSharedMpmc;
     if (policy == Policy::kSharedFifo) {
         pools.push_back(std::make_unique<SharedFifoPool>());
     } else if (policy == Policy::kSharedMpmc) {
         pools.push_back(std::make_unique<MpmcPool>());
-    } else if (policy == Policy::kSharedUnbounded) {
-        pools.push_back(std::make_unique<lwt::core::UnboundedSharedPool>());
-    } else if (policy == Policy::kPriority) {
-        pools.push_back(std::make_unique<PriorityPool<4>>());
     } else {
         for (std::size_t i = 0; i < threads; ++i) {
             pools.push_back(std::make_unique<DequePool>(
@@ -191,10 +178,9 @@ void idle_policy_ablation(const lwt::benchsupport::SweepConfig& sweep,
 int main() {
     const auto sweep = lwt::benchsupport::SweepConfig::from_env();
     const std::size_t n = lwtbench::env_size("LWTBENCH_N", 2000);
-    const Policy policies[] = {
-        Policy::kSharedFifo,        Policy::kSharedMpmc,
-        Policy::kSharedUnbounded,   Policy::kPrivateRoundRobin,
-        Policy::kPrivateStealing,   Policy::kPriority};
+    const Policy policies[] = {Policy::kSharedFifo, Policy::kSharedMpmc,
+                               Policy::kPrivateRoundRobin,
+                               Policy::kPrivateStealing};
 
     std::printf("# Ablation: scheduling policy, %zu detached tasklets\n", n);
     std::printf("# reps=%zu warmup=%zu unit=ms\n", sweep.reps, sweep.warmup);

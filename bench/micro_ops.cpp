@@ -18,17 +18,12 @@
 #include "core/ult.hpp"
 #include "core/work_unit.hpp"
 #include "core/channel.hpp"
-#include "core/priority_pool.hpp"
 #include "core/sync_ult.hpp"
 #include "queue/chase_lev_deque.hpp"
 #include "queue/global_queue.hpp"
-#include "queue/hazard_pointers.hpp"
 #include "queue/locked_deque.hpp"
 #include "queue/mpmc_queue.hpp"
-#include "queue/ms_queue.hpp"
-#include "queue/spsc_ring.hpp"
 #include "sync/feb.hpp"
-#include "sync/mcs_lock.hpp"
 #include "sync/spinlock.hpp"
 
 namespace {
@@ -145,26 +140,7 @@ void BM_TicketLockUncontended(benchmark::State& state) {
 }
 BENCHMARK(BM_TicketLockUncontended);
 
-void BM_McsLockUncontended(benchmark::State& state) {
-    sync::McsLock lock;
-    for (auto _ : state) {
-        sync::McsLock::Node node;
-        lock.lock(node);
-        lock.unlock(node);
-    }
-}
-BENCHMARK(BM_McsLockUncontended);
-
 // --- queues (the pool-topology story) ------------------------------------------
-
-void BM_SpscRingPushPop(benchmark::State& state) {
-    queue::SpscRing<void*> ring(1024);
-    for (auto _ : state) {
-        ring.try_push(nullptr);
-        benchmark::DoNotOptimize(ring.try_pop());
-    }
-}
-BENCHMARK(BM_SpscRingPushPop);
 
 void BM_MpmcQueuePushPop(benchmark::State& state) {
     queue::MpmcQueue<void*> q(1024);
@@ -202,36 +178,7 @@ void BM_GlobalQueuePushPop(benchmark::State& state) {
 }
 BENCHMARK(BM_GlobalQueuePushPop);
 
-// --- FEB (the Qthreads join story) ------------------------------------------------
-
-void BM_MsQueuePushPop(benchmark::State& state) {
-    queue::MsQueue<void*> q;
-    for (auto _ : state) {
-        q.push(nullptr);
-        benchmark::DoNotOptimize(q.try_pop());
-    }
-}
-BENCHMARK(BM_MsQueuePushPop);
-
-void BM_HazardGuardProtect(benchmark::State& state) {
-    std::atomic<int*> shared{new int(1)};
-    for (auto _ : state) {
-        queue::HazardDomain::Guard guard;
-        benchmark::DoNotOptimize(guard.protect(shared));
-    }
-    delete shared.load();
-}
-BENCHMARK(BM_HazardGuardProtect);
-
-void BM_PriorityPoolPushPop(benchmark::State& state) {
-    core::PriorityPool<4> pool;
-    core::Tasklet unit([] {});
-    for (auto _ : state) {
-        pool.push_with(&unit, 1);
-        benchmark::DoNotOptimize(pool.pop());
-    }
-}
-BENCHMARK(BM_PriorityPoolPushPop);
+// --- suspend-based sync and FEB (the join story) ----------------------------
 
 void BM_ChannelSendRecvBuffered(benchmark::State& state) {
     core::Channel<int> ch(64);

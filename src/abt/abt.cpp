@@ -2,9 +2,7 @@
 
 #include <atomic>
 #include <cassert>
-#include <cstdlib>
 #include <span>
-#include <thread>
 #include <utility>
 
 #include "arch/audit.hpp"
@@ -44,7 +42,7 @@ void UnitHandle::join() {
     }
     // Direct-handoff join (core/join.hpp): register in the unit's joiner
     // slot and get woken by the terminating stream — with join-stealing of
-    // still-queued units and the LWT_JOIN=poll fallback handled inside.
+    // still-queued units handled inside.
     core::join_unit(unit_);
 }
 
@@ -101,32 +99,10 @@ std::uint64_t next_pool_gen() noexcept {
     return g_pool_gen_source.fetch_add(1, std::memory_order_relaxed);
 }
 
-/// Round-robin tickets handed out this many at a time per thread
-/// (LWT_TICKET_CHUNK, clamped to [1, 65536]). A chunk of consecutive
-/// tickets still rotates the dispatch pools evenly — the batching only
-/// changes how often the shared counter is touched.
-std::size_t ticket_chunk() noexcept {
-    static const std::size_t chunk = [] {
-        if (const char* env = std::getenv("LWT_TICKET_CHUNK")) {
-            const long v = std::atol(env);
-            if (v >= 1 && v <= 65536) {
-                return static_cast<std::size_t>(v);
-            }
-        }
-        return std::size_t{16};
-    }();
-    return chunk;
-}
-
-/// LWT_CREATE_COMPAT=1: force the pre-diet spawn path (locked pool pick,
-/// unchunked tickets) — the baseline the audit mode measures against.
-bool create_compat() noexcept {
-    static const bool compat = [] {
-        const char* env = std::getenv("LWT_CREATE_COMPAT");
-        return env != nullptr && *env != '\0' && *env != '0';
-    }();
-    return compat;
-}
+/// Round-robin tickets handed out this many at a time per thread. A chunk
+/// of consecutive tickets still rotates the dispatch pools evenly — the
+/// batching only changes how often the shared counter is touched.
+constexpr std::size_t kTicketChunk = 16;
 
 struct TicketBlock {
     const void* owner = nullptr;
@@ -180,7 +156,7 @@ Library::Library(Config config) : config_(config) {
         case PoolKind::kDomainShared:
             // The domain pools ARE the dispatch pools: pool index == dense
             // domain index. Unpopulated domains still get a pool (index
-            // stability) but pick_pool/domain_pool never select them.
+            // stability) but pool_view/domain_pool never select them.
             for (std::size_t d = 0; d < locality.num_domains(); ++d) {
                 pools_.push_back(std::make_unique<core::MpmcPool>());
             }
@@ -275,38 +251,6 @@ std::size_t Library::xstream_create() {
     return rank;
 }
 
-std::size_t Library::pick_pool(int pool_idx) {
-    const bool audited = arch::audit::enabled();
-    if (audited) {
-        arch::audit::count_rmw();  // streams_lock_
-    }
-    std::lock_guard guard(streams_lock_);
-    if (config_.pool_kind == PoolKind::kDomainShared) {
-        // Pool index == dense domain index; never select a pool no stream
-        // drains.
-        if (pool_idx >= 0 &&
-            static_cast<std::size_t>(pool_idx) < pools_.size() &&
-            !runtime_->locality()
-                 .streams_in_domain(static_cast<std::size_t>(pool_idx))
-                 .empty()) {
-            return static_cast<std::size_t>(pool_idx);
-        }
-        if (audited) {
-            arch::audit::count_rmw();  // the rr fetch_add
-        }
-        return populated_domains_[rr_next_.fetch_add(
-                                      1, std::memory_order_relaxed) %
-                                  populated_domains_.size()];
-    }
-    if (pool_idx >= 0 && static_cast<std::size_t>(pool_idx) < pools_.size()) {
-        return static_cast<std::size_t>(pool_idx);
-    }
-    if (audited) {
-        arch::audit::count_rmw();
-    }
-    return rr_next_.fetch_add(1, std::memory_order_relaxed) % pools_.size();
-}
-
 const detail::PoolView& Library::pool_view() {
     detail::PoolView& v = detail::tl_pool_view;
     const std::uint64_t gen = pool_gen_.load(std::memory_order_acquire);
@@ -345,28 +289,19 @@ const detail::PoolView& Library::pool_view() {
 std::size_t Library::next_ticket() {
     TicketBlock& t = tl_tickets;
     if (t.owner != this || t.next == t.end) {
-        const std::size_t chunk = ticket_chunk();
         if (arch::audit::enabled()) {
             arch::audit::count_rmw();  // one fetch_add per chunk of spawns
         }
         const std::size_t base =
-            rr_next_.fetch_add(chunk, std::memory_order_relaxed);
+            rr_next_.fetch_add(kTicketChunk, std::memory_order_relaxed);
         t.owner = this;
         t.next = base;
-        t.end = base + chunk;
+        t.end = base + kTicketChunk;
     }
     return t.next++;
 }
 
 core::Pool* Library::pick_target(int pool_idx) {
-    if (create_compat()) {
-        const std::size_t idx = pick_pool(pool_idx);
-        if (arch::audit::enabled()) {
-            arch::audit::count_rmw();  // the second streams_lock_ acquire
-        }
-        std::lock_guard guard(streams_lock_);
-        return pools_[idx].get();
-    }
     const detail::PoolView& v = pool_view();
     if (pool_idx >= 0 && static_cast<std::size_t>(pool_idx) < v.all.size() &&
         v.selectable[static_cast<std::size_t>(pool_idx)] != 0) {
@@ -515,28 +450,6 @@ std::vector<UnitHandle> Library::create_bulk_domain(
 }
 
 void Library::join_all_free(std::span<UnitHandle> handles) {
-    if (core::join_mode() == core::JoinMode::kPoll) {
-        // LWT_JOIN=poll: the pre-handoff shape. One run_until over the
-        // whole batch: the cursor only advances, so each handle's
-        // terminated flag is polled O(1) amortised.
-        if (core::Ult::current() == nullptr) {
-            if (core::XStream* stream = core::XStream::current()) {
-                std::size_t cursor = 0;
-                stream->run_until([&] {
-                    while (cursor < handles.size() &&
-                           (!handles[cursor].valid() ||
-                            handles[cursor].terminated())) {
-                        ++cursor;
-                    }
-                    return cursor == handles.size();
-                });
-            }
-        }
-        for (UnitHandle& h : handles) {
-            h.free();
-        }
-        return;
-    }
     // Direct handoff over the batch: one countdown EventCounter. Each
     // pending unit registers the counter in its joiner slot; its
     // terminating stream signals on publish, and the LAST signal wakes us

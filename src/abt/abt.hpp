@@ -213,9 +213,6 @@ class Library {
     core::WorkUnit* make_unit(UnitKind kind, core::UniqueFunction fn,
                               bool detached, int pool_idx);
     core::WorkUnit* build_unit(UnitKind kind, core::UniqueFunction fn);
-    /// Legacy spawn-path pool selection (LWT_CREATE_COMPAT=1): one
-    /// streams_lock_ acquire plus one shared fetch_add per call.
-    std::size_t pick_pool(int pool_idx);
     /// Lock-free spawn-path dispatch: resolve the target pool from the
     /// thread-cached PoolView, round-robining via batched tickets.
     core::Pool* pick_target(int pool_idx);
@@ -224,8 +221,8 @@ class Library {
     /// zero shared RMWs here.
     const detail::PoolView& pool_view();
     /// Next round-robin ticket. Tickets are taken from rr_next_ in chunks
-    /// of LWT_TICKET_CHUNK (default 16), so the shared fetch_add is paid
-    /// once per chunk instead of once per spawn.
+    /// of 16, so the shared fetch_add is paid once per chunk instead of
+    /// once per spawn.
     std::size_t next_ticket();
     /// The shared pool feeding locality domain `domain` (with fallback to
     /// a populated domain when that one has no streams).

@@ -3,8 +3,6 @@
 #include <atomic>
 #include <cassert>
 #include <chrono>
-#include <cstdlib>
-#include <cstring>
 #include <thread>
 
 #include "arch/cpu.hpp"
@@ -18,9 +16,6 @@
 namespace lwt::core {
 namespace {
 
-std::atomic<JoinMode> g_join_mode{JoinMode::kHandoff};
-std::atomic<bool> g_join_mode_set{false};
-
 /// Bounded pre-registration backoff for native-thread joiners: 64
 /// pipeline pauses, then a few OS yields (arch::Backoff's ladder). The
 /// pauses catch a child that is terminating RIGHT NOW without paying the
@@ -33,18 +28,10 @@ std::atomic<bool> g_join_mode_set{false};
 /// direct wake — this is never an open-ended poll.
 constexpr unsigned kJoinBackoffSteps = 64 + 16;
 
-JoinMode join_mode_from_env() noexcept {
-    const char* env = std::getenv("LWT_JOIN");
-    if (env != nullptr && std::strcmp(env, "poll") == 0) {
-        return JoinMode::kPoll;
-    }
-    return JoinMode::kHandoff;
-}
-
-/// The pre-handoff join shape, kept as the LWT_JOIN=poll escape hatch
-/// (and the degraded path when a second joiner finds the slot occupied).
-/// Ends by waiting out the terminator's slot publish so the caller may
-/// reclaim the unit.
+/// The second-joiner fallback: a joiner that finds the slot held by
+/// another waiter polls terminated() instead of deadlocking on it. Ends by
+/// waiting out the terminator's slot publish so the caller may reclaim the
+/// unit.
 void poll_join(WorkUnit* unit) {
     if (Ult* self = Ult::current()) {
         if (unit->kind == Kind::kUlt) {
@@ -138,7 +125,7 @@ std::uintptr_t block_as_joiner(Ult* self, WorkUnit* unit) {
     self->suspend(YieldStatus::kBlocked);
     // Only the terminator's wake routes through the slot, so resuming means
     // the join is done and published. Do NOT touch the unit from here on
-    // (not even to assert): a concurrent poll-mode joiner can observe the
+    // (not even to assert): a concurrent second joiner can observe the
     // publish and let its caller free the unit before we are rescheduled.
     // The handoff stamp therefore arrives in OUR descriptor.
     record_handoff_latency(
@@ -217,19 +204,6 @@ JoinSteal try_join_steal(WorkUnit* unit, XStream* stream) {
 
 }  // namespace
 
-JoinMode join_mode() noexcept {
-    if (!g_join_mode_set.load(std::memory_order_acquire)) {
-        g_join_mode.store(join_mode_from_env(), std::memory_order_relaxed);
-        g_join_mode_set.store(true, std::memory_order_release);
-    }
-    return g_join_mode.load(std::memory_order_relaxed);
-}
-
-void set_join_mode(JoinMode mode) noexcept {
-    g_join_mode.store(mode, std::memory_order_relaxed);
-    g_join_mode_set.store(true, std::memory_order_release);
-}
-
 void publish_termination(WorkUnit* unit, XStream* stream) noexcept {
     const std::uint64_t stamp =
         Metrics::instance().enabled() ? arch::rdtsc() : 0;
@@ -283,10 +257,6 @@ void join_unit(WorkUnit* unit) {
     if (unit->join_done()) {
         return;
     }
-    if (join_mode() == JoinMode::kPoll) {
-        poll_join(unit);
-        return;
-    }
     XStream* stream = XStream::current();
     bool may_steal = stream != nullptr;
     for (;;) {
@@ -326,9 +296,8 @@ void join_unit(WorkUnit* unit) {
         // is progress the workload needs, on FIFO pools the joinee
         // surfaces in queue order anyway, and fine-grained join storms
         // never pay the register/notify round trip while queues are
-        // nonempty. (This is exactly what the poll loop's run_until did
-        // productively; handoff changes what happens when the stream
-        // runs DRY — register once + one direct wake, no idle ladder.)
+        // nonempty. When the stream runs dry the joiner registers once
+        // and waits for one direct wake — no idle ladder.
         if (stream != nullptr && stream->progress()) {
             continue;
         }

@@ -9,8 +9,6 @@
 // saving the full queue round-trip Figures 3/8 measure. A ULT joiner whose
 // child terminates on the joiner's own stream resumes right behind it, as
 // that stream's next unit, instead of at the tail of its pool.
-//
-// LWT_JOIN=poll restores the old polling joins for A/B ablation.
 #pragma once
 
 #include <cstdint>
@@ -22,22 +20,14 @@ namespace lwt::core {
 class EventCounter;
 class XStream;
 
-/// Which join implementation the process uses (LWT_JOIN=handoff|poll,
-/// default handoff). Cached after the first read; tests may override with
-/// set_join_mode().
+/// The join protocol. Handoff is the only one; the enum survives so that
+/// glt::RuntimeOptions::join, which accepts and ignores it, still names a
+/// type.
 enum class JoinMode : std::uint8_t {
-    kHandoff,  ///< joiner-slot registration + direct wake (default)
-    kPoll,     ///< pre-handoff behaviour: poll terminated() in a yield loop
+    kHandoff,  ///< joiner-slot registration + direct wake
 };
 
-[[nodiscard]] JoinMode join_mode() noexcept;
-
-/// Override the cached mode (tests A/B both paths in one process; also
-/// applied when the LWT_JOIN env changes can't reach the cache).
-void set_join_mode(JoinMode mode) noexcept;
-
-/// Block until `unit` terminated AND its joiner slot is published, using
-/// the handoff protocol (or the poll fallback under LWT_JOIN=poll). On
+/// Block until `unit` terminated AND its joiner slot is published. On
 /// return the caller may reclaim the unit. At most one joiner per unit;
 /// a second concurrent joiner degrades to polling, and with two joiners
 /// the unit may only be reclaimed once BOTH have returned (the waiting

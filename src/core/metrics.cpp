@@ -102,9 +102,8 @@ std::vector<MetricsRegistry::HistogramEntry> MetricsRegistry::histograms()
 
 void accumulate_sched_counters(const SchedStats& stats) {
     MetricsRegistry& reg = MetricsRegistry::instance();
-    // Idle-ladder counters register whenever the stream was ever idle —
-    // the join-path comparisons (LWT_JOIN=handoff vs poll) read these even
-    // on single-stream runs that never steal.
+    // Idle-ladder counters register whenever the stream was ever idle,
+    // even on single-stream runs that never steal.
     if (stats.idle_spins != 0 || stats.idle_yields != 0 || stats.parks != 0) {
         reg.counter("sched.idle.spins").inc(stats.idle_spins);
         reg.counter("sched.idle.yields").inc(stats.idle_yields);

@@ -16,7 +16,6 @@
 #include "queue/global_queue.hpp"
 #include "queue/locked_deque.hpp"
 #include "queue/mpmc_queue.hpp"
-#include "queue/ms_queue.hpp"
 #include "sync/parking_lot.hpp"
 
 namespace lwt::core {
@@ -77,17 +76,13 @@ class Pool {
     }
 
     /// Approximate number of queued units — a HINT, not a count. Lock-free
-    /// pools may report stale values, and UnboundedSharedPool can only
-    /// report emptiness (0 or 1). Use empty() for gating decisions and
+    /// pools may report stale values. Use empty() for gating decisions and
     /// treat nonzero values as "roughly this much" (depth sampling,
     /// diagnostics) — never as an exact occupancy.
     [[nodiscard]] virtual std::size_t size_hint() const = 0;
 
-    /// Emptiness check. Default derives from size_hint(); pools whose
-    /// backing queue has a cheaper or more truthful emptiness test
-    /// override it (UnboundedSharedPool: an MS queue has no O(1) size but
-    /// an exact empty()).
-    [[nodiscard]] virtual bool empty() const { return size_hint() == 0; }
+    /// Emptiness check, derived from size_hint().
+    [[nodiscard]] bool empty() const { return size_hint() == 0; }
 
     /// Whether push() is safe from an arbitrary thread. False only for
     /// owner-only producers (WsPool's Chase-Lev bottom). Cross-thread
@@ -138,9 +133,9 @@ class Pool {
         unit->state.store(State::kReady, std::memory_order_release);
     }
 
-    /// Wake parked consumers. push() calls this after do_push; pools with
-    /// extra entry points (PriorityPool::push_with) call it themselves.
-    /// A single-unit publish into a kOne pool wakes one stream — one unit
+  private:
+    /// Wake parked consumers; push() and push_bulk() call this after the
+    /// enqueue. A single-unit publish into a kOne pool wakes one stream — one unit
     /// can occupy one consumer; the rest would wake, find nothing, and
     /// walk the idle ladder back to the park (the thundering herd the
     /// lot's wakeups_avoided counter measures). Batches and kAll pools
@@ -156,7 +151,6 @@ class Pool {
         }
     }
 
-  private:
     sync::ParkingLot* waker_ = nullptr;
     WakeMode wake_mode_ = WakeMode::kAll;
 };
@@ -206,31 +200,6 @@ class MpmcPool final : public Pool {
 
   private:
     queue::MpmcQueue<WorkUnit*> queue_;
-};
-
-/// Unbounded lock-free shared pool over the Michael-Scott queue: the
-/// MpmcPool without a capacity bound, for workloads whose outstanding unit
-/// count cannot be sized up front. Nodes are reclaimed through the hazard-
-/// pointer domain.
-class UnboundedSharedPool final : public Pool {
-  public:
-    WorkUnit* pop() override { return queue_.try_pop().value_or(nullptr); }
-    WorkUnit* steal() override { return pop(); }
-    [[nodiscard]] std::size_t size_hint() const override {
-        // MS queues have no O(1) size: the hint saturates at 1 ("not
-        // empty"). Callers wanting occupancy must not sum this pool in.
-        return queue_.empty() ? 0 : 1;
-    }
-    [[nodiscard]] bool empty() const override { return queue_.empty(); }
-
-  protected:
-    void do_push(WorkUnit* unit) override {
-        on_push(unit);
-        queue_.push(unit);
-    }
-
-  private:
-    queue::MsQueue<WorkUnit*> queue_;
 };
 
 /// Spinlock-protected deque with a configurable consumer end. This is the

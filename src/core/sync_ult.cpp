@@ -5,7 +5,6 @@
 #include <mutex>
 
 #include "arch/cpu.hpp"
-#include "core/join.hpp"
 #include "core/xstream.hpp"
 
 namespace lwt::core {
@@ -86,12 +85,6 @@ void EventCounter::signal() noexcept {
 
 void EventCounter::wait() noexcept {
     if (value() <= 0) {
-        return;
-    }
-    if (join_mode() == JoinMode::kPoll) {
-        while (value() > 0) {
-            yield_anywhere();
-        }
         return;
     }
     if (Ult* self = Ult::current()) {

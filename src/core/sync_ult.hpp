@@ -31,8 +31,7 @@ namespace lwt::core {
 /// Suspend-based since the direct-handoff join PR: waiters register under
 /// the guard and the signal() that drives the count to zero wakes them
 /// directly — a suspended ULT through Ult::wake, a blocked OS thread
-/// through its ThreadParker. No poll anywhere on the default path
-/// (LWT_JOIN=poll restores the old yield loop; docs/join_path.md).
+/// through its ThreadParker. No poll anywhere (docs/join_path.md).
 ///
 /// Lifetime contract (why the count word carries a waiters bit): the
 /// counter is typically stack-owned by the waiter and destroyed the moment

@@ -93,7 +93,7 @@ struct WorkUnit {
     /// terminating unit's) by publish_termination just before the direct
     /// wake; consumed once by the joiner after it resumes (signal->resume
     /// join latency, "join.signal_resume_ticks"). A SUSPENDED joiner must
-    /// not touch the joined unit after resuming — a concurrent poll-mode
+    /// not touch the joined unit after resuming — a concurrent second
     /// joiner may observe the slot publish and let the caller reclaim the
     /// unit before the slot joiner is rescheduled — so the stamp rides in
     /// memory the joiner owns.

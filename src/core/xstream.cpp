@@ -76,14 +76,16 @@ void XStream::attach_caller() noexcept {
 
 void XStream::detach_caller() noexcept {
     if (tl_current_xstream == this) {
-        if (WorkUnit* unit = std::exchange(next_hint_, nullptr)) {
-            // A hinted unit sits in no pool; a work-first child was never
-            // in one and has no home yet.
-            Pool* home = unit->home_pool.load(std::memory_order_relaxed);
-            (home != nullptr ? home : scheduler().main_pool())->push(unit);
-        }
+        requeue_hint();
         tl_current_xstream = nullptr;
         set_this_thread_stream(kNoStream);
+    }
+}
+
+void XStream::requeue_hint() noexcept {
+    if (WorkUnit* unit = std::exchange(next_hint_, nullptr)) {
+        Pool* home = unit->home_pool.load(std::memory_order_relaxed);
+        (home != nullptr ? home : scheduler().main_pool())->push(unit);
     }
 }
 

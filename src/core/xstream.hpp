@@ -71,8 +71,8 @@ class XStream {
 
     /// Adopt the *calling* OS thread as this stream (used for the primary
     /// stream: the program's main thread). Pair with detach_caller(), which
-    /// requeues a still-pending next hint into its pool: nothing drives the
-    /// stream afterwards, so the hint would otherwise never run.
+    /// requeues a still-pending next hint (requeue_hint): nothing drives
+    /// the stream afterwards, so the hint would otherwise never run.
     void attach_caller() noexcept;
     void detach_caller() noexcept;
 
@@ -82,11 +82,11 @@ class XStream {
 
     /// Drive the scheduling loop on the calling thread until `pred()` holds.
     /// The classic "return mode": Converse's CsdScheduler, and the
-    /// LWT_JOIN=poll join shape. Never parks — an arbitrary predicate may
+    /// second-joiner fallback. Never parks — an arbitrary predicate may
     /// flip without any pool push, which no waker reports — so the ladder
-    /// is clamped at backoff. Joins and counter waits on the default path
-    /// no longer come here: they register for a direct wakeup instead
-    /// (core/join.hpp, EventCounter::wait) and park race-free.
+    /// is clamped at backoff. Joins and counter waits do not come here:
+    /// they register for a direct wakeup instead (core/join.hpp,
+    /// EventCounter::wait) and park race-free.
     template <typename Pred>
     void run_until(Pred&& pred) {
         sync::IdleConfig config = idle_config_;
@@ -111,8 +111,16 @@ class XStream {
     static XStream* current() noexcept;
 
     /// Instruct the loop to run `unit` next, bypassing scheduler selection
-    /// (yield_to support). The unit must already be out of every pool.
-    void set_next_hint(WorkUnit* unit) noexcept { next_hint_ = unit; }
+    /// (yield_to support). The unit must already be out of every pool. The
+    /// slot never drops a unit: a hint still pending goes back to a pool
+    /// first. (A native joiner can return with one pending and then run a
+    /// ULT inline whose own join-steal plants the next.)
+    void set_next_hint(WorkUnit* unit) noexcept {
+        if (next_hint_ != nullptr) {
+            requeue_hint();
+        }
+        next_hint_ = unit;
+    }
     /// The unit planted by set_next_hint and not yet dispatched, or
     /// nullptr. Driving thread only, like set_next_hint.
     [[nodiscard]] WorkUnit* next_hint() const noexcept { return next_hint_; }
@@ -180,6 +188,10 @@ class XStream {
 
   private:
     void loop();
+    /// Push a pending next hint to its home pool, or to this stream's main
+    /// pool for a work-first child that never had one. A hinted unit sits
+    /// in no pool, so nothing else would ever run it.
+    void requeue_hint() noexcept;
     void count_idle_step(sync::IdleBackoff::Step step) noexcept;
     void finish_unit(WorkUnit* unit);
 

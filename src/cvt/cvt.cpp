@@ -29,8 +29,7 @@ void CthHandle::join() {
     // Direct-handoff join (core/join.hpp): from PE 0's main thread this
     // still drains the scheduler while waiting (Converse return mode
     // semantics), but the final wakeup is a direct unpark from the
-    // terminating PE instead of a polled flag. LWT_JOIN=poll restores the
-    // run_until shape.
+    // terminating PE instead of a polled flag.
     core::join_unit(ult_);
     delete ult_;
     ult_ = nullptr;

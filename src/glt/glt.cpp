@@ -633,11 +633,6 @@ std::unique_ptr<Runtime> init(const RuntimeOptions& opts) {
     arch::set_default_stack_cache(opts.stack_cache);
     arch::set_default_stack_huge(opts.stack_huge);
     core::set_default_idle_policy(opts.idle);
-    if (opts.join && std::getenv("LWT_JOIN") == nullptr) {
-        // Join mode has no default-vs-cache split: poke the cached mode
-        // directly, but never override an explicit LWT_JOIN.
-        core::set_join_mode(*opts.join);
-    }
     core::observability_set_defaults(opts.trace_sink, opts.metrics_sink);
     obs::set_introspect_defaults(opts.introspect_addr, opts.watchdog_ms);
     if (opts.io_poller && std::getenv("LWT_IO_POLLER") == nullptr) {

@@ -215,7 +215,8 @@ struct RuntimeOptions {
     std::string topology;
     /// Thread-pinning policy (LWT_BIND); nullopt = backend default.
     std::optional<arch::BindPolicy> bind;
-    /// Join protocol, handoff vs poll (LWT_JOIN); nullopt = handoff.
+    /// Accepted and ignored: handoff is the only join protocol
+    /// (docs/join_path.md). No environment variable backs it.
     std::optional<core::JoinMode> join;
     /// Idle-stream ladder policy (LWT_IDLE_POLICY); nullopt = backoff.
     std::optional<sync::IdlePolicy> idle;
@@ -251,7 +252,7 @@ struct RuntimeOptions {
 };
 
 /// Boot a runtime from RuntimeOptions: installs the programmatic defaults
-/// into the subsystems (topology, binding, stacks, idle ladder, join mode,
+/// into the subsystems (topology, binding, stacks, idle ladder,
 /// observability sinks, reactor poller) — each deferring to its
 /// environment variable when set — then creates the backend. The defaults
 /// are process-wide and persist for later runtimes too (they are defaults,

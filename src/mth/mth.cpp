@@ -30,7 +30,7 @@ void ThreadHandle::join() {
     // the myth_join work-first shape: a still-queued joinee is pulled from
     // its pool and run by the joiner (yield_to from a ULT, inline from the
     // attached main thread) — which also avoids the LIFO-deque starvation
-    // a plain yield loop would hit. LWT_JOIN=poll restores polling.
+    // a plain yield loop would hit.
     core::join_unit(ult_);
     delete ult_;
     ult_ = nullptr;
@@ -152,8 +152,8 @@ void Library::create_bulk_detached(
 
 void Library::wait_counter(core::EventCounter& done) {
     // Suspend-based: the last signal() wakes us directly (ULT wake or
-    // thread unpark); EventCounter::wait falls back to polling under
-    // LWT_JOIN=poll and keeps draining pools from an attached thread.
+    // thread unpark); an attached thread keeps draining its pools while
+    // it waits.
     done.wait();
 }
 

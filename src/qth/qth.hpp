@@ -54,8 +54,7 @@ struct Config {
 ///
 /// Built on core::EventCounter since the direct-handoff join PR: the last
 /// submit() wakes the waiter directly (ULT wake / thread unpark) instead
-/// of a polled countdown. LWT_JOIN=poll restores the yield loop inside
-/// EventCounter::wait.
+/// of a polled countdown.
 class Sinc {
   public:
     /// Expect `n` more submissions.

@@ -150,10 +150,13 @@ class ParkingLot {
 ///    it keeps draining its pools while waiting (see core/join.cpp).
 ///
 /// Lifetime: the waiter owns the parker (stack allocation) and must not
-/// return until notified() is true; notify() reads the lot pointer before
-/// publishing the flag and touches only the (longer-lived) lot afterwards,
-/// and the bare path signals under the mutex, so notify() never touches a
-/// destroyed parker.
+/// return until notified() is true. The flag store is notify()'s last
+/// access to the parker: the lot-routed path reads the lot pointer before
+/// it and touches only the (longer-lived) lot afterwards; the bare path
+/// signals the condvar under the mutex first and stores the flag after
+/// unlocking. A waiter may therefore poll notified() without the mutex —
+/// the attached-stream loops do, between units — and destroy the parker
+/// the moment it reads true.
 class ThreadParker {
   public:
     explicit ThreadParker(ParkingLot* lot = nullptr) noexcept : lot_(lot) {}
@@ -175,32 +178,55 @@ class ThreadParker {
             lot->notify_all();
             return;
         }
-        // Signal while holding the mutex: the waiter cannot re-check the
-        // flag and return (destroying us) before we are done touching the
-        // condvar.
-        std::lock_guard<std::mutex> guard(mutex_);
+        {
+            std::lock_guard<std::mutex> guard(mutex_);
+            signalled_ = true;
+            cv_.notify_one();
+        }
+        // Last: a waiter that polls the flag without the mutex returns (and
+        // destroys us) as soon as it flips.
         done_.store(true, std::memory_order_release);
-        cv_.notify_one();
     }
 
     /// Block until notified. Bare parkers only — a lot-routed waiter must
     /// park on the lot (notify() never signals the member condvar then).
     void wait() {
-        std::unique_lock<std::mutex> lock(mutex_);
-        cv_.wait(lock, [this] { return notified(); });
+        {
+            std::unique_lock<std::mutex> lock(mutex_);
+            cv_.wait(lock, [this] { return signalled_; });
+        }
+        settle();
     }
 
     /// Bounded block; returns notified(). Used as the safety net when an
     /// attached stream waits without a lot (progress-drive loop).
     bool wait_for(std::chrono::microseconds timeout) {
-        std::unique_lock<std::mutex> lock(mutex_);
-        cv_.wait_for(lock, timeout, [this] { return notified(); });
+        bool signalled;
+        {
+            std::unique_lock<std::mutex> lock(mutex_);
+            signalled =
+                cv_.wait_for(lock, timeout, [this] { return signalled_; });
+        }
+        if (signalled) {
+            settle();
+        }
         return notified();
     }
 
   private:
+    /// Woken by the condvar, the notifier is past its signal but may still
+    /// be unlocking: wait out its final flag store before the caller may
+    /// destroy us.
+    void settle() const noexcept {
+        arch::Backoff backoff;
+        while (!notified()) {
+            backoff.pause();
+        }
+    }
+
     ParkingLot* const lot_;
     std::atomic<bool> done_{false};
+    bool signalled_ = false;  // bare path; guarded by mutex_
     std::mutex mutex_;
     std::condition_variable cv_;
 };

@@ -89,11 +89,6 @@ TEST(PushBulk, WsPoolNotifiesOnce) {
     expect_single_notify_per_batch(pool);
 }
 
-TEST(PushBulk, UnboundedSharedPoolNotifiesOnce) {
-    lwt::core::UnboundedSharedPool pool;
-    expect_single_notify_per_batch(pool);
-}
-
 // --- GLT v2 spawn_bulk/wait over every backend ----------------------------------
 
 class BulkBackendTest : public ::testing::TestWithParam<Backend> {};

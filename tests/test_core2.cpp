@@ -1,5 +1,4 @@
-// Tests for the kernel extensions: futures/events (Argobots eventuals) and
-// the priority pool.
+// Tests for the kernel extensions: futures/events (Argobots eventuals).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -8,7 +7,6 @@
 #include <vector>
 
 #include "core/future.hpp"
-#include "core/priority_pool.hpp"
 #include "core/scheduler.hpp"
 #include "core/xstream.hpp"
 
@@ -106,91 +104,6 @@ TEST(Event, SignalsCompletion) {
     e.wait();
     setter.join();
     EXPECT_TRUE(e.ready());
-}
-
-// --- PriorityPool ------------------------------------------------------------
-
-std::unique_ptr<Tasklet> noop() { return std::make_unique<Tasklet>([] {}); }
-
-TEST(PriorityPool, PopsMostUrgentFirst) {
-    PriorityPool<4> pool;
-    auto low = noop();
-    auto mid = noop();
-    auto high = noop();
-    pool.push_with(low.get(), 3);
-    pool.push_with(mid.get(), 1);
-    pool.push_with(high.get(), 0);
-    EXPECT_EQ(pool.size_hint(), 3u);
-    EXPECT_EQ(pool.pop(), high.get());
-    EXPECT_EQ(pool.pop(), mid.get());
-    EXPECT_EQ(pool.pop(), low.get());
-    EXPECT_EQ(pool.pop(), nullptr);
-}
-
-TEST(PriorityPool, PlainPushLandsOnLowestLevel) {
-    PriorityPool<2> pool;
-    auto a = noop();
-    pool.push(a.get());
-    EXPECT_EQ(pool.size_at(1), 1u);
-    EXPECT_EQ(pool.size_at(0), 0u);
-    pool.pop();
-}
-
-TEST(PriorityPool, FifoWithinOneLevel) {
-    PriorityPool<2> pool;
-    auto a = noop();
-    auto b = noop();
-    pool.push_with(a.get(), 0);
-    pool.push_with(b.get(), 0);
-    EXPECT_EQ(pool.pop(), a.get());
-    EXPECT_EQ(pool.pop(), b.get());
-}
-
-TEST(PriorityPool, StealTakesLeastUrgent) {
-    PriorityPool<3> pool;
-    auto urgent = noop();
-    auto lazy = noop();
-    pool.push_with(urgent.get(), 0);
-    pool.push_with(lazy.get(), 2);
-    EXPECT_EQ(pool.steal(), lazy.get());
-    EXPECT_EQ(pool.pop(), urgent.get());
-}
-
-TEST(PriorityPool, RemoveSearchesAllLevels) {
-    PriorityPool<3> pool;
-    auto a = noop();
-    auto b = noop();
-    pool.push_with(a.get(), 0);
-    pool.push_with(b.get(), 2);
-    EXPECT_TRUE(pool.remove(b.get()));
-    EXPECT_FALSE(pool.remove(b.get()));
-    EXPECT_EQ(pool.pop(), a.get());
-}
-
-TEST(PriorityPool, LevelClampsOutOfRange) {
-    PriorityPool<2> pool;
-    auto a = noop();
-    pool.push_with(a.get(), 99);  // clamped to level 1
-    EXPECT_EQ(pool.size_at(1), 1u);
-    pool.pop();
-}
-
-TEST(PriorityPool, DrivesAStreamEndToEnd) {
-    auto pool = std::make_unique<PriorityPool<2>>();
-    std::vector<int> order;
-    XStream stream(0, std::make_unique<Scheduler>(
-                          std::vector<Pool*>{pool.get()}));
-    stream.attach_caller();
-    auto* background = new Tasklet([&] { order.push_back(2); });
-    background->detached = true;
-    auto* urgent = new Tasklet([&] { order.push_back(1); });
-    urgent->detached = true;
-    pool->push_with(background, 1);
-    pool->push_with(urgent, 0);
-    while (stream.progress()) {
-    }
-    stream.detach_caller();
-    EXPECT_EQ(order, (std::vector<int>{1, 2}));
 }
 
 }  // namespace

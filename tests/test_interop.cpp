@@ -65,7 +65,7 @@ TEST(Interop, TwoGltRuntimesConcurrently) {
 
 TEST(Interop, SequentialLibraryLifetimes) {
     // Boot/finalize cycles must leave no residue (thread-locals, tracer,
-    // hazard domain are process-global).
+    // stack source are process-global).
     for (int round = 0; round < 3; ++round) {
         lwt::abt::Config c;
         c.num_xstreams = 2;

@@ -1,8 +1,8 @@
 // Tests for the direct-handoff join path (core/join.hpp,
 // docs/join_path.md): joiner-slot registration and wake-on-terminate,
-// join-stealing, the suspend-based EventCounter, ThreadParker, and the
-// ParkingLot notify_one herd-avoidance — plus handoff-vs-poll equivalence
-// across the personalities.
+// join-stealing, the second-joiner fallback, the next-hint slot, the
+// suspend-based EventCounter, ThreadParker, and the ParkingLot notify_one
+// herd-avoidance — plus each personality's join workload.
 //
 // TSan builds (tools/tsan.sh) run this file too: TSan cannot follow
 // fcontext switches, so every test that suspends/resumes a ULT is gated
@@ -40,36 +40,15 @@
 
 namespace {
 
-using lwt::core::JoinMode;
-using lwt::core::join_mode;
-using lwt::core::set_join_mode;
-
-/// Force a join mode for one scope; restores handoff (the default under
-/// test) on exit so test order cannot leak poll mode.
-struct ModeGuard {
-    explicit ModeGuard(JoinMode m) { set_join_mode(m); }
-    ~ModeGuard() { set_join_mode(JoinMode::kHandoff); }
-};
+/// A stream over one pool, not started.
+std::unique_ptr<lwt::core::XStream> make_stream(unsigned rank,
+                                                lwt::core::Pool& pool) {
+    return std::make_unique<lwt::core::XStream>(
+        rank, std::make_unique<lwt::core::Scheduler>(
+                  std::vector<lwt::core::Pool*>{&pool}));
+}
 
 // --- kernel-level protocol ---------------------------------------------------
-
-TEST(JoinCore, UnboundedSharedPoolSizeHintSaturates) {
-    lwt::core::UnboundedSharedPool pool;
-    EXPECT_TRUE(pool.empty());
-    EXPECT_EQ(pool.size_hint(), 0u);
-    auto a = std::make_unique<lwt::core::Tasklet>([] {});
-    auto b = std::make_unique<lwt::core::Tasklet>([] {});
-    pool.push(a.get());
-    pool.push(b.get());
-    // An MS queue has no O(1) size: the hint must saturate at 1 ("not
-    // empty"), never report occupancy — while empty() stays exact.
-    EXPECT_FALSE(pool.empty());
-    EXPECT_EQ(pool.size_hint(), 1u);
-    EXPECT_NE(pool.pop(), nullptr);
-    EXPECT_NE(pool.pop(), nullptr);
-    EXPECT_TRUE(pool.empty());
-    EXPECT_EQ(pool.size_hint(), 0u);
-}
 
 TEST(JoinCore, NotifyOneCountsAvoidedWakeups) {
     lwt::sync::ParkingLot lot;
@@ -109,6 +88,22 @@ TEST(JoinCore, ThreadParkerBareRoundTrip) {
     parker.wait();
     EXPECT_TRUE(parker.notified());
     waker.join();
+}
+
+TEST(JoinCore, ThreadParkerPolledDestroyRace) {
+    // The attached-stream waits poll notified() between units, without the
+    // parker's mutex, and destroy the parker the moment it reads true —
+    // while the notifier may still be inside notify(). The flag store must
+    // be notify()'s last access (ASan/TSan flag any later one).
+    for (int round = 0; round < 300; ++round) {
+        auto owned = std::make_unique<lwt::sync::ThreadParker>();
+        lwt::sync::ThreadParker* parker = owned.get();
+        std::thread waker([parker] { parker->notify(); });
+        while (!parker->notified()) {
+        }
+        owned.reset();  // free immediately; notify() may still be running
+        waker.join();
+    }
 }
 
 TEST(JoinCore, PlainThreadJoinerIsWokenDirectly) {
@@ -177,17 +172,17 @@ TEST(JoinCore, HandoffRecordsSignalResumeLatency) {
     // Deterministic discriminator for CI's join-smoke leg: a joiner that
     // MUST suspend (the unit runs-and-sleeps on another stream, so steal/
     // help-first/backoff all fail) records its signal→resume sample in
-    // the "join.signal_resume_ticks" histogram; poll mode records none.
-    // fig3's empty-bodied units can legally complete every join on the
-    // help-first fast path on a small host, so the bench histogram alone
-    // cannot assert the direct path was exercised.
+    // the "join.signal_resume_ticks" histogram. fig3's empty-bodied units
+    // can legally complete every join on the help-first fast path on a
+    // small host, so the bench histogram alone cannot assert the direct
+    // path was exercised.
     auto& hist = lwt::core::MetricsRegistry::instance().histogram(
         "join.signal_resume_ticks");
-    const auto blocked_join = [] {
+    lwt::core::Metrics::instance().enable();
+    hist.reset();
+    {
         lwt::core::DequePool pool;
-        auto stream = std::make_unique<lwt::core::XStream>(
-            0, std::make_unique<lwt::core::Scheduler>(
-                   std::vector<lwt::core::Pool*>{&pool}));
+        auto stream = make_stream(0, pool);
         stream->start();
         auto* unit = new lwt::core::Tasklet([] {
             std::this_thread::sleep_for(std::chrono::milliseconds(5));
@@ -197,24 +192,54 @@ TEST(JoinCore, HandoffRecordsSignalResumeLatency) {
         EXPECT_TRUE(unit->join_done());
         delete unit;
         stream->stop_and_join();
-    };
-    lwt::core::Metrics::instance().enable();
-    hist.reset();
-    {
-        ModeGuard guard(JoinMode::kHandoff);
-        blocked_join();
     }
-    const std::uint64_t handoff_samples = hist.snapshot().count;
-    hist.reset();
-    {
-        ModeGuard guard(JoinMode::kPoll);
-        blocked_join();
-    }
-    const std::uint64_t poll_samples = hist.snapshot().count;
+    const std::uint64_t samples = hist.snapshot().count;
     lwt::core::Metrics::instance().disable();
     hist.reset();
-    EXPECT_GT(handoff_samples, 0u);
-    EXPECT_EQ(poll_samples, 0u);
+    EXPECT_GT(samples, 0u);
+}
+
+TEST(JoinCore, SecondThreadJoinerReturnsAfterPublish) {
+    // The unit's joiner slot is already taken (by a countdown counter, as
+    // join_all_free registers one), so a second joiner cannot register
+    // and takes the polling fallback instead — from a bare OS thread and
+    // from one driving its own stream. Either way it may return only once
+    // the terminator published the slot: the caller reclaims the unit
+    // right after.
+    lwt::core::DequePool theirs;
+    auto other = make_stream(1, theirs);
+    other->start();
+    for (const bool attached : {false, true}) {
+        std::atomic<bool> release{false};
+        auto* unit = new lwt::core::Tasklet([&] {
+            while (!release.load()) {
+                std::this_thread::yield();
+            }
+        });
+        lwt::core::EventCounter first(1);
+        ASSERT_TRUE(lwt::core::register_counter_joiner(unit, &first));
+        theirs.push(unit);
+        bool published_at_return = false;
+        std::thread joiner([&] {
+            lwt::core::DequePool mine;
+            auto me = make_stream(2, mine);
+            if (attached) {
+                me->attach_caller();
+            }
+            lwt::core::join_unit(unit);
+            published_at_return = unit->join_done();
+            if (attached) {
+                me->detach_caller();
+            }
+        });
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+        release.store(true);
+        joiner.join();
+        first.wait();  // the slot's own waiter was signalled too
+        EXPECT_TRUE(published_at_return) << "attached=" << attached;
+        delete unit;
+    }
+    other->stop_and_join();
 }
 
 TEST(JoinCore, EventCounterLastSignalRaceStress) {
@@ -420,7 +445,89 @@ TEST(JoinCore, DetachRequeuesPendingHint) {
     stream.detach_caller();
 }
 
-// --- handoff vs poll equivalence across the personalities --------------------
+TEST(JoinCore, NewHintRequeuesPendingHint) {
+    // The main thread's join can leave a hint pending (here the child a ULT
+    // joiner stole, as in DetachRequeuesPendingHint). Its next join runs a
+    // queued ULT inline, and that ULT's own join-steal plants a new hint.
+    // The pending one must go back to its pool: a hinted unit sits in no
+    // pool, so dropping it would strand it and its joiner for good.
+    lwt::core::DequePool pool;
+    lwt::core::XStream stream(0, std::make_unique<lwt::core::Scheduler>(
+                                     std::vector<lwt::core::Pool*>{&pool}));
+    stream.attach_caller();
+    bool joining = false;
+    bool first_joined = false;
+    auto* first_child = new lwt::core::Ult([] {});
+    auto* first = new lwt::core::Ult([&] {
+        joining = true;
+        lwt::core::join_unit(first_child);
+        first_joined = true;
+    });
+    first->detached = true;
+    pool.push(first);
+    pool.push(first_child);
+    stream.run_until([&] { return joining; });  // returns with child hinted
+    EXPECT_EQ(stream.next_hint(), first_child);
+    auto* second_child = new lwt::core::Ult([] {});
+    auto* second =
+        new lwt::core::Ult([&] { lwt::core::join_unit(second_child); });
+    pool.push(second);
+    pool.push(second_child);
+    lwt::core::join_unit(second);  // runs `second` inline; it steals its child
+    for (int i = 0; i < 16 && !first_joined; ++i) {
+        (void)stream.progress();
+    }
+    const bool resumed = first_joined;
+    stream.detach_caller();
+    ASSERT_TRUE(resumed) << "the pending hint was dropped";
+    delete first_child;
+    delete second;
+    delete second_child;
+}
+
+TEST(JoinCore, SecondUltJoinerReturnsAfterPublish) {
+    // ULT half of SecondThreadJoinerReturnsAfterPublish: the joinee is
+    // blocked on another stream with its slot taken, so the joining ULT
+    // polls, yielding its stream between checks — and still returns only
+    // after the slot is published.
+    lwt::core::DequePool mine;
+    lwt::core::DequePool theirs;
+    lwt::core::XStream me(0, std::make_unique<lwt::core::Scheduler>(
+                                 std::vector<lwt::core::Pool*>{&mine}));
+    auto other = make_stream(1, theirs);
+    other->start();
+    me.attach_caller();
+    lwt::core::EventCounter gate(1);
+    auto* unit = new lwt::core::Ult([&] { gate.wait(); });
+    lwt::core::EventCounter first(1);
+    ASSERT_TRUE(lwt::core::register_counter_joiner(unit, &first));
+    theirs.push(unit);
+    while (unit->state.load() != lwt::core::State::kBlocked) {
+        std::this_thread::yield();
+    }
+    bool joined = false;
+    bool published_at_return = false;
+    auto* joiner = new lwt::core::Ult([&] {
+        lwt::core::join_unit(unit);
+        published_at_return = unit->join_done();
+        joined = true;
+    });
+    joiner->detached = true;
+    mine.push(joiner);
+    for (int i = 0; i < 8; ++i) {
+        (void)me.progress();  // the joiner polls and yields each pass
+    }
+    EXPECT_FALSE(joined);
+    gate.signal();
+    me.run_until([&] { return joined; });
+    first.wait();
+    EXPECT_TRUE(published_at_return);
+    delete unit;
+    me.detach_caller();
+    other->stop_and_join();
+}
+
+// --- each personality's join workload -----------------------------------------
 
 int abt_workload() {
     lwt::abt::Config c;
@@ -511,33 +618,16 @@ int gol_workload() {
     return sum.load();
 }
 
-template <typename Workload>
-void expect_mode_equivalence(Workload&& workload) {
-    int handoff = 0;
-    int poll = 0;
-    {
-        ModeGuard guard(JoinMode::kHandoff);
-        handoff = workload();
-    }
-    {
-        ModeGuard guard(JoinMode::kPoll);
-        poll = workload();
-    }
-    EXPECT_EQ(handoff, poll);
-}
+// Each workload's sum in closed form: sum(0..n-1) (+1000 for abt's tasklet).
+TEST(JoinWorkloads, AbtSum) { EXPECT_EQ(abt_workload(), 1496); }
+TEST(JoinWorkloads, QthSum) { EXPECT_EQ(qth_workload(), 1128); }
+TEST(JoinWorkloads, MthSum) { EXPECT_EQ(mth_workload(), 496); }
+TEST(JoinWorkloads, CvtSum) { EXPECT_EQ(cvt_workload(), 120); }
+TEST(JoinWorkloads, GolSum) { EXPECT_EQ(gol_workload(), 2016); }
 
-TEST(JoinModes, AbtHandoffMatchesPoll) { expect_mode_equivalence(abt_workload); }
-TEST(JoinModes, QthHandoffMatchesPoll) { expect_mode_equivalence(qth_workload); }
-TEST(JoinModes, MthHandoffMatchesPoll) { expect_mode_equivalence(mth_workload); }
-TEST(JoinModes, CvtHandoffMatchesPoll) { expect_mode_equivalence(cvt_workload); }
-TEST(JoinModes, GolHandoffMatchesPoll) { expect_mode_equivalence(gol_workload); }
-
-TEST(JoinModes, PollModeRecursiveWorkFirstJoinCompletes) {
-    // Regression: under LWT_JOIN=poll a ULT joining a child ULT must hand
-    // the stream to the joinee each pass (yield_to), not plain-yield —
-    // under mth's LIFO deques a plain yield re-pops the joiner ahead of
-    // the child forever (the fib divide-and-conquer livelock).
-    ModeGuard guard(JoinMode::kPoll);
+TEST(JoinWorkloads, MthRecursiveWorkFirstJoinCompletes) {
+    // Work-first fib on mth's LIFO deques: joins nested under continuation
+    // stealing must complete, not livelock.
     lwt::mth::Config c;
     c.num_workers = 2;
     c.policy = lwt::mth::Policy::kWorkFirst;
@@ -547,36 +637,62 @@ TEST(JoinModes, PollModeRecursiveWorkFirstJoinCompletes) {
     EXPECT_EQ(result, 55);
 }
 
-TEST(JoinModes, HandoffJoinAvoidsIdleYields) {
+TEST(JoinWorkloads, HandoffJoinAvoidsIdleYields) {
     // The join phase of fig3 in miniature: the primary creates units onto
-    // a worker's pool and join-waits for each. Under handoff the primary
-    // registers and parks (zero idle ladder); under poll it walks
-    // run_until's spin/yield ladder. Handoff must burn no more yields.
-    auto run = [](JoinMode mode) {
-        ModeGuard guard(mode);
+    // a worker's pool and join-waits for each. A 2 ms unit outlasts the
+    // spin limit, so a polling joiner would walk the idle ladder into
+    // yields every round; the handoff joiner registers and parks, so its
+    // wait never touches the ladder at all.
+    lwt::abt::Config c;
+    c.num_xstreams = 2;
+    lwt::abt::Library lib(c);
+    lib.runtime().reset_stats();
+    for (int round = 0; round < 8; ++round) {
+        lwt::abt::UnitHandle h = lib.thread_create(
+            [] { std::this_thread::sleep_for(std::chrono::milliseconds(2)); },
+            /*pool_idx=*/1);
+        h.free();
+    }
+    // Primary stream only: the joiner's own idle behaviour, without the
+    // worker's unrelated between-rounds idling.
+    EXPECT_EQ(lib.runtime().primary().sched_stats().idle_yields, 0u);
+}
+
+long abt_tree(lwt::abt::Library& lib, int depth, long k) {
+    if (depth == 0) {
+        return k;
+    }
+    long left = 0;
+    lwt::abt::UnitHandle child = lib.thread_create(
+        [&lib, &left, depth, k] { left = abt_tree(lib, depth - 1, 2 * k); });
+    const long right = abt_tree(lib, depth - 1, 2 * k + 1);
+    child.free();
+    return left + right;
+}
+
+TEST(JoinWorkloads, AbtMainThreadRunsTreeRoot) {
+    // Fork-join trees whose root recursion runs on the main thread: its
+    // joins are native joins nested in the recursion, which run queued
+    // ULTs inline while hints are pending on the primary stream, and park
+    // on stack parkers that the next join reuses. Parked idle streams, as
+    // in the benchmark. A dropped next hint, or a parker freed while its
+    // notifier still signals it, hangs the run.
+    constexpr int kDepth = 10;
+    constexpr long kFirstLeaf = 1L << kDepth;
+    // Leaves are nodes kFirstLeaf .. 2*kFirstLeaf-1, each worth its index.
+    constexpr long kSum = (kFirstLeaf + 2 * kFirstLeaf - 1) * kFirstLeaf / 2;
+    lwt::core::set_default_idle_policy(lwt::sync::IdlePolicy::kPark);
+    int wrong = 0;
+    {
         lwt::abt::Config c;
         c.num_xstreams = 2;
         lwt::abt::Library lib(c);
-        lib.runtime().reset_stats();
-        for (int round = 0; round < 8; ++round) {
-            lwt::abt::UnitHandle h = lib.thread_create(
-                [] {
-                    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-                },
-                /*pool_idx=*/1);
-            h.free();
+        for (int tree = 0; tree < 300; ++tree) {
+            wrong += abt_tree(lib, kDepth, 1) != kSum ? 1 : 0;
         }
-        // Primary stream only: the joiner's own idle behaviour, without
-        // the worker's unrelated between-rounds idling.
-        return lib.runtime().primary().sched_stats().idle_yields;
-    };
-    const std::uint64_t handoff_yields = run(JoinMode::kHandoff);
-    const std::uint64_t poll_yields = run(JoinMode::kPoll);
-    // Polling a 2 ms unit walks past the spin limit into yields every
-    // round; the handoff joiner registers and parks — its wait never
-    // touches the idle ladder at all.
-    EXPECT_EQ(handoff_yields, 0u);
-    EXPECT_GT(poll_yields, 0u);
+    }
+    lwt::core::set_default_idle_policy(std::nullopt);
+    EXPECT_EQ(wrong, 0);
 }
 
 #endif  // !LWT_TSAN

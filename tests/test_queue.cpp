@@ -1,5 +1,5 @@
-// Tests for the work-unit containers: SPSC ring, MPMC queue, Chase-Lev
-// deque, locked deque, global queue.
+// Tests for the work-unit containers: MPMC queue, Chase-Lev deque, locked
+// deque, global queue.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -12,7 +12,6 @@
 #include "queue/global_queue.hpp"
 #include "queue/locked_deque.hpp"
 #include "queue/mpmc_queue.hpp"
-#include "queue/spsc_ring.hpp"
 
 namespace {
 
@@ -20,58 +19,6 @@ using lwt::queue::ChaseLevDeque;
 using lwt::queue::GlobalQueue;
 using lwt::queue::LockedDeque;
 using lwt::queue::MpmcQueue;
-using lwt::queue::SpscRing;
-
-// --- SPSC ring ---------------------------------------------------------------
-
-TEST(SpscRing, FifoOrderSingleThread) {
-    SpscRing<int> ring(8);
-    for (int i = 0; i < 5; ++i) {
-        ASSERT_TRUE(ring.try_push(i));
-    }
-    for (int i = 0; i < 5; ++i) {
-        auto v = ring.try_pop();
-        ASSERT_TRUE(v.has_value());
-        EXPECT_EQ(*v, i);
-    }
-    EXPECT_FALSE(ring.try_pop().has_value());
-}
-
-TEST(SpscRing, RejectsPushWhenFull) {
-    SpscRing<int> ring(4);  // rounded to 4
-    EXPECT_EQ(ring.capacity(), 4u);
-    for (int i = 0; i < 4; ++i) {
-        ASSERT_TRUE(ring.try_push(i));
-    }
-    EXPECT_FALSE(ring.try_push(99));
-    EXPECT_EQ(ring.size(), 4u);
-}
-
-TEST(SpscRing, CapacityRoundsUpToPowerOfTwo) {
-    SpscRing<int> ring(5);
-    EXPECT_EQ(ring.capacity(), 8u);
-}
-
-TEST(SpscRing, ProducerConsumerTransfersEverything) {
-    SpscRing<int> ring(64);
-    constexpr int kItems = 100000;
-    std::int64_t sum = 0;
-    std::thread consumer([&] {
-        int received = 0;
-        while (received < kItems) {
-            if (auto v = ring.try_pop()) {
-                sum += *v;
-                ++received;
-            }
-        }
-    });
-    for (int i = 1; i <= kItems; ++i) {
-        while (!ring.try_push(i)) {
-        }
-    }
-    consumer.join();
-    EXPECT_EQ(sum, static_cast<std::int64_t>(kItems) * (kItems + 1) / 2);
-}
 
 // --- MPMC queue ----------------------------------------------------------------
 

@@ -7,7 +7,6 @@
 
 #include "sync/barrier.hpp"
 #include "sync/feb.hpp"
-#include "sync/mcs_lock.hpp"
 #include "sync/spinlock.hpp"
 #include "sync/wait_table.hpp"
 
@@ -17,7 +16,6 @@ using lwt::sync::aligned_t;
 using lwt::sync::CentralBarrier;
 using lwt::sync::DisseminationBarrier;
 using lwt::sync::FebTable;
-using lwt::sync::McsLock;
 using lwt::sync::Spinlock;
 using lwt::sync::TicketLock;
 using lwt::sync::WaitTable;
@@ -71,24 +69,6 @@ TEST(TicketLock, TryLockReflectsState) {
     lock.unlock();
     EXPECT_TRUE(lock.try_lock());
     lock.unlock();
-}
-
-TEST(McsLock, MutualExclusionUnderContention) {
-    McsLock lock;
-    long counter = 0;
-    std::vector<std::thread> workers;
-    for (int t = 0; t < kThreads; ++t) {
-        workers.emplace_back([&] {
-            for (int i = 0; i < kIncrementsPerThread; ++i) {
-                McsLock::Guard guard(lock);
-                ++counter;
-            }
-        });
-    }
-    for (auto& w : workers) {
-        w.join();
-    }
-    EXPECT_EQ(counter, kThreads * kIncrementsPerThread);
 }
 
 // --- barriers ---------------------------------------------------------------
