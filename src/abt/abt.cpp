@@ -9,7 +9,6 @@
 #include "arch/stack.hpp"
 #include "core/join.hpp"
 #include "core/ult.hpp"
-#include "core/unit_cache.hpp"
 #include "core/xstream.hpp"
 
 namespace lwt::abt {
@@ -183,69 +182,45 @@ Library::Library(Config config) : config_(config) {
     runtime_ = std::make_unique<core::Runtime>(
         n,
         [this, &dom_of](unsigned rank) {
-            std::vector<core::Pool*> view;
-            switch (config_.pool_kind) {
-                case PoolKind::kShared:
-                    view.push_back(pools_.front().get());
-                    break;
-                case PoolKind::kDomainShared:
-                    view.push_back(pools_[dom_of[rank]].get());
-                    break;
-                case PoolKind::kPrivate:
-                    view.push_back(pools_[rank].get());
-                    view.push_back(domain_pools_[dom_of[rank]].get());
-                    break;
-            }
-            return std::make_unique<core::Scheduler>(std::move(view));
+            return make_scheduler(config_.pool_kind == PoolKind::kPrivate
+                                      ? pools_[rank].get()
+                                      : nullptr,
+                                  dom_of[rank]);
         },
-        std::move(locality));
-    // Size the descriptor allocator's depot tier to this topology's
-    // domains: spawns and frees on one package exchange magazines there.
-    core::unit_cache_configure_domains(runtime_->locality().num_domains());
+        std::move(locality), core::Runtime::Primary::kAdoptCaller);
     introspect_.emplace();
 }
 
-Library::~Library() {
-    introspect_.reset();
-    for (auto& s : dynamic_streams_) {
-        s->stop_and_join();
+std::unique_ptr<core::Scheduler> Library::make_scheduler(
+    core::Pool* own, std::size_t domain) const {
+    std::vector<core::Pool*> view;
+    switch (config_.pool_kind) {
+        case PoolKind::kShared:
+            view = {pools_.front().get()};
+            break;
+        case PoolKind::kDomainShared:
+            view = {pools_[domain].get()};
+            break;
+        case PoolKind::kPrivate:
+            view = {own, domain_pools_[domain].get()};
+            break;
     }
-    dynamic_streams_.clear();
-    runtime_.reset();
-}
-
-std::size_t Library::num_xstreams() const {
-    return runtime_->num_streams() + dynamic_streams_.size();
-}
-
-core::SchedStats Library::sched_stats() const noexcept {
-    core::SchedStats total = runtime_->sched_stats();
-    std::lock_guard guard(streams_lock_);
-    for (const auto& s : dynamic_streams_) {
-        total += s->sched_stats();
-    }
-    return total;
+    return std::make_unique<core::Scheduler>(std::move(view));
 }
 
 std::size_t Library::xstream_create() {
-    std::lock_guard guard(streams_lock_);
-    const auto rank = static_cast<unsigned>(num_xstreams());
-    core::Pool* p;
-    if (config_.pool_kind == PoolKind::kShared) {
-        p = pools_.front().get();
-    } else if (config_.pool_kind == PoolKind::kDomainShared) {
-        // Dynamic streams join the first populated domain's pool — they
-        // have no placement of their own.
-        p = pools_[populated_domains_.front()].get();
-    } else {
+    std::lock_guard guard(pools_lock_);
+    core::Pool* own = nullptr;
+    if (config_.pool_kind == PoolKind::kPrivate) {
         pools_.push_back(
             std::make_unique<core::DequePool>(core::DequePool::PopOrder::kFifo));
-        p = pools_.back().get();
+        own = pools_.back().get();
     }
-    auto stream = std::make_unique<core::XStream>(
-        rank, std::make_unique<core::Scheduler>(std::vector<core::Pool*>{p}));
-    stream->start();
-    dynamic_streams_.push_back(std::move(stream));
+    // Dynamic streams have no placement of their own: they join the first
+    // populated domain, so they scan every pool that all the streams of a
+    // one-domain map share (Runtime::add_stream needs that).
+    const std::size_t rank = runtime_->add_stream(
+        make_scheduler(own, populated_domains_.front()));
     // pools_ may have grown: invalidate every thread's cached PoolView.
     pool_gen_.store(next_pool_gen(), std::memory_order_release);
     return rank;
@@ -260,7 +235,7 @@ const detail::PoolView& Library::pool_view() {
     if (arch::audit::enabled()) {
         arch::audit::count_rmw();  // refresh pays the lock once per change
     }
-    std::lock_guard guard(streams_lock_);
+    std::lock_guard guard(pools_lock_);
     v.all.clear();
     v.selectable.clear();
     v.dispatch.clear();

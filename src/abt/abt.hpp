@@ -115,11 +115,12 @@ class UnitHandle {
 class Library {
   public:
     explicit Library(Config config = {});
-    ~Library();
     Library(const Library&) = delete;
     Library& operator=(const Library&) = delete;
 
-    [[nodiscard]] std::size_t num_xstreams() const;
+    [[nodiscard]] std::size_t num_xstreams() const {
+        return runtime_->num_streams();
+    }
     [[nodiscard]] std::size_t num_pools() const { return pools_.size(); }
 
     /// Create an execution stream *while running* (ABT_xstream_create) —
@@ -205,11 +206,17 @@ class Library {
     /// Aggregate steal/idle counters over every stream, including
     /// dynamically created ones (ABT_info-style introspection;
     /// sched_stats.hpp).
-    [[nodiscard]] core::SchedStats sched_stats() const noexcept;
+    [[nodiscard]] core::SchedStats sched_stats() const noexcept {
+        return runtime_->sched_stats();
+    }
 
   private:
     friend class UnitHandle;
 
+    /// A stream's scheduler: its private pool `own` (kPrivate; null
+    /// otherwise), then the pool its locality domain `domain` shares.
+    std::unique_ptr<core::Scheduler> make_scheduler(core::Pool* own,
+                                                    std::size_t domain) const;
     core::WorkUnit* make_unit(UnitKind kind, core::UniqueFunction fn,
                               bool detached, int pool_idx);
     core::WorkUnit* build_unit(UnitKind kind, core::UniqueFunction fn);
@@ -217,7 +224,7 @@ class Library {
     /// thread-cached PoolView, round-robining via batched tickets.
     core::Pool* pick_target(int pool_idx);
     /// The calling thread's cached pool snapshot, refreshed (under
-    /// streams_lock_) only when pool_gen_ moved — the common spawn takes
+    /// pools_lock_) only when pool_gen_ moved — the common spawn takes
     /// zero shared RMWs here.
     const detail::PoolView& pool_view();
     /// Next round-robin ticket. Tickets are taken from rr_next_ in chunks
@@ -228,10 +235,6 @@ class Library {
     /// a populated domain when that one has no streams).
     core::Pool* domain_pool(std::size_t domain);
 
-    // Declared first so it detaches LAST: the env-driven shutdown flush
-    // (LWT_TRACE / LWT_METRICS) must run after every stream — including
-    // dynamically created ones — has stopped.
-    core::ObservabilitySession obs_session_;
     Config config_;
     std::vector<std::unique_ptr<core::Pool>> pools_;
     /// kPrivate only: one shared MPMC *overflow* pool per locality domain,
@@ -240,14 +243,14 @@ class Library {
     /// its per-domain pools in pools_ itself; kShared needs none.)
     std::vector<std::unique_ptr<core::Pool>> domain_pools_;
     std::vector<std::size_t> populated_domains_;  // domains with >= 1 stream
+    // After the pools (destroyed before them): its streams drain them.
     std::unique_ptr<core::Runtime> runtime_;
-    std::vector<std::unique_ptr<core::XStream>> dynamic_streams_;
     std::atomic<std::size_t> rr_next_{0};
     /// Bumped (to a globally unique value) whenever pools_ changes —
     /// xstream_create under kPrivate — invalidating every thread's cached
     /// PoolView.
     std::atomic<std::uint64_t> pool_gen_{0};
-    mutable sync::Spinlock streams_lock_;
+    sync::Spinlock pools_lock_;  // guards pools_ growth
     // Declared LAST (destroyed first): the introspection server's ULTs
     // must drain while the streams above still run. Engaged at the end of
     // the ctor — the acceptor needs live streams to land on.

@@ -1,10 +1,10 @@
 // observability.hpp — env-driven arm/flush of the tracer and metrics.
 //
-// Every runtime object (core::Runtime, the five personality Libraries,
-// momp::Runtime) holds one ObservabilitySession. The FIRST session of the
-// process reads the environment and arms the process-wide recorders; when
-// the LAST session detaches (outermost runtime teardown), the recorded
-// data is flushed. That gives every bench, test, and personality the same
+// Every runtime object (core::Runtime, which the five personality
+// Libraries boot through, and momp::Runtime) holds one
+// ObservabilitySession. The FIRST session of the process reads the
+// environment and arms the process-wide recorders; when the LAST session
+// detaches (outermost runtime teardown), the recorded data is flushed. That gives every bench, test, and personality the same
 // switches with zero per-runtime wiring:
 //
 //   LWT_TRACE=out.json      record unit lifecycles, write a Chrome-trace

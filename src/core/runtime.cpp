@@ -7,6 +7,7 @@
 #include <string>
 
 #include "arch/cpu.hpp"
+#include "core/unit_cache.hpp"
 
 namespace lwt::core {
 
@@ -23,31 +24,33 @@ Runtime::Runtime(std::size_t num_streams, const SchedulerFactory& factory,
                  sync::IdleConfig idle)
     : Runtime(num_streams, factory,
               arch::LocalityMap::flat(num_streams == 0 ? 1 : num_streams),
-              idle) {}
+              Primary::kAdoptCaller, idle) {}
 
 Runtime::Runtime(std::size_t num_streams, const SchedulerFactory& factory,
-                 arch::LocalityMap locality, sync::IdleConfig idle)
-    : locality_(std::move(locality)) {
+                 arch::LocalityMap locality, Primary primary,
+                 sync::IdleConfig idle)
+    : locality_(std::move(locality)), idle_(idle) {
     if (num_streams == 0) {
         num_streams = 1;
     }
+    // Size the descriptor allocator's depot tier to this topology's
+    // domains before any stream runs: spawns and frees on one package
+    // exchange magazines there.
+    unit_cache_configure_domains(locality_.num_domains());
     if (const char* env = std::getenv("LWT_IDLE_POLICY")) {
-        idle.policy = sync::idle_policy_from_string(env, idle.policy);
+        idle_.policy = sync::idle_policy_from_string(env, idle_.policy);
     } else if (const int def =
                    g_default_idle_policy.load(std::memory_order_relaxed);
                def >= 0) {
-        idle.policy = static_cast<sync::IdlePolicy>(def);
+        idle_.policy = static_cast<sync::IdlePolicy>(def);
     }
+    // Streams from `first` on get a dedicated OS thread.
+    const std::size_t first = primary == Primary::kAdoptCaller ? 1 : 0;
     streams_.reserve(num_streams);
     for (std::size_t i = 0; i < num_streams; ++i) {
-        streams_.push_back(std::make_unique<XStream>(
-            static_cast<unsigned>(i), factory(static_cast<unsigned>(i))));
-        streams_.back()->set_idle_config(idle);
-        streams_.back()->set_parking_lot(&lot_);
-        if (i < locality_.num_streams()) {
-            streams_.back()->set_placement(locality_.placement(i));
-        }
-        if (i > 0 && locality_.should_bind()) {
+        const auto rank = static_cast<unsigned>(i);
+        streams_.push_back(make_stream(rank, factory(rank)));
+        if (i >= first && locality_.should_bind()) {
             // Dedicated threads pin themselves before their loop starts.
             streams_.back()->set_on_start(
                 [this, i] { locality_.bind_stream(i); });
@@ -81,13 +84,13 @@ Runtime::Runtime(std::size_t num_streams, const SchedulerFactory& factory,
                                               ? Pool::WakeMode::kOne
                                               : Pool::WakeMode::kAll);
     }
-    if (locality_.should_bind()) {
-        // The primary stream is the calling thread: pin it here, mirroring
-        // what the on_start hooks do for the dedicated threads.
+    if (first == 1) {
+        // The calling thread is stream 0: pin it here, mirroring what the
+        // on_start hooks do for the dedicated threads.
         locality_.bind_stream(0);
+        streams_.front()->attach_caller();
     }
-    primary().attach_caller();
-    for (std::size_t i = 1; i < num_streams; ++i) {
+    for (std::size_t i = first; i < num_streams; ++i) {
         streams_[i]->start();
     }
     // Optional queue-depth sampling (LWT_METRICS_SAMPLE_US=N): one gauge
@@ -107,11 +110,12 @@ Runtime::Runtime(std::size_t num_streams, const SchedulerFactory& factory,
 
 Runtime::~Runtime() {
     sampler_.stop();  // before the pools' queues quiesce/detach
-    // Detach first: a unit still hinted on the primary goes back to its
-    // pool, where the draining streams below can run it.
-    primary().detach_caller();
-    for (std::size_t i = 1; i < streams_.size(); ++i) {
-        streams_[i]->stop_and_join();
+    // Detach first: a unit still hinted on an adopted primary goes back to
+    // its pool, where the draining streams below can run it. (A primary
+    // with a thread of its own is not attached here: a no-op.)
+    streams_.front()->detach_caller();
+    for (auto& stream : streams_) {
+        stream->stop_and_join();
     }
     // The herd-wakeup savings live in the lot, not in any stream's
     // counters; fold them into the registry alongside the streams' own
@@ -124,6 +128,33 @@ Runtime::~Runtime() {
     for (Pool* pool : wired_pools_) {
         pool->set_waker(nullptr);
     }
+}
+
+std::unique_ptr<XStream> Runtime::make_stream(
+    unsigned rank, std::unique_ptr<Scheduler> scheduler) {
+    auto stream = std::make_unique<XStream>(rank, std::move(scheduler));
+    stream->set_idle_config(idle_);
+    stream->set_parking_lot(&lot_);
+    if (rank < locality_.num_streams()) {
+        stream->set_placement(locality_.placement(rank));
+    }
+    return stream;
+}
+
+std::size_t Runtime::add_stream(std::unique_ptr<Scheduler> scheduler) {
+    std::lock_guard guard(streams_lock_);
+    const auto rank = static_cast<unsigned>(streams_.size());
+    streams_.push_back(make_stream(rank, std::move(scheduler)));
+    XStream& stream = *streams_.back();
+    for (Pool* pool : stream.scheduler().pools()) {
+        if (std::find(wired_pools_.begin(), wired_pools_.end(), pool) ==
+            wired_pools_.end()) {
+            pool->set_waker(&lot_);
+            wired_pools_.push_back(pool);
+        }
+    }
+    stream.start();
+    return rank;
 }
 
 std::size_t Runtime::resolve_stream_count(std::size_t requested,

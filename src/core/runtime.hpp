@@ -1,17 +1,25 @@
-// runtime.hpp — bootstrap/teardown boilerplate shared by the personalities.
+// runtime.hpp — bootstrap/teardown shared by the personalities.
 //
 // Every library in the paper exposes the same life cycle (Table II row
-// "Initialization"/"Finalization"); this class factors it: build pools,
-// build one scheduler per stream through a caller-supplied factory, start
-// the secondary streams, and drain/stop them at destruction. Stream 0 is
-// the *primary* stream: it represents the program's main thread and is
-// driven by explicit progress()/run_until() calls rather than a dedicated
-// OS thread — matching how the paper's main thread creates work and joins.
+// "Initialization"/"Finalization"); this class is its one implementation,
+// behind all five personalities: size the descriptor allocator to the
+// topology, build one scheduler per stream through a caller-supplied
+// factory, give every stream the idle ladder and the parking lot its pools
+// wake, start the streams, and drain/stop them at destruction. The
+// libraries differ in one thing, who drives stream 0 (the *primary*;
+// see Primary):
+//   * abt, mth, cvt: the program's main thread is stream 0, driven by
+//     explicit progress()/run_until() calls and by waits that drain it —
+//     the paper's main thread that creates work and joins;
+//   * qth, gol: the main thread is not a worker; stream 0 gets a dedicated
+//     OS thread like every other stream.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <vector>
 
@@ -21,6 +29,7 @@
 #include "core/xstream.hpp"
 #include "sync/idle_backoff.hpp"
 #include "sync/parking_lot.hpp"
+#include "sync/spinlock.hpp"
 
 namespace lwt::core {
 
@@ -36,8 +45,16 @@ class Runtime {
     using SchedulerFactory =
         std::function<std::unique_ptr<Scheduler>(unsigned rank)>;
 
-    /// Create `num_streams` streams (>= 1). Streams 1..n-1 get dedicated OS
-    /// threads; stream 0 adopts the calling thread.
+    /// Who drives stream 0. Each personality fixes it (see the file
+    /// comment); it is not a user setting.
+    enum class Primary : std::uint8_t {
+        kAdoptCaller,      ///< the constructing thread becomes stream 0
+        kDedicatedThread,  ///< stream 0 gets its own OS thread too
+    };
+
+    /// Create `num_streams` streams (>= 1) over a flat single-domain map.
+    /// Streams 1..n-1 get dedicated OS threads; stream 0 adopts the
+    /// calling thread.
     ///
     /// `idle` selects the streams' idle ladder (spin/backoff/park; see
     /// docs/idle_loop.md); LWT_IDLE_POLICY=spin|backoff|park overrides the
@@ -48,22 +65,37 @@ class Runtime {
             sync::IdleConfig idle = {});
 
     /// Locality-aware form: `locality` (an arch::LocalityMap over the same
-    /// stream count) stamps each stream's placement, and — when
-    /// locality.should_bind() — pins every stream's OS thread (including
-    /// the adopted primary/calling thread) to its planned CPU before the
-    /// scheduling loop runs. The factory typically derives tiered victim
-    /// lists from the same map (LocalityMap::victim_tiers).
+    /// stream count) sizes the descriptor allocator's depot tier, stamps
+    /// each stream's placement, and — when locality.should_bind() — pins
+    /// every stream's OS thread (including an adopted calling thread) to
+    /// its planned CPU before the scheduling loop runs. The factory
+    /// typically derives pool views or tiered victim lists from the same
+    /// map, read before it moves in here.
     Runtime(std::size_t num_streams, const SchedulerFactory& factory,
-            arch::LocalityMap locality, sync::IdleConfig idle = {});
+            arch::LocalityMap locality, Primary primary,
+            sync::IdleConfig idle = {});
     ~Runtime();
     Runtime(const Runtime&) = delete;
     Runtime& operator=(const Runtime&) = delete;
 
+    /// Streams so far, add_stream() ones included.
     [[nodiscard]] std::size_t num_streams() const noexcept {
+        std::lock_guard guard(streams_lock_);
         return streams_.size();
     }
-    [[nodiscard]] XStream& stream(std::size_t i) noexcept { return *streams_[i]; }
-    [[nodiscard]] XStream& primary() noexcept { return *streams_.front(); }
+    [[nodiscard]] XStream& stream(std::size_t i) noexcept {
+        std::lock_guard guard(streams_lock_);
+        return *streams_[i];
+    }
+    [[nodiscard]] XStream& primary() noexcept { return stream(0); }
+
+    /// Start one more stream while running (Argobots' ABT_xstream_create)
+    /// with the same idle ladder and lot as the boot streams; returns its
+    /// rank. Pools the runtime has not seen yet get the lot as waker and
+    /// broadcast on push. A pool every existing stream shares wakes one
+    /// stream per push (Pool::WakeMode::kOne), so `scheduler` must see it
+    /// too. The new stream has no placement of its own and is not pinned.
+    std::size_t add_stream(std::unique_ptr<Scheduler> scheduler);
 
     /// Resolve a stream count request: explicit value, else the env var
     /// (e.g. "LWT_NUM_STREAMS"), else the hardware thread count.
@@ -84,13 +116,17 @@ class Runtime {
     /// plus the lot's herd-wakeup savings (Pool::WakeMode::kOne).
     [[nodiscard]] SchedStats sched_stats() const noexcept {
         SchedStats total;
-        for (const auto& s : streams_) {
-            total += s->sched_stats();
+        {
+            std::lock_guard guard(streams_lock_);
+            for (const auto& s : streams_) {
+                total += s->sched_stats();
+            }
         }
         total.wakeups_avoided += lot_.wakeups_avoided();
         return total;
     }
     void reset_sched_stats() noexcept {
+        std::lock_guard guard(streams_lock_);
         for (auto& s : streams_) {
             s->reset_sched_stats();
         }
@@ -110,12 +146,21 @@ class Runtime {
     }
 
   private:
+    /// A stream with the runtime's idle ladder, lot and (boot streams
+    /// only) planned placement.
+    std::unique_ptr<XStream> make_stream(unsigned rank,
+                                         std::unique_ptr<Scheduler> scheduler);
+
     // Declared first so it detaches LAST: the shutdown flush (LWT_TRACE /
     // LWT_METRICS, see observability.hpp) must run after the streams have
     // stopped recording.
     ObservabilitySession obs_session_;
     sync::ParkingLot lot_;
     arch::LocalityMap locality_;  // before streams_: bind hooks reference it
+    sync::IdleConfig idle_;  // LWT_IDLE_POLICY / programmatic default applied
+    // Guards streams_ and wired_pools_ against add_stream() growing them
+    // while other threads read the stream list.
+    mutable sync::Spinlock streams_lock_;
     std::vector<std::unique_ptr<XStream>> streams_;
     std::vector<Pool*> wired_pools_;
     QueueDepthSampler sampler_;

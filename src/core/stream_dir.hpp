@@ -2,9 +2,9 @@
 //
 // Observability consumers (the obs introspection server, the stall
 // watchdog, the /metrics live-stream exposition) need to find every
-// XStream in the process no matter which personality built it — gol's
-// raw thread vector, qth's shepherd workers, and core::Runtime's streams
-// all register here. XStream adds itself at the end of construction and
+// XStream in the process no matter who built it — core::Runtime (behind
+// every personality) or a test driving a bare XStream — so every stream
+// registers here. XStream adds itself at the end of construction and
 // removes itself at the top of destruction, so a pointer observed inside
 // for_each() is always a fully-constructed, not-yet-destroyed stream.
 #pragma once

@@ -1,7 +1,6 @@
 #include "core/sync_ult.hpp"
 
 #include <cassert>
-#include <chrono>
 #include <mutex>
 
 #include "arch/cpu.hpp"
@@ -117,35 +116,10 @@ void EventCounter::wait() noexcept {
         }
         // Registered: we must not let `parker`/`node` die until
         // notified() — the zero-crossing signaller holds pointers to both.
-        if (stream == nullptr) {
-            parker.wait();
-            continue;  // re-check: the counter may have been re-armed
-        }
-        // Attached stream (typically the primary): keep draining our pools
-        // while waiting. With a runtime lot we park on it — pool pushes and
-        // the final signal() both notify it; without one, short condvar
-        // naps between empty sweeps bound the wake latency.
-        if (sync::ParkingLot* lot = parker.lot()) {
-            while (!parker.notified()) {
-                if (stream->progress()) {
-                    continue;
-                }
-                const std::uint64_t ticket = lot->prepare_park();
-                if (parker.notified() || stream->scheduler().has_work() ||
-                    stream->stop_requested()) {
-                    lot->cancel_park();
-                    continue;
-                }
-                (void)lot->park(ticket, std::chrono::microseconds(1000));
-            }
-            continue;
-        }
-        while (!parker.notified()) {
-            if (stream->progress()) {
-                continue;
-            }
-            (void)parker.wait_for(std::chrono::microseconds(50));
-        }
+        // An attached stream (typically the primary) keeps draining its
+        // pools while it waits. Then re-check: the counter may have been
+        // re-armed.
+        thread_wait_impl(parker, stream);
     }
 }
 

@@ -26,38 +26,6 @@ void record_sync_wake(std::uint64_t ticks) noexcept {
     hist.record(ticks);
 }
 
-/// Thread-side wait used by both SyncBlocker and (via the installed hooks)
-/// sync::WaitTable: a bare thread sleeps, an attached stream keeps draining
-/// its pools between bounded parks so the runtime it is part of cannot
-/// starve while it blocks (same discipline as core/join.cpp stream_wait).
-void thread_wait_impl(sync::ThreadParker& parker, XStream* stream) noexcept {
-    if (stream == nullptr) {
-        parker.wait();
-        return;
-    }
-    if (sync::ParkingLot* lot = parker.lot()) {
-        while (!parker.notified()) {
-            if (stream->progress()) {
-                continue;
-            }
-            const std::uint64_t ticket = lot->prepare_park();
-            if (parker.notified() || stream->scheduler().has_work() ||
-                stream->stop_requested()) {
-                lot->cancel_park();
-                continue;
-            }
-            (void)lot->park(ticket, std::chrono::microseconds(1000));
-        }
-        return;
-    }
-    while (!parker.notified()) {
-        if (stream->progress()) {
-            continue;
-        }
-        (void)parker.wait_for(std::chrono::microseconds(50));
-    }
-}
-
 // --- hooks handed to sync::WaitTable ---------------------------------------
 
 void* hook_current() noexcept { return Ult::current(); }
@@ -95,6 +63,34 @@ constexpr sync::UltWaitOps kWaitOps{
 };
 
 }  // namespace
+
+void thread_wait_impl(sync::ThreadParker& parker, XStream* stream) noexcept {
+    if (stream == nullptr) {
+        parker.wait();
+        return;
+    }
+    if (sync::ParkingLot* lot = parker.lot()) {
+        while (!parker.notified()) {
+            if (stream->progress()) {
+                continue;
+            }
+            const std::uint64_t ticket = lot->prepare_park();
+            if (parker.notified() || stream->scheduler().has_work() ||
+                stream->stop_requested()) {
+                lot->cancel_park();
+                continue;
+            }
+            (void)lot->park(ticket, std::chrono::microseconds(1000));
+        }
+        return;
+    }
+    while (!parker.notified()) {
+        if (stream->progress()) {
+            continue;
+        }
+        (void)parker.wait_for(std::chrono::microseconds(50));
+    }
+}
 
 void ensure_sync_wait_ops() noexcept {
     sync::install_ult_wait_ops(&kWaitOps);

@@ -121,6 +121,15 @@ void wake_sync_waiter(SyncWaiter* w) noexcept;
 /// Wake a whole detach_all() chain, reading each `next` before the wake.
 void wake_sync_chain(SyncWaiter* chain) noexcept;
 
+/// Block the calling OS thread until `parker` is notified; returns only
+/// once notified(). A plain thread (`stream` null) sleeps on the parker.
+/// An attached stream keeps draining its pools meanwhile, so the runtime
+/// it is part of cannot starve: with a lot-routed parker it parks on the
+/// lot between sweeps (pool pushes and the notify both wake it), with a
+/// bare one it naps in 50 us slices. Shared by SyncBlocker,
+/// EventCounter::wait and, through the installed hooks, sync::WaitTable.
+void thread_wait_impl(sync::ThreadParker& parker, XStream* stream) noexcept;
+
 /// Binds one block/wake cycle to the calling context. Single-use: Mesa
 /// retry loops build a fresh blocker + node per round.
 ///

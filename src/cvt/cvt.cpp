@@ -4,8 +4,6 @@
 #include <cstdlib>
 
 #include "core/join.hpp"
-#include "core/runtime.hpp"
-#include "core/unit_cache.hpp"
 #include "core/work_unit.hpp"
 
 namespace lwt::cvt {
@@ -42,42 +40,21 @@ Library::Library(Config config) : config_(config) {
         core::Runtime::resolve_stream_count(config_.num_pes, "LWT_NUM_PES");
     config_.num_pes = n;
     const arch::BindPolicy bind = arch::resolve_bind_policy(config_.bind);
-    locality_ = arch::LocalityMap(arch::Topology::from_env_or_discover(),
-                                  bind, n);
-    // Size the descriptor allocator's depot tier to this topology.
-    core::unit_cache_configure_domains(locality_.num_domains());
     pools_.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
         pools_.push_back(
             std::make_unique<core::DequePool>(core::DequePool::PopOrder::kFifo));
     }
-    auto make_sched = [&](unsigned rank) {
-        return std::make_unique<core::Scheduler>(
-            std::vector<core::Pool*>{pools_[rank].get()});
-    };
-    locality_.bind_stream(0);  // PE 0 = the calling thread
-    primary_ = std::make_unique<core::XStream>(0, make_sched(0));
-    primary_->set_placement(locality_.placement(0));
-    primary_->attach_caller();
-    for (std::size_t i = 1; i < n; ++i) {
-        workers_.push_back(std::make_unique<core::XStream>(
-            static_cast<unsigned>(i), make_sched(static_cast<unsigned>(i))));
-        workers_.back()->set_placement(locality_.placement(i));
-        if (locality_.should_bind()) {
-            workers_.back()->set_on_start(
-                [this, i] { locality_.bind_stream(i); });
-        }
-        workers_.back()->start();
-    }
+    // PE 0 is the calling thread, as in Converse.
+    runtime_ = std::make_unique<core::Runtime>(
+        n,
+        [this](unsigned rank) {
+            return std::make_unique<core::Scheduler>(
+                std::vector<core::Pool*>{pools_[rank].get()});
+        },
+        arch::LocalityMap(arch::Topology::from_env_or_discover(), bind, n),
+        core::Runtime::Primary::kAdoptCaller);
     introspect_.emplace();
-}
-
-Library::~Library() {
-    introspect_.reset();
-    for (auto& w : workers_) {
-        w->stop_and_join();
-    }
-    primary_->detach_caller();
 }
 
 void Library::send_message(std::size_t pe, core::UniqueFunction handler) {
@@ -126,9 +103,8 @@ void Library::send_bulk_domain(
     // Round-robin over the domain's PEs only. An out-of-range or empty
     // domain degrades to the all-PE broadcast path.
     const std::vector<std::size_t>* pes =
-        domain < locality_.num_domains()
-            ? &locality_.streams_in_domain(domain)
-            : nullptr;
+        domain < num_domains() ? &locality().streams_in_domain(domain)
+                               : nullptr;
     if (pes == nullptr || pes->empty()) {
         send_bulk(count, handler);
         return;
@@ -173,7 +149,7 @@ void Library::barrier() {
     for (std::size_t pe = 1; pe < num_pes(); ++pe) {
         send_message(pe, [&checked_in] { checked_in.signal(); });
     }
-    primary_->run_until(
+    runtime_->primary().run_until(
         [&] { return checked_in.value() == 0 && pools_[0]->empty(); });
 }
 
@@ -192,7 +168,7 @@ double Library::reduce_sum(const std::function<double(std::size_t)>& contrib) {
             arrived.signal();
         });
     }
-    primary_->run_until([&] { return arrived.value() == 0; });
+    runtime_->primary().run_until([&] { return arrived.value() == 0; });
     return total;
 }
 
@@ -205,7 +181,7 @@ void Library::broadcast(const std::function<void(std::size_t)>& handler) {
             arrived.signal();
         });
     }
-    primary_->run_until([&] { return arrived.value() == 0; });
+    runtime_->primary().run_until([&] { return arrived.value() == 0; });
 }
 
 void Library::msg_track_begin(std::size_t expected) {
@@ -215,7 +191,7 @@ void Library::msg_track_begin(std::size_t expected) {
 void Library::msg_signal() { tracked_.signal(); }
 
 void Library::msg_wait() {
-    primary_->run_until([&] { return tracked_.value() == 0; });
+    runtime_->primary().run_until([&] { return tracked_.value() == 0; });
 }
 
 }  // namespace lwt::cvt

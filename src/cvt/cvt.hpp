@@ -20,9 +20,9 @@
 #include <vector>
 
 #include "arch/locality.hpp"
-#include "core/observability.hpp"
 #include "obs/introspect.hpp"
 #include "core/pool.hpp"
+#include "core/runtime.hpp"
 #include "core/sync_ult.hpp"
 #include "core/ult.hpp"
 #include "core/unique_function.hpp"
@@ -72,7 +72,6 @@ class CthHandle {
 class Library {
   public:
     explicit Library(Config config = {});
-    ~Library();
     Library(const Library&) = delete;
     Library& operator=(const Library&) = delete;
 
@@ -103,10 +102,10 @@ class Library {
 
     /// The placement plan the PEs were built under.
     [[nodiscard]] const arch::LocalityMap& locality() const noexcept {
-        return locality_;
+        return runtime_->locality();
     }
     [[nodiscard]] std::size_t num_domains() const noexcept {
-        return locality_.num_domains();
+        return runtime_->locality().num_domains();
     }
 
     /// CthCreate: a ULT on the *current* PE (PE 0 when called from main).
@@ -120,7 +119,7 @@ class Library {
     /// thread until `pred()` holds.
     template <typename Pred>
     void scheduler_run_until(Pred&& pred) {
-        primary_->run_until(std::forward<Pred>(pred));
+        runtime_->primary().run_until(std::forward<Pred>(pred));
     }
 
     /// Completion barrier over all PEs: every PE (including PE 0, driven by
@@ -147,26 +146,16 @@ class Library {
     /// Aggregate steal/idle counters over all PEs including PE 0
     /// (sched_stats.hpp).
     [[nodiscard]] core::SchedStats sched_stats() const noexcept {
-        core::SchedStats total;
-        for (const auto& w : workers_) {
-            total += w->sched_stats();
-        }
-        if (primary_) {
-            total += primary_->sched_stats();
-        }
-        return total;
+        return runtime_->sched_stats();
     }
 
   private:
-    // Declared first so it detaches LAST: the env-driven shutdown flush
-    // (LWT_TRACE / LWT_METRICS) must run after the PEs have stopped.
-    core::ObservabilitySession obs_session_;
     Config config_;
-    arch::LocalityMap locality_;  // before the PEs: bind hooks use it
     std::vector<std::unique_ptr<core::DequePool>> pools_;
-    std::vector<std::unique_ptr<core::XStream>> workers_;  // PEs 1..n-1
-    std::unique_ptr<core::XStream> primary_;               // PE 0
     core::EventCounter tracked_;
+    // After the queues and the message counter (destroyed before them):
+    // its PEs drain the queues, and messages may still signal tracked_.
+    std::unique_ptr<core::Runtime> runtime_;
     // Declared LAST (destroyed first): the introspection server's ULTs
     // must drain while the PEs above still run. Engaged at the end of
     // the ctor — the acceptor needs live streams to land on.

@@ -218,7 +218,9 @@ struct RuntimeOptions {
     /// Accepted and ignored: handoff is the only join protocol
     /// (docs/join_path.md). No environment variable backs it.
     std::optional<core::JoinMode> join;
-    /// Idle-stream ladder policy (LWT_IDLE_POLICY); nullopt = backoff.
+    /// Idle-stream ladder policy of every backend's streams
+    /// (LWT_IDLE_POLICY); nullopt = backoff. kPark lets idle streams
+    /// block on their runtime's parking lot (docs/idle_loop.md).
     std::optional<sync::IdlePolicy> idle;
     /// Free-stack cap of the default ULT stack source (LWT_STACK_CACHE);
     /// nullopt = 1024.

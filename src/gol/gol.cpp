@@ -1,8 +1,6 @@
 #include "gol/gol.hpp"
 
-#include "core/runtime.hpp"
 #include "core/ult.hpp"
-#include "core/unit_cache.hpp"
 
 namespace lwt::gol {
 
@@ -10,24 +8,17 @@ Library::Library(Config config) : config_(config) {
     const std::size_t n = core::Runtime::resolve_stream_count(
         config_.num_threads, "LWT_NUM_THREADS");
     config_.num_threads = n;
-    // One global queue, no locality routing: a single depot domain.
-    core::unit_cache_configure_domains(1);
-    // Every scheduler thread pops the same global queue.
-    for (std::size_t i = 0; i < n; ++i) {
-        threads_.push_back(std::make_unique<core::XStream>(
-            static_cast<unsigned>(i),
-            std::make_unique<core::Scheduler>(
-                std::vector<core::Pool*>{&global_})));
-        threads_.back()->start();
-    }
+    // Every scheduler thread pops the same global queue: no locality
+    // routing (a flat map, one depot domain), and the main thread is not a
+    // scheduler thread.
+    runtime_ = std::make_unique<core::Runtime>(
+        n,
+        [this](unsigned) {
+            return std::make_unique<core::Scheduler>(
+                std::vector<core::Pool*>{&global_});
+        },
+        arch::LocalityMap::flat(n), core::Runtime::Primary::kDedicatedThread);
     introspect_.emplace();
-}
-
-Library::~Library() {
-    introspect_.reset();
-    for (auto& t : threads_) {
-        t->stop_and_join();
-    }
 }
 
 void Library::go(core::UniqueFunction fn) {

@@ -18,9 +18,9 @@
 #include <vector>
 
 #include "core/channel.hpp"
-#include "core/observability.hpp"
 #include "obs/introspect.hpp"
 #include "core/pool.hpp"
+#include "core/runtime.hpp"
 #include "core/sync_ult.hpp"
 #include "core/unique_function.hpp"
 #include "core/xstream.hpp"
@@ -78,11 +78,12 @@ class WaitGroup {
 class Library {
   public:
     explicit Library(Config config = {});
-    ~Library();
     Library(const Library&) = delete;
     Library& operator=(const Library&) = delete;
 
-    [[nodiscard]] std::size_t num_threads() const { return threads_.size(); }
+    [[nodiscard]] std::size_t num_threads() const {
+        return runtime_->num_streams();
+    }
 
     /// `go fn()`: spawn a goroutine into the global run queue. Goroutines
     /// are always detached; synchronise through channels or a WaitGroup.
@@ -102,20 +103,14 @@ class Library {
     /// Aggregate steal/idle counters over all scheduler threads
     /// (sched_stats.hpp).
     [[nodiscard]] core::SchedStats sched_stats() const noexcept {
-        core::SchedStats total;
-        for (const auto& t : threads_) {
-            total += t->sched_stats();
-        }
-        return total;
+        return runtime_->sched_stats();
     }
 
   private:
-    // Declared first so it detaches LAST: the env-driven shutdown flush
-    // (LWT_TRACE / LWT_METRICS) must run after the threads have stopped.
-    core::ObservabilitySession obs_session_;
     Config config_;
     mutable core::SharedFifoPool global_;
-    std::vector<std::unique_ptr<core::XStream>> threads_;
+    // After the run queue (destroyed before it): its threads drain it.
+    std::unique_ptr<core::Runtime> runtime_;
     // Declared LAST (destroyed first): the introspection server's ULTs
     // must drain while the threads above still run. Engaged at the end of
     // the ctor — the acceptor needs live streams to land on.

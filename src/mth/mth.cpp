@@ -5,8 +5,6 @@
 #include <thread>
 
 #include "core/join.hpp"
-#include "core/runtime.hpp"
-#include "core/unit_cache.hpp"
 
 namespace lwt::mth {
 
@@ -43,10 +41,8 @@ Library::Library(Config config) : config_(config) {
         config_.num_workers, "LWT_NUM_WORKERS");
     config_.num_workers = n;
     const arch::BindPolicy bind = arch::resolve_bind_policy(config_.bind);
-    locality_ = arch::LocalityMap(arch::Topology::from_env_or_discover(),
-                                  bind, n);
-    // Size the descriptor allocator's depot tier to this topology.
-    core::unit_cache_configure_domains(locality_.num_domains());
+    arch::LocalityMap locality(arch::Topology::from_env_or_discover(), bind,
+                               n);
     pools_.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
         pools_.push_back(
@@ -54,46 +50,31 @@ Library::Library(Config config) : config_(config) {
     }
     // Tier each worker's victims by steal distance (MassiveThreads steals
     // uniformly at random; we keep random probes *within* a tier but rob
-    // the nearest non-empty tier first).
-    auto make_sched = [&](unsigned rank) {
-        const arch::LocalityMap::Tiers t = locality_.victim_tiers(rank);
-        auto to_pools = [&](const std::vector<std::size_t>& ranks) {
-            std::vector<core::Pool*> out;
-            out.reserve(ranks.size());
-            for (std::size_t r : ranks) {
-                out.push_back(pools_[r].get());
-            }
-            return out;
-        };
-        return std::make_unique<core::StealingScheduler>(
+    // the nearest non-empty tier first). Built before the map moves into
+    // the runtime.
+    auto to_pools = [&](const std::vector<std::size_t>& ranks) {
+        std::vector<core::Pool*> out;
+        out.reserve(ranks.size());
+        for (std::size_t r : ranks) {
+            out.push_back(pools_[r].get());
+        }
+        return out;
+    };
+    std::vector<std::unique_ptr<core::Scheduler>> scheds;
+    scheds.reserve(n);
+    for (unsigned rank = 0; rank < n; ++rank) {
+        const arch::LocalityMap::Tiers t = locality.victim_tiers(rank);
+        scheds.push_back(std::make_unique<core::StealingScheduler>(
             pools_[rank].get(),
             core::VictimTiers{to_pools(t.sibling), to_pools(t.package),
                               to_pools(t.remote)},
-            /*seed=*/0x9e3779b9u + rank);
-    };
-    locality_.bind_stream(0);  // primary = the calling thread
-    primary_ = std::make_unique<core::XStream>(0, make_sched(0));
-    primary_->set_placement(locality_.placement(0));
-    primary_->attach_caller();
-    for (std::size_t i = 1; i < n; ++i) {
-        workers_.push_back(std::make_unique<core::XStream>(
-            static_cast<unsigned>(i), make_sched(static_cast<unsigned>(i))));
-        workers_.back()->set_placement(locality_.placement(i));
-        workers_.back()->set_on_start(
-            [this, i] { locality_.bind_stream(i); });
-        workers_.back()->start();
+            /*seed=*/0x9e3779b9u + rank));
     }
+    // Worker 0 is the calling thread (MassiveThreads runs main() there).
+    runtime_ = std::make_unique<core::Runtime>(
+        n, [&scheds](unsigned rank) { return std::move(scheds[rank]); },
+        std::move(locality), core::Runtime::Primary::kAdoptCaller);
     introspect_.emplace();
-}
-
-Library::~Library() {
-    introspect_.reset();
-    // Before the workers drain: a unit still hinted on the primary goes
-    // back to its deque, where they can steal it.
-    primary_->detach_caller();
-    for (auto& w : workers_) {
-        w->stop_and_join();
-    }
 }
 
 void Library::run(core::UniqueFunction main_fn) {
@@ -101,7 +82,7 @@ void Library::run(core::UniqueFunction main_fn) {
     pools_[0]->push(main_ult.get());
     // Worker 0 (the calling thread) schedules until the main ULT finishes —
     // possibly on another worker if it gets stolen mid-flight.
-    primary_->run_until([&] { return main_ult->terminated(); });
+    runtime_->primary().run_until([&] { return main_ult->terminated(); });
 }
 
 core::Ult* Library::spawn(core::UniqueFunction fn, bool detached) {

@@ -19,9 +19,9 @@
 #include <vector>
 
 #include "arch/locality.hpp"
-#include "core/observability.hpp"
 #include "obs/introspect.hpp"
 #include "core/pool.hpp"
+#include "core/runtime.hpp"
 #include "core/sync_ult.hpp"
 #include "core/ult.hpp"
 #include "core/unique_function.hpp"
@@ -78,7 +78,6 @@ class ThreadHandle {
 class Library {
   public:
     explicit Library(Config config = {});
-    ~Library();
     Library(const Library&) = delete;
     Library& operator=(const Library&) = delete;
 
@@ -87,7 +86,7 @@ class Library {
 
     /// The placement plan the workers were built under.
     [[nodiscard]] const arch::LocalityMap& locality() const noexcept {
-        return locality_;
+        return runtime_->locality();
     }
 
     /// Run `main_fn` as the program's main ULT on worker 0 and return when
@@ -123,27 +122,16 @@ class Library {
     /// Aggregate steal/idle counters over all workers including worker 0
     /// (sched_stats.hpp).
     [[nodiscard]] core::SchedStats sched_stats() const noexcept {
-        core::SchedStats total;
-        for (const auto& w : workers_) {
-            total += w->sched_stats();
-        }
-        if (primary_) {
-            total += primary_->sched_stats();
-        }
-        return total;
+        return runtime_->sched_stats();
     }
 
   private:
     core::Ult* spawn(core::UniqueFunction fn, bool detached);
 
-    // Declared first so it detaches LAST: the env-driven shutdown flush
-    // (LWT_TRACE / LWT_METRICS) must run after the workers have stopped.
-    core::ObservabilitySession obs_session_;
     Config config_;
-    arch::LocalityMap locality_;  // before the streams: bind hooks use it
     std::vector<std::unique_ptr<core::DequePool>> pools_;
-    std::vector<std::unique_ptr<core::XStream>> workers_;  // ranks 1..n-1
-    std::unique_ptr<core::XStream> primary_;               // worker 0
+    // After the deques (destroyed before them): its workers drain them.
+    std::unique_ptr<core::Runtime> runtime_;
     // Declared LAST (destroyed first): the introspection server's ULTs
     // must drain while the workers above still run. Engaged at the end of
     // the ctor — the acceptor needs live streams to land on.

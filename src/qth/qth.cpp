@@ -4,16 +4,14 @@
 #include <functional>
 #include <thread>
 
-#include "core/runtime.hpp"
 #include "core/ult.hpp"
-#include "core/unit_cache.hpp"
 #include "core/work_unit.hpp"
 
 namespace lwt::qth {
 
 double Sinc::wait() {
-    // Suspend-based: the zero-crossing submit() wakes us directly; poll
-    // mode and the attached-stream drain loop live inside the counter.
+    // Suspend-based: the zero-crossing submit() wakes us directly; the
+    // attached-stream drain loop lives inside the counter.
     done_.wait();
     std::lock_guard g(lock_);
     return sum_;
@@ -38,50 +36,37 @@ Library::Library(Config config) : config_(config) {
     const std::size_t nworkers =
         config_.num_shepherds * config_.workers_per_shepherd;
     const arch::BindPolicy bind = arch::resolve_bind_policy(config_.bind);
-    locality_ = arch::LocalityMap(arch::Topology::from_env_or_discover(),
-                                  bind, nworkers);
-    // Size the descriptor allocator's depot tier to this topology.
-    core::unit_cache_configure_domains(locality_.num_domains());
-    for (std::size_t d = 0; d < locality_.num_domains(); ++d) {
+    arch::LocalityMap locality(arch::Topology::from_env_or_discover(), bind,
+                               nworkers);
+    std::vector<std::size_t> dom_of(nworkers, 0);  // read before the move
+    for (std::size_t r = 0; r < nworkers; ++r) {
+        dom_of[r] = locality.placement(r).domain;
+    }
+    for (std::size_t d = 0; d < locality.num_domains(); ++d) {
         domain_pools_.push_back(std::make_unique<core::MpmcPool>());
-        if (!locality_.streams_in_domain(d).empty()) {
+        if (!locality.streams_in_domain(d).empty()) {
             populated_domains_.push_back(d);
         }
     }
-    for (std::size_t s = 0; s < config_.num_shepherds; ++s) {
-        for (std::size_t w = 0; w < config_.workers_per_shepherd; ++w) {
-            const auto rank =
-                static_cast<unsigned>(s * config_.workers_per_shepherd + w);
-            const std::size_t dom = locality_.placement(rank).domain;
-            workers_.push_back(std::make_unique<core::XStream>(
-                rank, std::make_unique<core::Scheduler>(
-                          std::vector<core::Pool*>{
-                              pools_[s].get(), domain_pools_[dom].get()})));
-            workers_.back()->set_placement(locality_.placement(rank));
-            if (locality_.should_bind()) {
-                workers_.back()->set_on_start(
-                    [this, rank] { locality_.bind_stream(rank); });
-            }
-            workers_.back()->start();
-        }
-    }
+    // The main thread is not a worker: every worker gets its own thread.
+    runtime_ = std::make_unique<core::Runtime>(
+        nworkers,
+        [this, &dom_of](unsigned rank) {
+            return std::make_unique<core::Scheduler>(std::vector<core::Pool*>{
+                pools_[rank / config_.workers_per_shepherd].get(),
+                domain_pools_[dom_of[rank]].get()});
+        },
+        std::move(locality), core::Runtime::Primary::kDedicatedThread);
     introspect_.emplace();
 }
 
 core::Pool* Library::domain_queue(std::size_t domain) {
+    const arch::LocalityMap& map = runtime_->locality();
     std::size_t d = domain;
-    if (d >= locality_.num_domains() ||
-        locality_.streams_in_domain(d).empty()) {
+    if (d >= map.num_domains() || map.streams_in_domain(d).empty()) {
         d = populated_domains_.empty() ? 0 : populated_domains_.front();
     }
     return domain_pools_[d].get();
-}
-
-Library::~Library() {
-    introspect_.reset();
-    for (auto& w : workers_) {
-        w->stop_and_join();
-    }
 }
 
 std::size_t Library::current_shepherd() const {

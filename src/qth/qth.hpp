@@ -23,9 +23,9 @@
 
 #include "arch/locality.hpp"
 #include "arch/topology.hpp"
-#include "core/observability.hpp"
 #include "obs/introspect.hpp"
 #include "core/pool.hpp"
+#include "core/runtime.hpp"
 #include "core/sync_ult.hpp"
 #include "core/unique_function.hpp"
 #include "core/xstream.hpp"
@@ -100,20 +100,21 @@ class Library {
     using Fn = core::UniqueFunction;
 
     explicit Library(Config config = {});
-    ~Library();
     Library(const Library&) = delete;
     Library& operator=(const Library&) = delete;
 
     [[nodiscard]] std::size_t num_shepherds() const { return pools_.size(); }
-    [[nodiscard]] std::size_t num_workers() const { return workers_.size(); }
+    [[nodiscard]] std::size_t num_workers() const {
+        return runtime_->num_streams();
+    }
 
     /// The placement plan the workers were built under (worker rank =
     /// shepherd * workers_per_shepherd + worker).
     [[nodiscard]] const arch::LocalityMap& locality() const noexcept {
-        return locality_;
+        return runtime_->locality();
     }
     [[nodiscard]] std::size_t num_domains() const noexcept {
-        return locality_.num_domains();
+        return runtime_->locality().num_domains();
     }
 
     /// qthread_fork: spawn a ULT into the *current* shepherd's queue (the
@@ -173,22 +174,14 @@ class Library {
     /// Aggregate steal/idle counters over all workers (the introspection
     /// Qthreads exposes through its performance hooks; sched_stats.hpp).
     [[nodiscard]] core::SchedStats sched_stats() const noexcept {
-        core::SchedStats total;
-        for (const auto& w : workers_) {
-            total += w->sched_stats();
-        }
-        return total;
+        return runtime_->sched_stats();
     }
 
   private:
     std::size_t current_shepherd() const;
     core::Pool* domain_queue(std::size_t domain);
 
-    // Declared first so it detaches LAST: the env-driven shutdown flush
-    // (LWT_TRACE / LWT_METRICS) must run after the workers have stopped.
-    core::ObservabilitySession obs_session_;
     Config config_;
-    arch::LocalityMap locality_;  // before the workers: bind hooks use it
     sync::FebTable feb_;
     std::vector<std::unique_ptr<core::DequePool>> pools_;  // one per shepherd
     /// One shared MPMC overflow queue per locality domain, scanned by the
@@ -196,7 +189,9 @@ class Library {
     /// fork_to_domain / fork_bulk_domain.
     std::vector<std::unique_ptr<core::Pool>> domain_pools_;
     std::vector<std::size_t> populated_domains_;  // domains with >= 1 worker
-    std::vector<std::unique_ptr<core::XStream>> workers_;
+    // After the queues and the FEB table (destroyed before them): its
+    // workers drain the queues and their ULTs fill FEB words.
+    std::unique_ptr<core::Runtime> runtime_;
     // Declared LAST (destroyed first): the introspection server's ULTs
     // must drain while the workers above still run. Engaged at the end of
     // the ctor — the acceptor needs live streams to land on.

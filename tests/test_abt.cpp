@@ -2,7 +2,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <memory>
+#include <optional>
+#include <thread>
 #include <vector>
 
 #include "abt/abt.hpp"
@@ -149,7 +152,11 @@ TEST(Abt, YieldToBeatsQueueOrder) {
 }
 
 TEST(Abt, DynamicXstreamCreation) {
+    // Booted under the park policy, a stream created at run time gets the
+    // same idle ladder and lot as the boot streams: once idle, it parks.
+    lwt::core::set_default_idle_policy(lwt::sync::IdlePolicy::kPark);
     Library lib(cfg(1));
+    lwt::core::set_default_idle_policy(std::nullopt);  // resolved at boot
     EXPECT_EQ(lib.num_xstreams(), 1u);
     const std::size_t rank = lib.xstream_create();
     EXPECT_EQ(rank, 1u);
@@ -160,6 +167,37 @@ TEST(Abt, DynamicXstreamCreation) {
                                      static_cast<int>(lib.num_pools() - 1));
     h.free();
     EXPECT_TRUE(ran.load());
+    // Stream 0 is this thread, which never runs an idle loop: every park
+    // counted is the new stream's.
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(2);
+    while (lib.sched_stats().parks == 0 &&
+           std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    EXPECT_GT(lib.sched_stats().parks, 0u);
+}
+
+TEST(Abt, XstreamCreateRacesWithStreamReaders) {
+    // xstream_create appends to the stream list while another thread reads
+    // the count and the stats sum over it; under TSan this checks that
+    // both sides hold the runtime's stream lock.
+    Library lib(cfg(1));
+    std::atomic<bool> stop{false};
+    std::thread reader([&] {
+        while (!stop.load()) {
+            const std::size_t n = lib.num_xstreams();
+            EXPECT_GE(n, 1u);
+            EXPECT_LE(n, 5u);
+            (void)lib.sched_stats();
+        }
+    });
+    for (int i = 0; i < 4; ++i) {
+        lib.xstream_create();
+    }
+    stop.store(true);
+    reader.join();
+    EXPECT_EQ(lib.num_xstreams(), 5u);
 }
 
 TEST(Abt, StackableSchedulerOnStream) {

@@ -5,13 +5,16 @@
 #include <array>
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <span>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "core/runtime.hpp"
 #include "core/xstream.hpp"
 #include "glt/glt.hpp"
 
@@ -205,6 +208,31 @@ TEST_P(GltBackendTest, SchedStatsAggregateAcrossWorkers) {
     EXPECT_LE(s.steal_hits, s.steal_attempts);
     EXPECT_LE(s.steal_empty + s.steal_lost, s.steal_attempts);
     EXPECT_LE(s.unparks, s.parks);
+}
+
+TEST_P(GltBackendTest, ParkPolicyReachesEveryBackend) {
+    lwt::glt::RuntimeOptions opts;
+    opts.backend = GetParam();
+    opts.workers = 2;
+    opts.idle = lwt::sync::IdlePolicy::kPark;
+    auto rt = lwt::glt::init(opts);
+    std::vector<UnitToken> tokens;
+    for (int i = 0; i < 16; ++i) {
+        tokens.push_back(rt->ult_create([] {}));
+    }
+    rt->join_all(std::span<UnitToken>(tokens.data(), tokens.size()));
+    // Out of work, every dedicated stream climbs the idle ladder to the
+    // park rung within microseconds; allow a loaded host 2 s.
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(2);
+    while (rt->sched_stats().parks == 0 &&
+           std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    const std::uint64_t parks = rt->sched_stats().parks;
+    rt.reset();
+    lwt::core::set_default_idle_policy(std::nullopt);
+    EXPECT_GT(parks, 0u);
 }
 
 TEST_P(GltBackendTest, TraceWindowCollectsStatsAndExports) {

@@ -444,6 +444,9 @@ TEST(SchedStatsRuntime, HitRateReportedUnderStealing) {
             raw[0]->push(t);
         }
         rt.primary().run_until([&] { return done.load() >= kUnits; });
+        // Stop the thief first: a snapshot taken mid-probe counts the
+        // attempt but not yet its outcome.
+        rt.stream(1).stop_and_join();
         const SchedStats stats = rt.sched_stats();
         EXPECT_EQ(stats.steal_attempts,
                   stats.steal_hits + stats.steal_empty + stats.steal_lost);
