@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <cassert>
-#include <chrono>
 #include <thread>
 
 #include "arch/cpu.hpp"
@@ -10,6 +9,7 @@
 #include "core/pool.hpp"
 #include "core/sync_ult.hpp"
 #include "core/ult.hpp"
+#include "core/waiter.hpp"
 #include "core/xstream.hpp"
 #include "sync/parking_lot.hpp"
 
@@ -25,7 +25,10 @@ namespace {
 /// letting the next joins return on the fast path (per-join direct
 /// wakeups there would force a context switch per unit). Bounded: a
 /// joiner that exhausts the ladder registers and parks for its one
-/// direct wake — this is never an open-ended poll.
+/// direct wake — this is never an open-ended poll. It checks the join
+/// after every single pause or yield, where the idle ladder a registered
+/// attached joiner walks next pauses in doubling trains: a short join
+/// returns here without a train's added latency.
 constexpr unsigned kJoinBackoffSteps = 64 + 16;
 
 /// The second-joiner fallback: a joiner that finds the slot held by
@@ -72,20 +75,6 @@ std::uintptr_t register_joiner(WorkUnit* unit,
     return expected;
 }
 
-/// Attached-stream wait on a bare parker: keep draining the stream's
-/// pools, with a bounded condvar nap between empty sweeps so the direct
-/// wake is prompt and the stream still serves work other streams push at
-/// it (a private-pool chain may need this thread). Must not return before
-/// notified() — the terminator touches the parker in notify().
-void stream_wait(XStream* stream, sync::ThreadParker& parker) {
-    while (!parker.notified()) {
-        if (stream->progress()) {
-            continue;
-        }
-        (void)parker.wait_for(std::chrono::microseconds(50));
-    }
-}
-
 /// Stack record an OS-thread joiner registers in the slot
 /// (kJoinerThreadTag): the parker plus a joiner-owned mailbox for the
 /// terminator's handoff stamp. The stamp travels through waiter-owned
@@ -93,7 +82,8 @@ void stream_wait(XStream* stream, sync::ThreadParker& parker) {
 /// the joining ULT — after resuming, the joiner must not touch the unit
 /// at all (see join_unit).
 struct alignas(8) ThreadJoinWaiter {
-    sync::ThreadParker parker{nullptr};
+    explicit ThreadJoinWaiter(sync::ParkingLot* lot) noexcept : parker(lot) {}
+    sync::ThreadParker parker;
     std::atomic<std::uint64_t> terminate_tsc{0};
 };
 
@@ -297,7 +287,7 @@ void join_unit(WorkUnit* unit) {
         // surfaces in queue order anyway, and fine-grained join storms
         // never pay the register/notify round trip while queues are
         // nonempty. When the stream runs dry the joiner registers once
-        // and waits for one direct wake — no idle ladder.
+        // and waits for one direct wake.
         if (stream != nullptr && stream->progress()) {
             continue;
         }
@@ -318,23 +308,19 @@ void join_unit(WorkUnit* unit) {
                 return;
             }
         }
-        // Bare parker even for attached streams: the termination then
-        // wakes exactly this thread (one condvar signal) instead of
-        // broadcasting on the runtime lot, which would wake every parked
-        // stream per join — a context-switch storm on oversubscribed
-        // hosts. The attached-stream wait below still drains the
-        // stream's pools between bounded naps, so a private-pool chain
-        // that needs this thread is served within ~50µs.
-        ThreadJoinWaiter waiter;
+        // An attached stream routes its parker through the runtime lot,
+        // which every pool push notifies too: its wait keeps serving the
+        // stream's pools and walks the stream's idle ladder up to a park
+        // there, so work pushed at this thread (round-robin children,
+        // woken joiners homed here) wakes it as promptly as the
+        // termination does. A plain thread sleeps on a bare parker.
+        ThreadJoinWaiter waiter(stream != nullptr ? stream->parking_lot()
+                                                  : nullptr);
         const std::uintptr_t prev = register_joiner(
             unit,
             reinterpret_cast<std::uintptr_t>(&waiter) | kJoinerThreadTag);
         if (prev == kJoinerNone) {
-            if (stream != nullptr) {
-                stream_wait(stream, waiter.parker);
-            } else {
-                waiter.parker.wait();
-            }
+            thread_wait_impl(waiter.parker, stream);
             // As on the ULT path: no unit access after the wake — the
             // stamp arrives in our stack record.
             record_handoff_latency(

@@ -1,7 +1,5 @@
 #include "core/waiter.hpp"
 
-#include <chrono>
-
 #include "arch/cpu.hpp"
 #include "core/metrics.hpp"
 #include "core/xstream.hpp"
@@ -46,6 +44,11 @@ void hook_suspend(void* ult) noexcept {
 
 void hook_wake(void* ult) noexcept { Ult::wake(static_cast<Ult*>(ult)); }
 
+sync::ParkingLot* hook_thread_lot() noexcept {
+    XStream* stream = XStream::current();
+    return stream != nullptr ? stream->parking_lot() : nullptr;
+}
+
 void hook_thread_wait(sync::ThreadParker& parker) noexcept {
     thread_wait_impl(parker, XStream::current());
 }
@@ -57,7 +60,8 @@ bool hook_metrics_enabled() noexcept {
 constexpr sync::UltWaitOps kWaitOps{
     &hook_current,  &hook_arm,
     &hook_cancel,   &hook_suspend,
-    &hook_wake,     &hook_thread_wait,
+    &hook_wake,     &hook_thread_lot,
+    &hook_thread_wait,
     &hook_metrics_enabled, &record_sync_wake,
     &record_sync_suspend,
 };
@@ -65,30 +69,10 @@ constexpr sync::UltWaitOps kWaitOps{
 }  // namespace
 
 void thread_wait_impl(sync::ThreadParker& parker, XStream* stream) noexcept {
-    if (stream == nullptr) {
+    if (stream != nullptr) {
+        stream->run_until_notified(parker);
+    } else {
         parker.wait();
-        return;
-    }
-    if (sync::ParkingLot* lot = parker.lot()) {
-        while (!parker.notified()) {
-            if (stream->progress()) {
-                continue;
-            }
-            const std::uint64_t ticket = lot->prepare_park();
-            if (parker.notified() || stream->scheduler().has_work() ||
-                stream->stop_requested()) {
-                lot->cancel_park();
-                continue;
-            }
-            (void)lot->park(ticket, std::chrono::microseconds(1000));
-        }
-        return;
-    }
-    while (!parker.notified()) {
-        if (stream->progress()) {
-            continue;
-        }
-        (void)parker.wait_for(std::chrono::microseconds(50));
     }
 }
 

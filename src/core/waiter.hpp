@@ -8,7 +8,8 @@
 //
 //   ULT             -> kBlocking/kWakePending handshake + scheduler suspend
 //                      (the stream keeps running other ready units)
-//   attached stream -> drains its pools between bounded parks
+//   attached stream -> drains its pools, walking its idle ladder between
+//                      empty sweeps up to a park on the runtime lot
 //   plain OS thread -> sleeps on a stack ThreadParker
 //
 // This is the PR-5 EventCounter stack-node discipline factored out so every
@@ -124,10 +125,11 @@ void wake_sync_chain(SyncWaiter* chain) noexcept;
 /// Block the calling OS thread until `parker` is notified; returns only
 /// once notified(). A plain thread (`stream` null) sleeps on the parker.
 /// An attached stream keeps draining its pools meanwhile, so the runtime
-/// it is part of cannot starve: with a lot-routed parker it parks on the
-/// lot between sweeps (pool pushes and the notify both wake it), with a
-/// bare one it naps in 50 us slices. Shared by SyncBlocker,
-/// EventCounter::wait and, through the installed hooks, sync::WaitTable.
+/// it is part of cannot starve: between empty sweeps it walks the
+/// stream's idle ladder, whose last rung parks on the lot a lot-routed
+/// parker notifies (XStream::run_until_notified) — pool pushes and the
+/// notify both wake it. Shared by SyncBlocker, EventCounter::wait, native
+/// joins and, through the installed hooks, sync::WaitTable.
 void thread_wait_impl(sync::ThreadParker& parker, XStream* stream) noexcept;
 
 /// Binds one block/wake cycle to the calling context. Single-use: Mesa
@@ -156,8 +158,9 @@ class SyncBlocker {
     void cancel(SyncWaiter& node) noexcept;
 
     /// Block until wake_sync_waiter() hits the prepared node. ULTs suspend
-    /// through the scheduler; an attached stream drains progress() between
-    /// bounded parks; a plain thread sleeps on the parker.
+    /// through the scheduler; an attached stream drains progress() and
+    /// walks its idle ladder (thread_wait_impl); a plain thread sleeps on
+    /// the parker.
     void wait() noexcept;
 
   private:

@@ -117,26 +117,21 @@ void XStream::loop() {
     if (on_start_) {
         on_start_();
     }
-    sync::IdleBackoff idle(idle_config_, parking_lot_);
-    for (;;) {
-        if (progress()) {
-            idle.reset();
-            continue;
-        }
-        // Drain semantics: exit only when stopping *and* out of work.
-        if (stop_.load(std::memory_order_acquire) && !scheduler().has_work()) {
-            break;
-        }
-        // The re-check runs with park interest registered, so a push (or
-        // stop) that lands after it still bumps the lot's epoch and aborts
-        // the park — no lost wakeup.
-        count_idle_step(idle.step([this] {
-            return stop_.load(std::memory_order_acquire) ||
-                   scheduler().has_work();
-        }));
-    }
+    // Drain semantics: exit only when stopping *and* out of work, a hint
+    // included.
+    drive(sync::IdleBackoff(idle_config_, parking_lot_), [this] {
+        return stop_requested() && next_hint_ == nullptr &&
+               !scheduler().has_work();
+    });
     tl_current_xstream = nullptr;
     set_this_thread_stream(kNoStream);
+}
+
+void XStream::run_until_notified(const sync::ThreadParker& parker) {
+    sync::IdleConfig config = idle_config_;
+    config.policy = sync::IdlePolicy::kPark;
+    drive(sync::IdleBackoff(config, parker.lot()),
+          [&parker] { return parker.notified(); });
 }
 
 bool XStream::progress() {

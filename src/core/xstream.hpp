@@ -6,9 +6,10 @@
 //
 // Idle behaviour is a configurable ladder (sync/idle_backoff.hpp,
 // docs/idle_loop.md): bounded spin -> exponential backoff -> park on the
-// runtime's ParkingLot until a Pool::push wakes the stream. Every steal
-// probe and idle step is counted in per-stream SchedCounters, snapshotted
-// through sched_stats().
+// runtime's ParkingLot until a Pool::push wakes the stream. A thread
+// attached to the stream waits on the same ladder (run_until_notified).
+// Every steal probe and idle step is counted in per-stream SchedCounters,
+// snapshotted through sched_stats().
 #pragma once
 
 #include <atomic>
@@ -86,22 +87,23 @@ class XStream {
     /// flip without any pool push, which no waker reports — so the ladder
     /// is clamped at backoff. Joins and counter waits do not come here:
     /// they register for a direct wakeup instead (core/join.hpp,
-    /// EventCounter::wait) and park race-free.
+    /// EventCounter::wait) and park race-free in run_until_notified.
     template <typename Pred>
     void run_until(Pred&& pred) {
         sync::IdleConfig config = idle_config_;
         if (config.policy == sync::IdlePolicy::kPark) {
             config.policy = sync::IdlePolicy::kBackoff;
         }
-        sync::IdleBackoff idle(config, nullptr);
-        while (!pred()) {
-            if (progress()) {
-                idle.reset();
-            } else {
-                count_idle_step(idle.step([] { return false; }));
-            }
-        }
+        drive(sync::IdleBackoff(config), pred);
     }
+
+    /// Drive the scheduling loop on the calling thread until `parker` is
+    /// notified: how an OS thread attached to this stream waits in a join,
+    /// counter or sync-primitive wait. Walks the loop's idle ladder up to
+    /// the park rung whatever the policy, since a lot-routed parker's
+    /// notify reaches the lot and so always ends the park. A bare parker's
+    /// notify does not: its wait stops at backoff, like run_until.
+    void run_until_notified(const sync::ThreadParker& parker);
 
     /// Push a scheduler that preempts the current one until finished()
     /// (Argobots' stackable schedulers). Thread-safe.
@@ -188,6 +190,23 @@ class XStream {
 
   private:
     void loop();
+    /// The one idle-ladder loop, shared by loop() and both run_until
+    /// flavours: run units until `done()` holds, stepping `idle` after each
+    /// empty sweep and counting the step. A park's re-check runs with
+    /// interest registered, so a push (or `done` flipping with a lot
+    /// notify, as a stop or a lot-routed parker does) that lands after it
+    /// aborts the park — no lost wakeup.
+    template <typename Done>
+    void drive(sync::IdleBackoff idle, Done&& done) {
+        while (!done()) {
+            if (progress()) {
+                idle.reset();
+                continue;
+            }
+            count_idle_step(idle.step(
+                [&] { return done() || scheduler().has_work(); }));
+        }
+    }
     /// Push a pending next hint to its home pool, or to this stream's main
     /// pool for a work-first child that never had one. A hinted unit sits
     /// in no pool, so nothing else would ever run it.

@@ -2,10 +2,11 @@
 //
 // An idle stream that has exhausted its spin/backoff budget blocks here
 // until a producer publishes work. The protocol is the classic eventcount
-// (Vyukov): waiters take a ticket (the current epoch), re-check their work
-// predicate, then sleep until the epoch moves. Producers bump the epoch on
-// every publish and only take the mutex when somebody is actually parked,
-// so the producer fast path is one uncontended atomic RMW plus one load.
+// (Vyukov): waiters register, take a ticket (the current epoch), re-check
+// their work predicate, then sleep until the epoch moves. Producers bump
+// the epoch and take the mutex only when a waiter is registered, so the
+// producer fast path is one seq_cst fence plus one load — no write to the
+// lot's shared cache lines while nobody waits.
 //
 // "Basic Lock Algorithms in Lightweight Thread Environments" (PAPERS.md)
 // motivates the discipline: unconditional spinning wastes the cores the
@@ -34,20 +35,12 @@ class ParkingLot {
 
     /// Producer side: publish-then-notify. Call AFTER the work is visible
     /// in its queue, never before — the waiter's re-check must be able to
-    /// see it. Cheap when nobody is parked.
+    /// see it. Cheap when nobody is registered: a fence and a load.
     void notify_all() noexcept {
-        // The epoch bump must precede the waiter check: a waiter that
-        // registered after our bump re-reads the queues and finds the work;
-        // a waiter that registered before it sees the epoch move and wakes.
-        epoch_.fetch_add(1, std::memory_order_acq_rel);
-        if (waiters_.load(std::memory_order_acquire) > 0) {
-            notifies_.fetch_add(1, std::memory_order_relaxed);
-            // Taking the mutex fences against a waiter between its epoch
-            // re-check and the actual block; without it the notify could
-            // fall into that window and be lost.
-            std::lock_guard<std::mutex> guard(mutex_);
-            cv_.notify_all();
+        if (registered() == 0) {
+            return;
         }
+        wake(/*all=*/true);
     }
 
     /// Like notify_all(), but wakes at most ONE parked waiter. Correct
@@ -57,24 +50,23 @@ class ParkingLot {
     /// leaves asleep is counted in wakeups_avoided() — the thundering-herd
     /// cost the broadcast path would have paid.
     void notify_one() noexcept {
-        epoch_.fetch_add(1, std::memory_order_acq_rel);
-        const std::uint64_t parked = waiters_.load(std::memory_order_acquire);
-        if (parked > 0) {
-            notifies_.fetch_add(1, std::memory_order_relaxed);
-            if (parked > 1) {
-                wakeups_avoided_.fetch_add(parked - 1,
-                                           std::memory_order_relaxed);
-            }
-            std::lock_guard<std::mutex> guard(mutex_);
-            cv_.notify_one();
+        const std::uint64_t parked = registered();
+        if (parked == 0) {
+            return;
         }
+        if (parked > 1) {
+            wakeups_avoided_.fetch_add(parked - 1, std::memory_order_relaxed);
+        }
+        wake(/*all=*/false);
     }
 
     /// Waiter side, step 1: register interest and take a ticket. Must be
     /// followed by re-checking the work predicate, then either park() or
-    /// cancel_park().
+    /// cancel_park(). The fence pairs with the one in registered(): either
+    /// the producer sees this registration, or the re-check sees its work.
     [[nodiscard]] std::uint64_t prepare_park() noexcept {
-        waiters_.fetch_add(1, std::memory_order_acq_rel);
+        waiters_.fetch_add(1, std::memory_order_seq_cst);
+        std::atomic_thread_fence(std::memory_order_seq_cst);
         return epoch_.load(std::memory_order_acquire);
     }
 
@@ -98,9 +90,11 @@ class ParkingLot {
         return notified;
     }
 
-    /// Current epoch: bumped exactly once per notify_all(), whether or not
-    /// anyone was parked. Tests use the delta to assert how many notifies a
-    /// code path issued (e.g. push_bulk's one-notify-per-batch contract).
+    /// Current epoch: bumped exactly once per notify that found a waiter
+    /// registered (prepare_park() without its park() or cancel_park()
+    /// yet). Tests register one and use the delta to assert how many
+    /// notifies a code path issued (e.g. push_bulk's one-notify-per-batch
+    /// contract).
     [[nodiscard]] std::uint64_t epoch() const noexcept {
         return epoch_.load(std::memory_order_acquire);
     }
@@ -129,6 +123,29 @@ class ParkingLot {
     }
 
   private:
+    /// Waiters registered as seen by a producer that just published. The
+    /// seq_cst fence orders the publish before the load (Dekker with
+    /// prepare_park): reading 0 means any waiter registering later will
+    /// find the work in its re-check, so skipping the wake is safe.
+    [[nodiscard]] std::uint64_t registered() const noexcept {
+        std::atomic_thread_fence(std::memory_order_seq_cst);
+        return waiters_.load(std::memory_order_relaxed);
+    }
+
+    /// Slow path: move the epoch (a registered waiter's park then returns
+    /// at once), then signal under the mutex, which fences against a
+    /// waiter between its epoch check and the actual block.
+    void wake(bool all) noexcept {
+        epoch_.fetch_add(1, std::memory_order_acq_rel);
+        notifies_.fetch_add(1, std::memory_order_relaxed);
+        std::lock_guard<std::mutex> guard(mutex_);
+        if (all) {
+            cv_.notify_all();
+        } else {
+            cv_.notify_one();
+        }
+    }
+
     alignas(arch::kCacheLine) std::atomic<std::uint64_t> epoch_{0};
     alignas(arch::kCacheLine) std::atomic<std::uint64_t> waiters_{0};
     std::atomic<std::uint64_t> notifies_{0};
@@ -142,12 +159,13 @@ class ParkingLot {
 /// routings:
 ///
 ///  - bare (lot == nullptr): notify() flips the flag and signals the
-///    condvar; wait()/wait_for() block on it. Used by threads that are not
-///    execution streams (e.g. the Go-personality main thread).
+///    condvar; wait() blocks on it. Used by threads that are not execution
+///    streams (e.g. the Go-personality main thread).
 ///  - lot-routed (lot != nullptr): notify() flips the flag and broadcasts
 ///    on the given ParkingLot instead. An *attached stream* waiter parks on
 ///    its runtime's lot so BOTH pool pushes and the termination wake it —
-///    it keeps draining its pools while waiting (see core/join.cpp).
+///    it keeps draining its pools while waiting
+///    (XStream::run_until_notified).
 ///
 /// Lifetime: the waiter owns the parker (stack allocation) and must not
 /// return until notified() is true. The flag store is notify()'s last
@@ -155,7 +173,7 @@ class ParkingLot {
 /// it and touches only the (longer-lived) lot afterwards; the bare path
 /// signals the condvar under the mutex first and stores the flag after
 /// unlocking. A waiter may therefore poll notified() without the mutex —
-/// the attached-stream loops do, between units — and destroy the parker
+/// the attached-stream wait does, between units — and destroy the parker
 /// the moment it reads true.
 class ThreadParker {
   public:
@@ -195,35 +213,16 @@ class ThreadParker {
             std::unique_lock<std::mutex> lock(mutex_);
             cv_.wait(lock, [this] { return signalled_; });
         }
-        settle();
-    }
-
-    /// Bounded block; returns notified(). Used as the safety net when an
-    /// attached stream waits without a lot (progress-drive loop).
-    bool wait_for(std::chrono::microseconds timeout) {
-        bool signalled;
-        {
-            std::unique_lock<std::mutex> lock(mutex_);
-            signalled =
-                cv_.wait_for(lock, timeout, [this] { return signalled_; });
-        }
-        if (signalled) {
-            settle();
-        }
-        return notified();
-    }
-
-  private:
-    /// Woken by the condvar, the notifier is past its signal but may still
-    /// be unlocking: wait out its final flag store before the caller may
-    /// destroy us.
-    void settle() const noexcept {
+        // Woken by the condvar, the notifier is past its signal but may
+        // still be unlocking: wait out its final flag store before the
+        // caller may destroy us.
         arch::Backoff backoff;
         while (!notified()) {
             backoff.pause();
         }
     }
 
+  private:
     ParkingLot* const lot_;
     std::atomic<bool> done_{false};
     bool signalled_ = false;  // bare path; guarded by mutex_

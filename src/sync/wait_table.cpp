@@ -65,7 +65,7 @@ bool WaitTable::park_if(const void* key, bool (*still_blocked)(void*),
         }
         ops->suspend(ult);
     } else {
-        ThreadParker parker;
+        ThreadParker parker(ops != nullptr ? ops->thread_lot() : nullptr);
         WaitNode node{key, WaitNode::Kind::kParker, &parker};
         {
             std::lock_guard g(sh.lock);

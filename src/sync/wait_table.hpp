@@ -50,6 +50,10 @@ struct UltWaitOps {
     void (*suspend)(void* ult) noexcept;
     /// Make a blocked/blocking ULT runnable again (Ult::wake).
     void (*wake)(void* ult) noexcept;
+    /// The lot an OS-thread waiter's parker routes its wake through: the
+    /// calling attached stream's, so the wait below may park there, or
+    /// nullptr (a bare parker) for a plain thread.
+    ParkingLot* (*thread_lot)() noexcept;
     /// Block an OS thread on its parker. core routes attached execution
     /// streams through a progress-draining loop here; bare threads just
     /// sleep. Must not return until parker.notified().

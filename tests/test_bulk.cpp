@@ -33,11 +33,13 @@ using lwt::glt::UnitKind;
 
 // The acceptance property of the batched submission path: pushing N units
 // as one batch wakes parked consumers exactly ONCE (one parking-lot epoch
-// bump), where the per-unit path bumps the epoch N times.
+// bump), where the per-unit path bumps the epoch N times. The lot skips
+// the bump while nobody waits, so a waiter stays registered throughout.
 template <typename PoolT>
 void expect_single_notify_per_batch(PoolT& pool) {
     lwt::sync::ParkingLot lot;
     pool.set_waker(&lot);
+    (void)lot.prepare_park();
 
     constexpr std::size_t kBatch = 64;
     std::vector<lwt::core::WorkUnit*> batch;
@@ -59,6 +61,7 @@ void expect_single_notify_per_batch(PoolT& pool) {
         pool.push(new lwt::core::Tasklet([] {}));
     }
     EXPECT_EQ(lot.epoch(), mid + 8);
+    lot.cancel_park();
 
     std::size_t drained = 0;
     while (lwt::core::WorkUnit* u = pool.pop()) {

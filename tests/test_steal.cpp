@@ -6,12 +6,14 @@
 // kernel's user-level context switches.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <memory>
 #include <thread>
 #include <vector>
 
+#include "arch/cpu.hpp"
 #include "core/pool.hpp"
 #include "core/runtime.hpp"
 #include "core/sched_stats.hpp"
@@ -250,6 +252,93 @@ TEST(ParkingLot, WakesAParkedThread) {
     EXPECT_GE(lot.notifies(), 1u);
 }
 
+TEST(ParkingLot, NoLostWakeUnderConcurrentNotifies) {
+    // notify_one/notify_all skip the epoch bump and the mutex while no
+    // waiter is registered, relying on their fence pairing with
+    // prepare_park. Each producer publishes one item at a time with a
+    // plain release store, notifies, and waits until every published item
+    // is taken, so its next publish races the waiters' spin and
+    // registration. Waiters take items and, when none is left, spin
+    // briefly, then register, re-check and park with a timeout far longer
+    // than the run. A wake lost between a waiter's registration and its
+    // park leaves an item untaken while every waiter sleeps: the park
+    // times out.
+    constexpr int kProducers = 2;
+    constexpr int kWaiters = 3;
+    constexpr int kItemsPerProducer = 5'000;
+    constexpr int kItems = kProducers * kItemsPerProducer;
+    lwt::sync::ParkingLot lot;
+    std::array<std::atomic<int>, kProducers> made{};
+    std::atomic<int> taken{0};
+    std::atomic<int> timeouts{0};
+    auto published = [&] {
+        int n = 0;
+        for (auto& m : made) {
+            n += m.load(std::memory_order_acquire);
+        }
+        return n;
+    };
+    std::vector<std::thread> threads;
+    for (int w = 0; w < kWaiters; ++w) {
+        threads.emplace_back([&] {
+            for (;;) {
+                int t = taken.load();
+                if (t >= kItems) {
+                    break;
+                }
+                if (t < published()) {
+                    if (taken.compare_exchange_weak(t, t + 1) &&
+                        t + 1 == kItems) {
+                        lot.notify_all();  // release the parked waiters
+                    }
+                    continue;
+                }
+                bool seen = false;
+                for (int spin = 0; spin < 64 && !seen; ++spin) {
+                    lwt::arch::cpu_relax();
+                    seen = published() > taken.load();
+                }
+                if (seen) {
+                    continue;
+                }
+                const std::uint64_t ticket = lot.prepare_park();
+                if (published() > taken.load() || taken.load() >= kItems) {
+                    lot.cancel_park();
+                    continue;
+                }
+                if (!lot.park(ticket, std::chrono::seconds(10))) {
+                    timeouts.fetch_add(1);
+                }
+            }
+        });
+    }
+    for (int p = 0; p < kProducers; ++p) {
+        threads.emplace_back([&, p] {
+            for (int i = 1; i <= kItemsPerProducer; ++i) {
+                made[p].store(i, std::memory_order_release);
+                if ((i + p) % 2 == 0) {
+                    lot.notify_one();
+                } else {
+                    lot.notify_all();
+                }
+                for (int spin = 0; taken.load() < published(); ++spin) {
+                    if (spin < 64) {
+                        lwt::arch::cpu_relax();
+                    } else {
+                        std::this_thread::yield();
+                    }
+                }
+            }
+        });
+    }
+    for (auto& t : threads) {
+        t.join();
+    }
+    EXPECT_EQ(taken.load(), kItems);
+    EXPECT_EQ(timeouts.load(), 0) << "a park outlived its wake";
+    EXPECT_EQ(lot.waiters(), 0u);
+}
+
 // --- idle ladder -------------------------------------------------------------
 
 TEST(IdleBackoff, EscalatesSpinYieldPark) {
@@ -406,11 +495,17 @@ TEST(StealStress, ManyThievesOneProducerNoLostOrDuplicatedWork) {
             t->detached = true;
             raw[0]->push(t);
         }
+        // Hold the primary's drain until a thief has stolen: otherwise the
+        // primary may run all the units before any thief probes.
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(30);
+        while (rt.sched_stats().steal_hits == 0 &&
+               std::chrono::steady_clock::now() < deadline) {
+            std::this_thread::yield();
+        }
+        ASSERT_GT(rt.sched_stats().steal_hits, 0u)
+            << "no thief stole from the primary's pool within 30 s";
         rt.primary().run_until([&] { return done.load() >= kUnits; });
-        SchedStats stats = rt.sched_stats();
-        // The thieves had no pool of their own to drain: the only way this
-        // completes is successful steals.
-        EXPECT_GT(stats.steal_attempts, 0u);
     }
     for (std::size_t i = 0; i < kUnits; ++i) {
         EXPECT_EQ(executions[i].load(std::memory_order_relaxed), 1u)

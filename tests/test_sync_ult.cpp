@@ -21,12 +21,16 @@
 #include "core/channel.hpp"
 #include "core/future.hpp"
 #include "core/metrics.hpp"
+#include "core/pool.hpp"
+#include "core/scheduler.hpp"
 #include "core/sync_ult.hpp"
 #include "core/wait_word.hpp"
+#include "core/xstream.hpp"
 #include "cvt/cvt.hpp"
 #include "gol/gol.hpp"
 #include "mth/mth.hpp"
 #include "qth/qth.hpp"
+#include "sync/parking_lot.hpp"
 
 #if defined(__SANITIZE_THREAD__)
 #define LWT_TSAN 1
@@ -312,6 +316,40 @@ TEST(WaitWord, DestroyRaceStress) {
         word.reset();  // destroy immediately; the waker may still be waking
     }
     waker.join();
+}
+
+TEST(WaitWord, AttachedStreamWaitParksOnItsLot) {
+    // An OS thread attached to a stream blocks in the wait table through
+    // the stream's idle ladder. Its parker is routed through the stream's
+    // lot, so the wait reaches the park rung there and the wake ends the
+    // park, counted in the stream's unparks. (A bare parker never touches
+    // the lot: the waker below would give up after 2 s each round.)
+    constexpr int kRounds = 5;
+    lwt::sync::ParkingLot lot;
+    lwt::core::DequePool pool;
+    lwt::core::XStream stream(0, std::make_unique<lwt::core::Scheduler>(
+                                     std::vector<lwt::core::Pool*>{&pool}));
+    stream.set_parking_lot(&lot);
+    stream.attach_caller();
+    for (int round = 0; round < kRounds; ++round) {
+        std::atomic<std::uint64_t> word{0};
+        std::thread waker([&] {
+            const auto deadline =
+                std::chrono::steady_clock::now() + std::chrono::seconds(2);
+            while (lot.waiters() == 0 &&
+                   std::chrono::steady_clock::now() < deadline) {
+                std::this_thread::yield();
+            }
+            word.store(1, std::memory_order_release);
+            lwt::core::wake_word_all(&word);
+        });
+        while (word.load(std::memory_order_acquire) == 0) {
+            lwt::core::wait_on_word(word, 0);
+        }
+        waker.join();
+    }
+    stream.detach_caller();
+    EXPECT_GT(stream.sched_stats().unparks, 0u);
 }
 
 // --- Future: plain-thread wake path ------------------------------------------
