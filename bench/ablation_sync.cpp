@@ -75,6 +75,16 @@ double jain_index(const std::vector<std::uint64_t>& counts) {
     return (sum * sum) / (static_cast<double>(counts.size()) * sum_sq);
 }
 
+/// Join with per-handle free(): it waits in the joiner slot, which records
+/// nothing in sync.*, so the wake histogram holds only the primitive's own
+/// parks (join_all_free waits on an EventCounter, which would add its
+/// own).
+void join_each(std::vector<lwt::abt::UnitHandle>& handles) {
+    for (lwt::abt::UnitHandle& h : handles) {
+        h.free();
+    }
+}
+
 /// One contention window: U ULTs loop lock/unlock on `primitive` until the
 /// stop flag rises, counting their own acquisitions. Returns ops/ms and
 /// the Jain fairness of the per-ULT counts.
@@ -111,7 +121,7 @@ void run_lock_window(lwt::abt::Library& lib, std::size_t workers,
     std::this_thread::sleep_for(
         std::chrono::microseconds(static_cast<long>(window_ms * 1000.0)));
     stop.store(true);
-    lib.join_all_free(handles);
+    join_each(handles);
     const double elapsed_ms =
         std::chrono::duration<double, std::milli>(
             std::chrono::steady_clock::now() - t0)
@@ -205,7 +215,7 @@ PrimitiveResult measure_condvar(std::size_t threads, std::size_t reps,
             stop.store(true);
             cv.notify_all();
         }
-        lib.join_all_free(handles);
+        join_each(handles);
         const double elapsed_ms =
             std::chrono::duration<double, std::milli>(
                 std::chrono::steady_clock::now() - t0)

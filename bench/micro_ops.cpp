@@ -23,7 +23,7 @@
 #include "queue/global_queue.hpp"
 #include "queue/locked_deque.hpp"
 #include "queue/mpmc_queue.hpp"
-#include "sync/feb.hpp"
+#include "qth/feb.hpp"
 #include "sync/spinlock.hpp"
 
 namespace {
@@ -237,8 +237,8 @@ void BM_EventCounterSignalResumeLatency(benchmark::State& state) {
 BENCHMARK(BM_EventCounterSignalResumeLatency)->UseRealTime();
 
 void BM_FebWriteFReadFF(benchmark::State& state) {
-    sync::FebTable table;
-    sync::aligned_t word = 0;
+    qth::FebTable table;
+    qth::aligned_t word = 0;
     for (auto _ : state) {
         table.write_f(&word, 1);
         benchmark::DoNotOptimize(table.read_ff(&word));
@@ -247,8 +247,8 @@ void BM_FebWriteFReadFF(benchmark::State& state) {
 BENCHMARK(BM_FebWriteFReadFF);
 
 void BM_FebPurgeFill(benchmark::State& state) {
-    sync::FebTable table;
-    sync::aligned_t word = 0;
+    qth::FebTable table;
+    qth::aligned_t word = 0;
     for (auto _ : state) {
         table.purge(&word);
         table.fill(&word);

@@ -7,8 +7,9 @@
 // buffering, close() with drain semantics.
 //
 // Blocking is suspend-based (core/waiter.hpp): a blocked sender or receiver
-// parks on an intrusive stack-node queue and is woken directly by its peer —
-// a ULT suspends through the scheduler, a plain thread sleeps on a parker.
+// queues its stack-owned SyncWaiter on the channel's list and is woken
+// directly by its peer — a ULT suspends through the scheduler, a plain
+// thread sleeps on a parker.
 // The unbuffered path is a true rendezvous: the sender's value moves
 // straight into the receiver's result slot (or the sender blocks until a
 // receiver takes it), never through the buffer. The previous implementation
@@ -47,11 +48,11 @@ class Channel {
         SendWaiter node;
         node.value = &value;
         RecvWaiter* rcv = nullptr;
-        blocker.prepare(node.w);
+        blocker.prepare(node);
         {
             std::lock_guard g(lock_);
             if (closed_) {
-                blocker.cancel(node.w);
+                blocker.cancel(node);
                 return false;
             }
             if ((rcv = pop_recv_locked()) != nullptr) {
@@ -60,15 +61,15 @@ class Channel {
                 rcv->outcome.store(kDone, std::memory_order_release);
             } else if (capacity_ > 0 && items_.size() < capacity_) {
                 items_.push_back(std::move(value));
-                blocker.cancel(node.w);
+                blocker.cancel(node);
                 return true;
             } else {
-                send_waiters_.push(&node);
+                send_waiters_.push_back(&node);
             }
         }
         if (rcv != nullptr) {
-            blocker.cancel(node.w);
-            wake_sync_waiter(&rcv->w);
+            blocker.cancel(node);
+            wake_sync_waiter(rcv);
             return true;
         }
         blocker.wait();
@@ -96,7 +97,7 @@ class Channel {
                 return false;
             }
         }
-        wake_sync_waiter(&rcv->w);
+        wake_sync_waiter(rcv);
         return true;
     }
 
@@ -109,7 +110,7 @@ class Channel {
         node.out = &out;
         SendWaiter* snd = nullptr;
         bool registered = false;
-        blocker.prepare(node.w);
+        blocker.prepare(node);
         {
             std::lock_guard g(lock_);
             if (!items_.empty()) {
@@ -125,17 +126,17 @@ class Channel {
                 out.emplace(std::move(*snd->value));
                 snd->outcome.store(kDone, std::memory_order_release);
             } else if (closed_) {
-                blocker.cancel(node.w);
+                blocker.cancel(node);
                 return std::nullopt;
             } else {
-                recv_waiters_.push(&node);
+                recv_waiters_.push_back(&node);
                 registered = true;
             }
         }
         if (!registered) {
-            blocker.cancel(node.w);
+            blocker.cancel(node);
             if (snd != nullptr) {
-                wake_sync_waiter(&snd->w);
+                wake_sync_waiter(snd);
             }
             return out;
         }
@@ -162,7 +163,7 @@ class Channel {
         node.chan = this;
         SendWaiter* snd = nullptr;
         bool registered = false;
-        blocker.prepare(node.w);
+        blocker.prepare(node);
         {
             std::lock_guard g(lock_);
             if (!items_.empty()) {
@@ -176,17 +177,17 @@ class Channel {
                 out.emplace(std::move(*snd->value));
                 snd->outcome.store(kDone, std::memory_order_release);
             } else if (closed_ || timeout.count() <= 0) {
-                blocker.cancel(node.w);
+                blocker.cancel(node);
                 return std::nullopt;
             } else {
-                recv_waiters_.push(&node);
+                recv_waiters_.push_back(&node);
                 registered = true;
             }
         }
         if (!registered) {
-            blocker.cancel(node.w);
+            blocker.cancel(node);
             if (snd != nullptr) {
-                wake_sync_waiter(&snd->w);
+                wake_sync_waiter(snd);
             }
             return out;
         }
@@ -224,7 +225,7 @@ class Channel {
             }
         }
         if (snd != nullptr) {
-            wake_sync_waiter(&snd->w);
+            wake_sync_waiter(snd);
         }
         return out;
     }
@@ -233,30 +234,19 @@ class Channel {
     /// (its value untouched), every blocked receiver wakes with nullopt,
     /// future sends fail, receivers drain the buffer then see nullopt.
     void close() {
-        SendWaiter* senders;
-        RecvWaiter* receivers;
+        SyncWaiter* senders;
+        SyncWaiter* receivers;
         {
             std::lock_guard g(lock_);
             if (closed_) {
                 return;
             }
             closed_ = true;
-            senders = send_waiters_.detach();
-            receivers = recv_waiters_.detach();
+            senders = send_waiters_.detach_all();
+            receivers = recv_waiters_.detach_all();
         }
-        // Read `next` before each wake: a woken peer unwinds immediately.
-        while (senders != nullptr) {
-            SendWaiter* const next = senders->next;
-            senders->outcome.store(kClosed, std::memory_order_release);
-            wake_sync_waiter(&senders->w);
-            senders = next;
-        }
-        while (receivers != nullptr) {
-            RecvWaiter* const next = receivers->next;
-            receivers->outcome.store(kClosed, std::memory_order_release);
-            wake_sync_waiter(&receivers->w);
-            receivers = next;
-        }
+        wake_closed<SendWaiter>(senders);
+        wake_closed<RecvWaiter>(receivers);
     }
 
     [[nodiscard]] bool closed() const {
@@ -280,23 +270,32 @@ class Channel {
     static constexpr std::uint8_t kTimedOut = 3;  // deadline dequeued us
 
     /// Stack-owned by a blocked sender; `value` points at its send() arg.
-    struct SendWaiter {
-        SyncWaiter w;
+    struct SendWaiter : SyncWaiter {
         T* value = nullptr;
         std::atomic<std::uint8_t> outcome{kPending};
-        SendWaiter* next = nullptr;
     };
 
     /// Stack-owned by a blocked receiver; `out` points at its result slot.
     /// `chan` is set only by timed receives (the deadline callback needs a
     /// way back to the channel lock).
-    struct RecvWaiter {
-        SyncWaiter w;
+    struct RecvWaiter : SyncWaiter {
         std::optional<T>* out = nullptr;
         Channel* chan = nullptr;
         std::atomic<std::uint8_t> outcome{kPending};
-        RecvWaiter* next = nullptr;
     };
+
+    /// close(): publish kClosed to every node of a detached chain and wake
+    /// it, reading `next` first (a woken peer unwinds immediately).
+    template <typename Node>
+    static void wake_closed(SyncWaiter* chain) noexcept {
+        while (chain != nullptr) {
+            SyncWaiter* const next = chain->next;
+            static_cast<Node*>(chain)->outcome.store(
+                kClosed, std::memory_order_release);
+            wake_sync_waiter(chain);
+            chain = next;
+        }
+    }
 
     /// Reactor timer callback for try_recv_for. Dequeueing under the lock
     /// is the linearization point: if the node is already gone, a sender
@@ -311,71 +310,22 @@ class Channel {
         }
         if (removed) {
             node->outcome.store(kTimedOut, std::memory_order_release);
-            wake_sync_waiter(&node->w);
+            wake_sync_waiter(node);
         }
     }
 
-    template <typename Node>
-    struct WaiterQueue {
-        Node* head = nullptr;
-        Node* tail = nullptr;
-        void push(Node* n) noexcept {
-            n->next = nullptr;
-            if (tail != nullptr) {
-                tail->next = n;
-            } else {
-                head = n;
-            }
-            tail = n;
-        }
-        Node* pop() noexcept {
-            Node* n = head;
-            if (n != nullptr) {
-                head = n->next;
-                if (head == nullptr) {
-                    tail = nullptr;
-                }
-                n->next = nullptr;
-            }
-            return n;
-        }
-        Node* detach() noexcept {
-            Node* h = head;
-            head = nullptr;
-            tail = nullptr;
-            return h;
-        }
-        /// Unlink `target` if still queued (timed waits dequeue on
-        /// deadline). True = caller now owns the node's wake.
-        bool remove(Node* target) noexcept {
-            Node* prev = nullptr;
-            for (Node* n = head; n != nullptr; prev = n, n = n->next) {
-                if (n != target) {
-                    continue;
-                }
-                if (prev != nullptr) {
-                    prev->next = n->next;
-                } else {
-                    head = n->next;
-                }
-                if (tail == n) {
-                    tail = prev;
-                }
-                n->next = nullptr;
-                return true;
-            }
-            return false;
-        }
-    };
-
-    SendWaiter* pop_send_locked() { return send_waiters_.pop(); }
-    RecvWaiter* pop_recv_locked() { return recv_waiters_.pop(); }
+    SendWaiter* pop_send_locked() {
+        return static_cast<SendWaiter*>(send_waiters_.pop_front());
+    }
+    RecvWaiter* pop_recv_locked() {
+        return static_cast<RecvWaiter*>(recv_waiters_.pop_front());
+    }
 
     const std::size_t capacity_;
     mutable sync::Spinlock lock_;
     std::deque<T> items_;
-    WaiterQueue<SendWaiter> send_waiters_;  ///< guarded by lock_
-    WaiterQueue<RecvWaiter> recv_waiters_;  ///< guarded by lock_
+    SyncWaiterList send_waiters_;  ///< SendWaiter nodes, guarded by lock_
+    SyncWaiterList recv_waiters_;  ///< RecvWaiter nodes, guarded by lock_
     bool closed_ = false;
 };
 

@@ -4,7 +4,6 @@
 #include <mutex>
 
 #include "arch/cpu.hpp"
-#include "core/xstream.hpp"
 
 namespace lwt::core {
 
@@ -18,7 +17,7 @@ constexpr int kLockSpin = 32;
 
 // --- EventCounter -------------------------------------------------------------
 
-bool EventCounter::register_waiter(WaitNode& node) noexcept {
+bool EventCounter::register_waiter(SyncWaiter& node) noexcept {
     std::lock_guard g(guard_);
     std::int64_t s = state_.load(std::memory_order_acquire);
     for (;;) {
@@ -34,34 +33,23 @@ bool EventCounter::register_waiter(WaitNode& node) noexcept {
         if (state_.compare_exchange_weak(s, s | kWaitersBit,
                                          std::memory_order_acq_rel,
                                          std::memory_order_acquire)) {
-            node.next = waiters_head_;
-            waiters_head_ = &node;
+            waiters_.push_back(&node);
             return true;
         }
     }
 }
 
 void EventCounter::wake_all_waiters() noexcept {
-    WaitNode* head;
+    SyncWaiter* chain;
     {
         std::lock_guard g(guard_);
         state_.fetch_and(~kWaitersBit, std::memory_order_acq_rel);
-        head = waiters_head_;
-        waiters_head_ = nullptr;
+        chain = waiters_.detach_all();
     }
-    // Past the guard only waiter-owned memory is touched. Each node lives
-    // on its waiter's stack: read `next` BEFORE the wake — a woken waiter
+    // Past the guard only waiter-owned memory is touched: a woken waiter
     // may return from wait() and destroy its node (and the counter)
     // immediately.
-    while (head != nullptr) {
-        WaitNode* const next = head->next;
-        if (head->kind == WaitNode::Kind::kUlt) {
-            Ult::wake(static_cast<Ult*>(head->ptr));
-        } else {
-            static_cast<sync::ThreadParker*>(head->ptr)->notify();
-        }
-        head = next;
-    }
+    wake_sync_chain(chain);
 }
 
 void EventCounter::signal() noexcept {
@@ -83,43 +71,18 @@ void EventCounter::signal() noexcept {
 }
 
 void EventCounter::wait() noexcept {
-    if (value() <= 0) {
-        return;
-    }
-    if (Ult* self = Ult::current()) {
-        // A woken ULT loops: an add() may have re-raised the count between
-        // our wake and this check (WaitGroup reuse), in which case we wait
-        // for the next zero crossing like a fresh waiter.
-        for (;;) {
-            // Arm the kBlocking/kWakePending handshake BEFORE the node is
-            // published: the zero-crossing drain may call Ult::wake the
-            // instant the guard drops.
-            self->state.store(State::kBlocking, std::memory_order_release);
-            WaitNode node{WaitNode::Kind::kUlt, self};
-            if (!register_waiter(node)) {
-                self->state.store(State::kRunning, std::memory_order_relaxed);
-                return;
-            }
-            self->suspend(YieldStatus::kBlocked);
-            if (value() <= 0) {
-                return;
-            }
-        }
-    }
-    XStream* stream = XStream::current();
+    // A woken waiter loops: an add() may have re-raised the count between
+    // its wake and this check (WaitGroup reuse), in which case it waits for
+    // the next zero crossing like a fresh waiter.
     while (value() > 0) {
-        sync::ThreadParker parker(stream != nullptr ? stream->parking_lot()
-                                                    : nullptr);
-        WaitNode node{WaitNode::Kind::kParker, &parker};
+        SyncBlocker blocker;
+        SyncWaiter node;
+        blocker.prepare(node);
         if (!register_waiter(node)) {
+            blocker.cancel(node);
             return;
         }
-        // Registered: we must not let `parker`/`node` die until
-        // notified() — the zero-crossing signaller holds pointers to both.
-        // An attached stream (typically the primary) keeps draining its
-        // pools while it waits. Then re-check: the counter may have been
-        // re-armed.
-        thread_wait_impl(parker, stream);
+        blocker.wait();
     }
 }
 

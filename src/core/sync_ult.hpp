@@ -7,10 +7,11 @@
 // code (ThreadParker sleep; an attached stream drains its pools while
 // waiting), because the paper's main thread joins from outside any ULT.
 //
-// The whole family shares the waiter machinery in core/waiter.hpp:
-// allocation-free intrusive stack-node queues with the PR-5 EventCounter
-// lifetime discipline, Mesa-style wakeups (a woken waiter re-contends, so
-// condition waits need predicate loops), and wake-latency telemetry in the
+// Every primitive here, EventCounter included, blocks through the shared
+// waiter machinery in core/waiter.hpp: a stack-owned SyncWaiter queued on
+// a SyncWaiterList under the primitive's guard, one SyncBlocker per wait
+// round, Mesa-style wakeups (a woken waiter re-contends, so condition
+// waits need predicate loops), and wake-latency telemetry in the
 // "sync.wake_latency_ticks" registry histogram. docs/sync.md is the
 // catalogue; docs/join_path.md describes the underlying handshake.
 #pragma once
@@ -28,10 +29,9 @@ namespace lwt::core {
 /// Counts outstanding events; wait() returns when the count reaches zero.
 /// This is the join object behind most personalities (and Go's WaitGroup).
 ///
-/// Suspend-based since the direct-handoff join PR: waiters register under
-/// the guard and the signal() that drives the count to zero wakes them
-/// directly — a suspended ULT through Ult::wake, a blocked OS thread
-/// through its ThreadParker. No poll anywhere (docs/join_path.md).
+/// Waiters register a SyncWaiter under the guard and the signal() that
+/// drives the count to zero wakes them directly (wake_sync_waiter). No poll
+/// anywhere (docs/join_path.md §4).
 ///
 /// Lifetime contract (why the count word carries a waiters bit): the
 /// counter is typically stack-owned by the waiter and destroyed the moment
@@ -77,17 +77,6 @@ class EventCounter {
     }
 
   private:
-    /// One entry in the intrusive waiter list. Lives on the waiting
-    /// context's stack — registration and the zero-crossing drain never
-    /// allocate (both run on noexcept paths, including the terminator's
-    /// publish).
-    struct WaitNode {
-        enum class Kind : std::uint8_t { kUlt, kParker };
-        Kind kind;
-        void* ptr;
-        WaitNode* next = nullptr;
-    };
-
     // state_ layout: (count << 1) | waiters-present bit. Count and flag
     // share one word so the decrement atomically learns whether anyone is
     // registered: a zero-crossing signal() that reads the bit clear is
@@ -104,7 +93,7 @@ class EventCounter {
     /// positive (one CAS: either the zero-crossing decrement sees the bit
     /// and drains us, or we see count <= 0 and never block). Returns
     /// false when the caller must not wait.
-    bool register_waiter(WaitNode& node) noexcept;
+    bool register_waiter(SyncWaiter& node) noexcept;
 
     /// Zero-crossing drain: detach the whole list under the guard, then
     /// wake each node outside it. Only waiter-owned memory is touched
@@ -113,7 +102,7 @@ class EventCounter {
 
     std::atomic<std::int64_t> state_;
     sync::Spinlock guard_;
-    WaitNode* waiters_head_ = nullptr;  ///< guarded by guard_
+    SyncWaiterList waiters_;  ///< guarded by guard_
 };
 
 /// Mutual exclusion that suspends the waiter instead of spinning its

@@ -3,7 +3,6 @@
 #include "arch/cpu.hpp"
 #include "core/metrics.hpp"
 #include "core/xstream.hpp"
-#include "sync/wait_table.hpp"
 
 namespace lwt::core {
 
@@ -24,48 +23,6 @@ void record_sync_wake(std::uint64_t ticks) noexcept {
     hist.record(ticks);
 }
 
-// --- hooks handed to sync::WaitTable ---------------------------------------
-
-void* hook_current() noexcept { return Ult::current(); }
-
-void hook_arm(void* ult) noexcept {
-    static_cast<Ult*>(ult)->state.store(State::kBlocking,
-                                        std::memory_order_release);
-}
-
-void hook_cancel(void* ult) noexcept {
-    static_cast<Ult*>(ult)->state.store(State::kRunning,
-                                        std::memory_order_relaxed);
-}
-
-void hook_suspend(void* ult) noexcept {
-    static_cast<Ult*>(ult)->suspend(YieldStatus::kBlocked);
-}
-
-void hook_wake(void* ult) noexcept { Ult::wake(static_cast<Ult*>(ult)); }
-
-sync::ParkingLot* hook_thread_lot() noexcept {
-    XStream* stream = XStream::current();
-    return stream != nullptr ? stream->parking_lot() : nullptr;
-}
-
-void hook_thread_wait(sync::ThreadParker& parker) noexcept {
-    thread_wait_impl(parker, XStream::current());
-}
-
-bool hook_metrics_enabled() noexcept {
-    return Metrics::instance().enabled();
-}
-
-constexpr sync::UltWaitOps kWaitOps{
-    &hook_current,  &hook_arm,
-    &hook_cancel,   &hook_suspend,
-    &hook_wake,     &hook_thread_lot,
-    &hook_thread_wait,
-    &hook_metrics_enabled, &record_sync_wake,
-    &record_sync_suspend,
-};
-
 }  // namespace
 
 void thread_wait_impl(sync::ThreadParker& parker, XStream* stream) noexcept {
@@ -74,10 +31,6 @@ void thread_wait_impl(sync::ThreadParker& parker, XStream* stream) noexcept {
     } else {
         parker.wait();
     }
-}
-
-void ensure_sync_wait_ops() noexcept {
-    sync::install_ult_wait_ops(&kWaitOps);
 }
 
 void wake_sync_waiter(SyncWaiter* w) noexcept {

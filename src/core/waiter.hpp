@@ -1,10 +1,14 @@
-// waiter.hpp — shared suspend/degrade machinery for blocking primitives.
+// waiter.hpp — the one suspend/degrade machinery for blocking primitives.
 //
-// Every blocking object in core (Mutex, Condvar, RwLock, Semaphore,
-// UltBarrier, Channel, Future) blocks the same way: the caller builds a
-// stack-owned SyncWaiter node, arms a SyncBlocker, publishes the node into
-// the primitive's intrusive queue under its guard, and waits. The blocker
-// binds the node to whatever the calling context is:
+// Every blocking object in the tree (Mutex, Condvar, RwLock, Semaphore,
+// UltBarrier, EventCounter, Channel, Future, the reactor's waits and qth's
+// full/empty words) blocks the same way: the caller builds a stack-owned
+// SyncWaiter node, arms a SyncBlocker, publishes the node into the
+// primitive's SyncWaiterList under its guard, and waits; the releasing
+// side unlinks the node under the same guard and calls wake_sync_waiter
+// once the guard drops. Apart from the joiner slot (core/join.cpp), this
+// is the only code that suspends or wakes a context. The blocker binds the
+// node to whatever the calling context is:
 //
 //   ULT             -> kBlocking/kWakePending handshake + scheduler suspend
 //                      (the stream keeps running other ready units)
@@ -12,8 +16,7 @@
 //                      empty sweeps up to a park on the runtime lot
 //   plain OS thread -> sleeps on a stack ThreadParker
 //
-// This is the PR-5 EventCounter stack-node discipline factored out so every
-// primitive gets the same lifetime contract:
+// Lifetime contract, the same for every primitive:
 //
 //   * registration and wake never allocate;
 //   * a registered waiter never returns before its wake (the waker holds a
@@ -38,7 +41,9 @@ namespace lwt::core {
 class XStream;
 
 /// One entry in a primitive's intrusive waiter queue. Lives on the waiting
-/// context's stack; see the lifetime contract above.
+/// context's stack; see the lifetime contract above. Primitives that carry
+/// per-waiter state (a channel's value slot, a FEB word's key) derive from
+/// it.
 struct SyncWaiter {
     enum class Kind : std::uint8_t { kUlt, kParker };
     Kind kind = Kind::kUlt;
@@ -81,23 +86,9 @@ class SyncWaiterList {
     /// the primitive's guard). True when it was found and removed — the
     /// caller then owns its wake; false means someone else dequeued it.
     bool remove(SyncWaiter* target) noexcept {
-        SyncWaiter* prev = nullptr;
-        for (SyncWaiter* w = head_; w != nullptr; prev = w, w = w->next) {
-            if (w != target) {
-                continue;
-            }
-            if (prev != nullptr) {
-                prev->next = w->next;
-            } else {
-                head_ = w->next;
-            }
-            if (tail_ == w) {
-                tail_ = prev;
-            }
-            w->next = nullptr;
-            return true;
-        }
-        return false;
+        return detach_if([target](const SyncWaiter* w) {
+                   return w == target;
+               }) != nullptr;
     }
 
     /// Detach the whole chain (linked through `next`); the list is empty
@@ -107,6 +98,35 @@ class SyncWaiterList {
         head_ = nullptr;
         tail_ = nullptr;
         return h;
+    }
+
+    /// Detach every node `pred` accepts, in FIFO order, as a chain like
+    /// detach_all()'s; the rest stay queued in order.
+    template <typename Pred>
+    SyncWaiter* detach_if(Pred pred) noexcept {
+        SyncWaiter* chain = nullptr;
+        SyncWaiter** chain_tail = &chain;
+        SyncWaiter* prev = nullptr;
+        for (SyncWaiter* w = head_; w != nullptr;) {
+            SyncWaiter* const next = w->next;
+            if (pred(w)) {
+                if (prev != nullptr) {
+                    prev->next = next;
+                } else {
+                    head_ = next;
+                }
+                if (tail_ == w) {
+                    tail_ = prev;
+                }
+                w->next = nullptr;
+                *chain_tail = w;
+                chain_tail = &w->next;
+            } else {
+                prev = w;
+            }
+            w = next;
+        }
+        return chain;
     }
 
   private:
@@ -128,8 +148,7 @@ void wake_sync_chain(SyncWaiter* chain) noexcept;
 /// it is part of cannot starve: between empty sweeps it walks the
 /// stream's idle ladder, whose last rung parks on the lot a lot-routed
 /// parker notifies (XStream::run_until_notified) — pool pushes and the
-/// notify both wake it. Shared by SyncBlocker, EventCounter::wait, native
-/// joins and, through the installed hooks, sync::WaitTable.
+/// notify both wake it. Shared by SyncBlocker and native joins.
 void thread_wait_impl(sync::ThreadParker& parker, XStream* stream) noexcept;
 
 /// Binds one block/wake cycle to the calling context. Single-use: Mesa
@@ -169,10 +188,5 @@ class SyncBlocker {
     SyncWaiter* node_ = nullptr;
     std::optional<sync::ThreadParker> parker_;  ///< thread path only
 };
-
-/// Install the sync-layer ULT wait hooks (sync::install_ult_wait_ops) so
-/// sync::WaitTable can suspend/wake ULTs and record wake latency. Cheap and
-/// idempotent; called from XStream construction and core/wait_word.
-void ensure_sync_wait_ops() noexcept;
 
 }  // namespace lwt::core

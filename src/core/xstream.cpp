@@ -9,7 +9,6 @@
 #include "core/reactor.hpp"
 #include "core/stream_dir.hpp"
 #include "core/trace.hpp"
-#include "core/waiter.hpp"
 
 namespace lwt::core {
 namespace {
@@ -21,9 +20,6 @@ thread_local XStream* tl_current_xstream = nullptr;
 XStream::XStream(unsigned rank, std::unique_ptr<Scheduler> scheduler)
     : rank_(rank) {
     assert(scheduler != nullptr);
-    // Give sync::WaitTable its ULT suspend/wake hooks before any ULT can
-    // possibly block in a sync-layer primitive (FEB ops, wait_on_word).
-    ensure_sync_wait_ops();
     scheduler->bind_stats(&counters_);
     sched_stack_.push_back(std::move(scheduler));
     // Last: the stream is fully formed, make it visible to observers.

@@ -1,22 +1,20 @@
-// barrier.hpp — OS-thread barriers used by the OpenMP-like baseline and by
-// the Converse-style join path (the paper attributes their linear join cost
-// to exactly this mechanism).
+// barrier.hpp — the OS-thread team barrier of the OpenMP-like baseline (the
+// paper attributes its linear join cost to exactly this mechanism).
 #pragma once
 
 #include <atomic>
 #include <cassert>
 #include <cstddef>
-#include <vector>
 
 #include "arch/cpu.hpp"
-#include "sync/wait_table.hpp"
+#include "core/ult.hpp"
 
-namespace lwt::sync {
+namespace lwt::momp {
 
 /// Sense-reversing centralized barrier. All arrivals decrement one counter;
 /// the last flips the shared sense. Simple and compact, but every waiter
 /// spins on the same line — cost grows with participant count, which is the
-/// linear join growth the paper reports for gcc OpenMP and Converse Threads.
+/// linear join growth the paper reports for gcc OpenMP.
 ///
 /// CONTRACT: OS threads only. arrive_and_wait() spins with nothing but a
 /// CPU hint — it never yields to a scheduler — so two participating ULTs
@@ -34,7 +32,7 @@ class CentralBarrier {
     /// Block (spin) until all participants have arrived. OS threads only —
     /// see the class contract; ULT callers belong on core::UltBarrier.
     void arrive_and_wait() noexcept {
-        assert(!in_ult_context() &&
+        assert(core::Ult::current() == nullptr &&
                "CentralBarrier is an OS-thread spin barrier; ULT callers "
                "must use core::UltBarrier (co-scheduled ULTs would livelock)");
         const bool my_sense = !sense_.load(std::memory_order_relaxed);
@@ -49,7 +47,9 @@ class CentralBarrier {
         }
     }
 
-    [[nodiscard]] std::size_t participants() const noexcept { return participants_; }
+    [[nodiscard]] std::size_t participants() const noexcept {
+        return participants_;
+    }
 
   private:
     const std::size_t participants_;
@@ -57,32 +57,4 @@ class CentralBarrier {
     alignas(arch::kCacheLine) std::atomic<bool> sense_{false};
 };
 
-/// Dissemination barrier: log2(N) rounds of pairwise flag exchanges, no
-/// single hot line. Participants must pass stable, distinct ranks.
-/// Same OS-threads-only contract as CentralBarrier: waiters spin without
-/// yielding, so ULTs must use core::UltBarrier.
-class DisseminationBarrier {
-  public:
-    explicit DisseminationBarrier(std::size_t participants);
-    DisseminationBarrier(const DisseminationBarrier&) = delete;
-    DisseminationBarrier& operator=(const DisseminationBarrier&) = delete;
-
-    /// Block (spin) until all participants have arrived. `rank` must be a
-    /// unique value in [0, participants) fixed for the barrier's lifetime.
-    void arrive_and_wait(std::size_t rank) noexcept;
-
-    [[nodiscard]] std::size_t participants() const noexcept { return n_; }
-
-  private:
-    struct alignas(arch::kCacheLine) Flag {
-        std::atomic<std::size_t> value{0};
-    };
-
-    std::size_t n_;
-    std::size_t rounds_;
-    // flags_[rank * rounds_ + round]
-    std::vector<Flag> flags_;
-    std::vector<std::size_t> generation_;  // per-rank local round counter
-};
-
-}  // namespace lwt::sync
+}  // namespace lwt::momp

@@ -4,6 +4,7 @@
 
 #include "arch/cpu.hpp"
 #include "core/runtime.hpp"
+#include "momp/barrier.hpp"
 
 namespace lwt::momp {
 namespace {
@@ -166,7 +167,7 @@ class Runtime::PersistentTeam {
 
     Runtime* rt_;
     const std::size_t size_;
-    sync::CentralBarrier end_barrier_;
+    CentralBarrier end_barrier_;
     std::atomic<std::uint64_t> go_{0};
     std::atomic<bool> stop_{false};
     const RegionBody* body_ = nullptr;

@@ -31,7 +31,6 @@
 #include "core/observability.hpp"
 #include "obs/introspect.hpp"
 #include "momp/task_pool.hpp"
-#include "sync/barrier.hpp"
 
 namespace lwt::momp {
 

@@ -7,24 +7,24 @@
 // built on readFF. We reproduce it as a sharded hash table keyed by address:
 // words are implicitly FULL until touched, exactly as in Qthreads.
 //
-// Blocking is delegated to sync::WaitTable, the futex-style address-keyed
-// parking table: a blocked readFF suspends its ULT (or parks its OS thread)
-// on the word's address, and every state transition unparks that address.
-// The table used to take a caller-supplied spin callback instead; that made
-// every blocked FEB op burn its worker. The validate-under-shard-lock
-// protocol (wait_table.hpp) closes the wake-before-sleep window the spin
-// loop papered over.
+// Blocking goes through the shared waiter machinery (core/waiter.hpp): a
+// blocked operation parks a SyncWaiter keyed by the word's address on its
+// shard's waiter list, under the same lock that guards the word's
+// full/empty state, so a transition can never slip between the check and
+// the park. Every transition unlinks that word's waiters under the lock and
+// wakes them once it drops; they re-check. A waiting ULT suspends (its
+// worker keeps running other units), an attached stream drains its pools,
+// a plain thread parks.
 #pragma once
 
-#include <atomic>
+#include <cstddef>
 #include <cstdint>
-#include <mutex>
 #include <unordered_map>
 
+#include "core/waiter.hpp"
 #include "sync/spinlock.hpp"
-#include "sync/wait_table.hpp"
 
-namespace lwt::sync {
+namespace lwt::qth {
 
 /// Synchronised word type. Qthreads uses `aligned_t`; we mirror that.
 using aligned_t = std::uint64_t;
@@ -69,11 +69,23 @@ class FebTable {
     /// Number of explicitly tracked words (test/diagnostic aid).
     std::size_t tracked() const;
 
+    /// Waiters currently parked on `addr` (tests/diagnostics only).
+    [[nodiscard]] std::size_t waiters(const aligned_t* addr) const;
+
   private:
+    /// A blocked operation's node: parked on its word's shard, matched by
+    /// address.
+    struct Waiter : core::SyncWaiter {
+        std::uintptr_t key = 0;
+    };
+
+    /// Word address -> full flag. Absent means FULL.
+    using StateMap = std::unordered_map<std::uintptr_t, bool>;
+
     struct Shard {
-        mutable Spinlock lock;
-        // Maps word address -> full flag. Absent means FULL.
-        std::unordered_map<std::uintptr_t, bool> state;
+        mutable sync::Spinlock lock;
+        StateMap state;                ///< guarded by lock
+        core::SyncWaiterList waiters;  ///< guarded by lock, any word
     };
 
     Shard& shard_for(const aligned_t* addr) {
@@ -85,13 +97,23 @@ class FebTable {
         return shards_[(key >> 3) % kShards];
     }
 
-    /// True (under the FEB shard lock) iff the word is FULL. Used both
-    /// directly and inside WaitTable validation callbacks; the nesting is
-    /// always wait-shard lock -> FEB shard lock, never the reverse (wakers
-    /// release the FEB lock before unparking), so there is no inversion.
-    bool is_full_locked(Shard& sh, std::uintptr_t key);
+    /// Under the shard lock: unlink every waiter parked on `key`. The
+    /// caller wakes the chain after the lock drops.
+    static core::SyncWaiter* detach_waiters(Shard& sh, std::uintptr_t key);
+
+    /// Run `update(state, key)` under the word's shard lock, then wake the
+    /// word's waiters: every state change is a transition they re-check.
+    template <typename Update>
+    void transition(const aligned_t* addr, Update update);
+
+    /// Block until `attempt(state, key)`, run under the word's shard lock,
+    /// succeeds: a bounded spin, then park on the shard. With `wakes` the
+    /// successful attempt is a transition, and the word's waiters are
+    /// unlinked under the same lock and woken after it drops.
+    template <typename Attempt>
+    void await(const aligned_t* addr, bool wakes, Attempt attempt);
 
     Shard shards_[kShards];
 };
 
-}  // namespace lwt::sync
+}  // namespace lwt::qth

@@ -164,9 +164,9 @@ void Library::fork_bulk_domain(std::size_t n,
 
 void Library::yield() { core::yield_anywhere(); }
 
-// The FEB table blocks through sync::WaitTable since the sync-suite PR: a
-// waiting ULT suspends its worker (which keeps running other units), a
-// plain thread parks. No per-personality waiter callback any more.
+// The FEB table parks blocked operations on the word's shard through
+// core::SyncBlocker: a waiting ULT suspends (its worker keeps running other
+// units), an attached stream drains its pools, a plain thread parks.
 aligned_t Library::read_ff(const aligned_t* addr) {
     return feb_.read_ff(addr);
 }

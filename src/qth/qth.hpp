@@ -29,12 +29,10 @@
 #include "core/sync_ult.hpp"
 #include "core/unique_function.hpp"
 #include "core/xstream.hpp"
-#include "sync/feb.hpp"
+#include "qth/feb.hpp"
 #include "sync/spinlock.hpp"
 
 namespace lwt::qth {
-
-using aligned_t = sync::aligned_t;
 
 struct Config {
     /// Number of shepherds (queues). 0 resolves via LWT_NUM_SHEPHERDS, then
@@ -182,7 +180,7 @@ class Library {
     core::Pool* domain_queue(std::size_t domain);
 
     Config config_;
-    sync::FebTable feb_;
+    FebTable feb_;
     std::vector<std::unique_ptr<core::DequePool>> pools_;  // one per shepherd
     /// One shared MPMC overflow queue per locality domain, scanned by the
     /// domain's workers after their shepherd queue; the landing zone for

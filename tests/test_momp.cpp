@@ -1,9 +1,12 @@
-// Tests for the mini-OpenMP runtime (gcc and icc flavours).
+// Tests for the mini-OpenMP runtime (gcc and icc flavours) and its team
+// barrier.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <thread>
 #include <vector>
 
+#include "momp/barrier.hpp"
 #include "momp/momp.hpp"
 
 namespace {
@@ -290,6 +293,37 @@ TEST(MompRuntime, SscalMatchesSerial) {
     for (float x : v) {
         ASSERT_FLOAT_EQ(x, 6.0f);
     }
+}
+
+// --- CentralBarrier (the OS-thread team barrier) ------------------------------
+
+TEST(CentralBarrier, NoThreadPassesEarly) {
+    constexpr int kN = 4;
+    constexpr int kRounds = 200;
+    lwt::momp::CentralBarrier barrier(kN);
+    std::atomic<int> phase_counts[kRounds] = {};
+    std::vector<std::thread> workers;
+    for (int t = 0; t < kN; ++t) {
+        workers.emplace_back([&] {
+            for (int r = 0; r < kRounds; ++r) {
+                phase_counts[r].fetch_add(1);
+                barrier.arrive_and_wait();
+                // After the barrier everyone must have bumped this round.
+                EXPECT_EQ(phase_counts[r].load(), kN);
+            }
+        });
+    }
+    for (auto& w : workers) {
+        w.join();
+    }
+}
+
+TEST(CentralBarrier, SingleParticipantNeverBlocks) {
+    lwt::momp::CentralBarrier barrier(1);
+    for (int i = 0; i < 100; ++i) {
+        barrier.arrive_and_wait();
+    }
+    SUCCEED();
 }
 
 }  // namespace

@@ -1,10 +1,13 @@
-// Tests for the Qthreads-like personality.
+// Tests for the Qthreads-like personality and its full/empty-bit table.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
+#include <thread>
 #include <vector>
 
+#include "qth/feb.hpp"
 #include "qth/qth.hpp"
 
 namespace {
@@ -222,6 +225,146 @@ TEST(Qth, WorkersBindCompactAndStillExecute) {
     lib.read_ff(&r0);
     lib.read_ff(&r1);
     EXPECT_EQ(ran.load(), 2);
+}
+
+}  // namespace
+
+// --- FEB table ----------------------------------------------------------------
+
+namespace {
+
+using lwt::qth::FebTable;
+
+TEST(Feb, WordsStartImplicitlyFull) {
+    FebTable table;
+    aligned_t word = 77;
+    EXPECT_TRUE(table.is_full(&word));
+    EXPECT_EQ(table.read_ff(&word), 77u);
+}
+
+TEST(Feb, PurgeThenFillRoundTrip) {
+    FebTable table;
+    aligned_t word = 0;
+    table.purge(&word);
+    EXPECT_FALSE(table.is_full(&word));
+    table.fill(&word);
+    EXPECT_TRUE(table.is_full(&word));
+}
+
+TEST(Feb, WriteFSetsValueAndFull) {
+    FebTable table;
+    aligned_t word = 0;
+    table.purge(&word);
+    table.write_f(&word, 123);
+    EXPECT_TRUE(table.is_full(&word));
+    EXPECT_EQ(word, 123u);
+}
+
+TEST(Feb, ReadFeEmptiesTheWord) {
+    FebTable table;
+    aligned_t word = 55;
+    EXPECT_EQ(table.read_fe(&word), 55u);
+    EXPECT_FALSE(table.is_full(&word));
+}
+
+TEST(Feb, WriteEfBlocksUntilEmpty) {
+    FebTable table;
+    aligned_t word = 1;  // implicitly FULL
+    std::atomic<bool> wrote{false};
+    std::thread writer([&] {
+        table.write_ef(&word, 99);  // must wait for an EMPTY state
+        wrote.store(true);
+    });
+    // Give the writer a chance to (incorrectly) complete.
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    EXPECT_FALSE(wrote.load());
+    table.purge(&word);  // now EMPTY -> writer proceeds
+    writer.join();
+    EXPECT_TRUE(wrote.load());
+    EXPECT_EQ(word, 99u);
+    EXPECT_TRUE(table.is_full(&word));
+}
+
+TEST(Feb, ReadFfBlocksUntilFull) {
+    FebTable table;
+    aligned_t word = 0;
+    table.purge(&word);
+    std::atomic<bool> read{false};
+    aligned_t got = 0;
+    std::thread reader([&] {
+        got = table.read_ff(&word);
+        read.store(true);
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    EXPECT_FALSE(read.load());
+    table.write_f(&word, 42);
+    reader.join();
+    EXPECT_TRUE(read.load());
+    EXPECT_EQ(got, 42u);
+}
+
+TEST(Feb, ProducerConsumerHandoffChain) {
+    // readFE/writeEF alternation acts as a 1-slot channel.
+    FebTable table;
+    aligned_t word = 0;
+    table.purge(&word);
+    constexpr aligned_t kItems = 500;
+    std::uint64_t sum = 0;
+    std::thread producer([&] {
+        for (aligned_t i = 1; i <= kItems; ++i) {
+            table.write_ef(&word, i);
+        }
+    });
+    for (aligned_t i = 1; i <= kItems; ++i) {
+        sum += table.read_fe(&word);
+    }
+    producer.join();
+    EXPECT_EQ(sum, kItems * (kItems + 1) / 2);
+}
+
+TEST(Feb, ForgetRestoresImplicitFull) {
+    FebTable table;
+    aligned_t word = 5;
+    table.purge(&word);
+    ASSERT_FALSE(table.is_full(&word));
+    table.forget(&word);
+    EXPECT_TRUE(table.is_full(&word));
+    EXPECT_EQ(table.tracked(), 0u);
+}
+
+TEST(Feb, InstanceIsSingleton) {
+    EXPECT_EQ(&FebTable::instance(), &FebTable::instance());
+}
+
+TEST(Feb, BlockedReaderParksOnItsWord) {
+    // A blocked read_ff parks on its word (not a spin loop): it shows up
+    // as a waiter on the word's address, a word sharing its shard sees
+    // none, and the state transition wakes it.
+    FebTable table;
+    aligned_t words[FebTable::kShards + 1] = {};
+    aligned_t& word = words[0];
+    aligned_t& neighbour = words[FebTable::kShards];  // same shard
+    table.purge(&word);
+    std::atomic<bool> read{false};
+    aligned_t got = 0;
+    std::thread reader([&] {
+        got = table.read_ff(&word);
+        read.store(true);
+    });
+    // Wait until the reader is actually parked (it spins briefly first).
+    for (int i = 0; i < 2000 && table.waiters(&word) == 0; ++i) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    EXPECT_EQ(table.waiters(&word), 1u);
+    EXPECT_EQ(table.waiters(&neighbour), 0u);
+    table.fill(&neighbour);  // same shard, other word: no wake
+    EXPECT_EQ(table.waiters(&word), 1u);
+    EXPECT_FALSE(read.load());
+    table.write_f(&word, 42);
+    reader.join();
+    EXPECT_TRUE(read.load());
+    EXPECT_EQ(got, 42u);
+    EXPECT_EQ(table.waiters(&word), 0u);
 }
 
 }  // namespace

@@ -1,20 +1,21 @@
 // Tests for the suspend-based synchronisation suite (core/sync_ult.hpp,
-// core/wait_word.hpp, core/channel.hpp, core/future.hpp; docs/sync.md):
-// the Mutex/Condvar/RwLock/Semaphore/UltBarrier family on the shared
-// waiter machinery, the futex-shaped wait_on_word, the rendezvous Channel
-// rework, and the plain-thread Future wake path.
+// core/channel.hpp, core/future.hpp, qth/feb.hpp; docs/sync.md): the
+// Mutex/Condvar/RwLock/Semaphore/UltBarrier/EventCounter family on the
+// shared waiter machinery, FEB words parked on their shard, the rendezvous
+// Channel, and the plain-thread Future wake path.
 //
 // TSan builds (tools/tsan.sh) run this file too: TSan cannot follow
 // fcontext switches, so every test that suspends/resumes a ULT is gated
 // out under thread sanitizer. The OS-thread protocol tests — parker wakes,
-// wait-table races, the rendezvous channel, destroy-race stress — all stay
-// enabled; they are the racy part the suite has to get right.
+// FEB waiter-list races, the rendezvous channel, destroy-race stress — all
+// stay enabled; they are the racy part the suite has to get right.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <memory>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "abt/abt.hpp"
@@ -24,11 +25,11 @@
 #include "core/pool.hpp"
 #include "core/scheduler.hpp"
 #include "core/sync_ult.hpp"
-#include "core/wait_word.hpp"
 #include "core/xstream.hpp"
 #include "cvt/cvt.hpp"
 #include "gol/gol.hpp"
 #include "mth/mth.hpp"
+#include "qth/feb.hpp"
 #include "qth/qth.hpp"
 #include "sync/parking_lot.hpp"
 
@@ -268,63 +269,44 @@ TEST(SyncBarrier, SingleParticipantNeverBlocks) {
     EXPECT_EQ(barrier.generation(), 100u);
 }
 
-// --- wait_on_word ------------------------------------------------------------
+// --- FEB words: the shard waiter list --------------------------------------
 
-TEST(WaitWord, ReturnsImmediatelyWhenValueDiffers) {
-    std::atomic<std::uint64_t> word{7};
-    lwt::core::wait_on_word(word, 0);  // 7 != 0: no block
-    SUCCEED();
-}
-
-TEST(WaitWord, BlocksUntilWake) {
-    std::atomic<std::uint64_t> word{0};
-    std::atomic<bool> released{false};
-    std::thread waiter([&] {
-        lwt::core::wait_on_word(word, 0);
-        released.store(true);
-    });
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    EXPECT_FALSE(released.load());
-    word.store(1, std::memory_order_release);
-    lwt::core::wake_word_all(&word);
-    waiter.join();
-    EXPECT_TRUE(released.load());
-}
-
-TEST(WaitWord, DestroyRaceStress) {
-    // Futex contract: the waiter may observe the store, return, and free
-    // the word while the waker is still between its store and its
-    // wake_word_all — waking a dead address must be harmless (the table
-    // compares the key as a value only). 300 rounds of exactly that race.
+TEST(FebWord, DestroyRaceStress) {
+    // A reader may free its word the moment read_ff returns, while the
+    // writer is still waking it: past the shard lock the wake touches only
+    // the waiters' stack nodes, never the word. 300 rounds of that race.
     constexpr int kRounds = 300;
-    std::atomic<std::atomic<std::uint64_t>*> handoff{nullptr};
-    std::thread waker([&] {
+    lwt::qth::FebTable table;
+    std::atomic<lwt::qth::aligned_t*> handoff{nullptr};
+    std::thread writer([&] {
         for (int r = 0; r < kRounds; ++r) {
-            std::atomic<std::uint64_t>* w;
+            lwt::qth::aligned_t* w;
             while ((w = handoff.exchange(nullptr)) == nullptr) {
                 std::this_thread::yield();
             }
-            w->store(1, std::memory_order_release);
-            lwt::core::wake_word_all(w);  // may hit an already-freed word
+            table.write_f(w, 1);  // its wake may outlive the word
         }
     });
     for (int r = 0; r < kRounds; ++r) {
-        auto word = std::make_unique<std::atomic<std::uint64_t>>(0);
+        auto word = std::make_unique<lwt::qth::aligned_t>(0);
+        table.purge(word.get());
         handoff.store(word.get());
-        lwt::core::wait_on_word(*word, 0);
-        EXPECT_EQ(word->load(), 1u);
-        word.reset();  // destroy immediately; the waker may still be waking
+        EXPECT_EQ(table.read_ff(word.get()), 1u);
+        table.forget(word.get());
+        word.reset();  // destroy immediately; the writer may still be waking
     }
-    waker.join();
+    writer.join();
 }
 
-TEST(WaitWord, AttachedStreamWaitParksOnItsLot) {
-    // An OS thread attached to a stream blocks in the wait table through
-    // the stream's idle ladder. Its parker is routed through the stream's
-    // lot, so the wait reaches the park rung there and the wake ends the
-    // park, counted in the stream's unparks. (A bare parker never touches
-    // the lot: the waker below would give up after 2 s each round.)
+TEST(FebWord, AttachedStreamWaitParksOnItsLot) {
+    // An OS thread attached to a stream blocks in read_ff through the
+    // stream's idle ladder. Its parker is routed through the stream's lot,
+    // so the wait reaches the park rung there and the write's wake ends
+    // the park, counted in the stream's unparks. (A bare parker never
+    // touches the lot: the writer below would give up after 2 s each
+    // round.)
     constexpr int kRounds = 5;
+    lwt::qth::FebTable table;
     lwt::sync::ParkingLot lot;
     lwt::core::DequePool pool;
     lwt::core::XStream stream(0, std::make_unique<lwt::core::Scheduler>(
@@ -332,24 +314,67 @@ TEST(WaitWord, AttachedStreamWaitParksOnItsLot) {
     stream.set_parking_lot(&lot);
     stream.attach_caller();
     for (int round = 0; round < kRounds; ++round) {
-        std::atomic<std::uint64_t> word{0};
-        std::thread waker([&] {
+        lwt::qth::aligned_t word = 0;
+        table.purge(&word);
+        std::thread writer([&] {
             const auto deadline =
                 std::chrono::steady_clock::now() + std::chrono::seconds(2);
             while (lot.waiters() == 0 &&
                    std::chrono::steady_clock::now() < deadline) {
                 std::this_thread::yield();
             }
-            word.store(1, std::memory_order_release);
-            lwt::core::wake_word_all(&word);
+            table.write_f(&word, 1);
         });
-        while (word.load(std::memory_order_acquire) == 0) {
-            lwt::core::wait_on_word(word, 0);
-        }
-        waker.join();
+        EXPECT_EQ(table.read_ff(&word), 1u);
+        writer.join();
+        table.forget(&word);
     }
     stream.detach_caller();
     EXPECT_GT(stream.sched_stats().unparks, 0u);
+}
+
+// --- EventCounter: the shared block path ------------------------------------
+
+/// Wait on an EventCounter(1) through `wait_on`, signalling it only once
+/// the wait's suspend is visible in sync.suspends (bounded at 5 s); returns
+/// the suspends and wake-latency samples the round added.
+template <typename WaitOn>
+std::pair<std::uint64_t, std::uint64_t> event_counter_wait_telemetry(
+    WaitOn&& wait_on) {
+    auto& registry = lwt::core::MetricsRegistry::instance();
+    auto& suspends = registry.counter("sync.suspends");
+    auto& hist = registry.histogram("sync.wake_latency_ticks");
+    lwt::core::Metrics::instance().enable();
+    const std::uint64_t suspends_before = suspends.value();
+    const std::uint64_t samples_before = hist.snapshot().count;
+    lwt::core::EventCounter counter(1);
+    wait_on(counter, [&] {
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(5);
+        while (suspends.value() == suspends_before &&
+               std::chrono::steady_clock::now() < deadline) {
+            std::this_thread::yield();
+        }
+        counter.signal();
+    });
+    const std::uint64_t suspended = suspends.value() - suspends_before;
+    const std::uint64_t samples = hist.snapshot().count - samples_before;
+    lwt::core::Metrics::instance().disable();
+    return {suspended, samples};
+}
+
+TEST(SyncEventCounter, ThreadWaitReportsSyncTelemetry) {
+    // EventCounter waits block through SyncBlocker like every other
+    // primitive, so a plain thread's wait counts exactly one suspend and
+    // one wake-latency sample.
+    const auto [suspended, samples] = event_counter_wait_telemetry(
+        [](lwt::core::EventCounter& counter, auto&& signal_once_parked) {
+            std::thread signaller(signal_once_parked);
+            counter.wait();
+            signaller.join();
+        });
+    EXPECT_EQ(suspended, 1u);
+    EXPECT_EQ(samples, 1u);
 }
 
 // --- Future: plain-thread wake path ------------------------------------------
@@ -360,12 +385,23 @@ TEST(SyncFuture, SetWakesParkedOsThread) {
     // histogram, which only the suspend path records.
     auto& hist = lwt::core::MetricsRegistry::instance().histogram(
         "sync.wake_latency_ticks");
+    auto& suspends =
+        lwt::core::MetricsRegistry::instance().counter("sync.suspends");
     lwt::core::Metrics::instance().enable();
     hist.reset();
+    const std::uint64_t suspends_before = suspends.value();
     lwt::core::Future<int> fut;
     int got = 0;
     std::thread waiter([&] { got = fut.wait(); });
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    // Set only once the waiter has parked (bounded): on a loaded host a
+    // fixed sleep can end before wait() starts, and set() would then
+    // complete the future without any park to wake.
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (suspends.value() == suspends_before &&
+           std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::yield();
+    }
     fut.set(42);
     waiter.join();
     const std::uint64_t samples = hist.snapshot().count;
@@ -540,7 +576,12 @@ TEST(SyncUlt, BlockedUltsSuspendWhileStreamKeepsWorking) {
         handles.push_back(lib.thread_create(
             [&] { background.fetch_add(1); }, /*pool_idx=*/1));
     }
-    lib.join_all_free(handles);
+    // Per-handle joins wait in the joiner slot, which records nothing in
+    // sync.*: join_all_free's EventCounter wait would count as a suspend
+    // and could stand in for a contender's.
+    for (auto& h : handles) {
+        h.free();
+    }
     lwt::core::Metrics::instance().disable();
     EXPECT_EQ(done_contenders.load(), kContenders);
     EXPECT_EQ(background.load(), 8);
@@ -705,7 +746,7 @@ TEST(SyncUlt, RwLockUltReadersAndWriters) {
 TEST(SyncUlt, FebBlockedUltSuspendsAndWakes) {
     // qthreads personality: a forked ULT blocks in read_ff on an EMPTY
     // word (suspending its worker's current unit, not the worker), and the
-    // main thread's write_f wakes it through the wait table.
+    // main thread's write_f wakes it off the word's shard.
     lwt::qth::Config c;
     c.num_shepherds = 2;
     c.workers_per_shepherd = 1;
@@ -726,6 +767,25 @@ TEST(SyncUlt, FebBlockedUltSuspendsAndWakes) {
     lib.write_f(&word, 123);
     sinc.wait();
     EXPECT_EQ(got.load(), 123u);
+}
+
+TEST(SyncUlt, EventCounterUltWaitReportsSyncTelemetry) {
+    // The ULT side of SyncEventCounter.ThreadWaitReportsSyncTelemetry: a
+    // ULT waiting on an EventCounter suspends through SyncBlocker. The main
+    // thread joins it with free(), whose joiner slot records nothing in
+    // sync.*.
+    lwt::abt::Config c;
+    c.num_xstreams = 2;
+    lwt::abt::Library lib(c);
+    const auto [suspended, samples] = event_counter_wait_telemetry(
+        [&lib](lwt::core::EventCounter& counter, auto&& signal_once_parked) {
+            lwt::abt::UnitHandle waiter = lib.thread_create(
+                [&counter] { counter.wait(); }, /*pool_idx=*/1);
+            signal_once_parked();
+            waiter.free();
+        });
+    EXPECT_EQ(suspended, 1u);
+    EXPECT_EQ(samples, 1u);
 }
 
 // --- Channel rendezvous on every personality ---------------------------------

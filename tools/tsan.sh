@@ -11,8 +11,8 @@
 #   default regex:
 #   'test_steal|test_trace|test_metrics|test_topology|test_alloc|test_join|test_sync_ult|test_io|test_introspect'
 #   (test_join and test_sync_ult self-gate their ULT-switching cases behind
-#   LWT_TSAN, leaving the parker/wait-table/channel-rendezvous/reactor
-#   timer-claim races for TSan to chew on.)
+#   LWT_TSAN, leaving the parker/FEB-waiter-list/channel-rendezvous/
+#   reactor timer-claim races for TSan to chew on.)
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
