@@ -13,11 +13,6 @@ namespace {
 constexpr int kFebSpin = 64;
 }  // namespace
 
-FebTable& FebTable::instance() {
-    static FebTable table;
-    return table;
-}
-
 core::SyncWaiter* FebTable::detach_waiters(Shard& sh, std::uintptr_t key) {
     return sh.waiters.detach_if([key](const core::SyncWaiter* w) {
         return static_cast<const Waiter*>(w)->key == key;

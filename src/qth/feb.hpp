@@ -38,9 +38,6 @@ class FebTable {
     FebTable(const FebTable&) = delete;
     FebTable& operator=(const FebTable&) = delete;
 
-    /// Process-wide table (real Qthreads keeps one per runtime).
-    static FebTable& instance();
-
     /// True if the word is FULL. Untracked words are FULL by definition.
     bool is_full(const aligned_t* addr);
 

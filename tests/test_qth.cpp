@@ -332,10 +332,6 @@ TEST(Feb, ForgetRestoresImplicitFull) {
     EXPECT_EQ(table.tracked(), 0u);
 }
 
-TEST(Feb, InstanceIsSingleton) {
-    EXPECT_EQ(&FebTable::instance(), &FebTable::instance());
-}
-
 TEST(Feb, BlockedReaderParksOnItsWord) {
     // A blocked read_ff parks on its word (not a spin loop): it shows up
     // as a waiter on the word's address, a word sharing its shard sees
