@@ -53,7 +53,8 @@ void UnitHandle::free() {
     // Join-and-free: reclaim the structure — the extra work the paper
     // notes Argobots does during joins without losing performance. The
     // descriptor returns to the slab magazines via the class-scoped
-    // operator delete; ~Ult recycles its stack to the default source.
+    // operator delete. A ULT's stack is already back in the default
+    // source: the stream that finished it recycled it.
     delete unit_;
     unit_ = nullptr;
 }

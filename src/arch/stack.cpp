@@ -137,14 +137,15 @@ void StackPool::recycle(Stack s) {
 }
 
 void StackPool::acquire_bulk(std::vector<Stack>& out, std::size_t n) {
+    if (free_.empty()) {
+        out.push_back(Stack::allocate(stack_bytes_));
+        return;
+    }
     out.reserve(out.size() + n);
     while (n > 0 && !free_.empty()) {
         out.push_back(std::move(free_.back()));
         free_.pop_back();
         --n;
-    }
-    while (n-- > 0) {
-        out.push_back(Stack::allocate(stack_bytes_));
     }
 }
 
@@ -211,8 +212,14 @@ SharedStackPool& default_source() {
     return *pool;
 }
 
+// The calling thread's cache once it exists. Flushing must not create it:
+// building it registers a thread-exit destructor, and with it the thread's
+// first malloc, which a stream that never runs a ULT should not pay.
+thread_local StackCache* tl_default_cache = nullptr;
+
 StackCache& default_source_cache() {
     thread_local StackCache cache(&default_source());
+    tl_default_cache = &cache;
     return cache;
 }
 
@@ -228,6 +235,12 @@ void recycle_default_stack(Stack s) noexcept {
         return;  // size mismatch: let RAII unmap it
     }
     default_source_cache().recycle(std::move(s));
+}
+
+void flush_default_stack_cache() {
+    if (tl_default_cache != nullptr) {
+        tl_default_cache->flush();
+    }
 }
 
 std::size_t default_stack_source_cached() {

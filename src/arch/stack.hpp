@@ -68,7 +68,11 @@ class StackPool {
     /// Return a stack; frees it immediately once the cache is full.
     void recycle(Stack s);
 
-    /// Pop/map `n` stacks into `out` (appended). One call per refill batch.
+    /// Pop up to `n` cached stacks into `out` (appended), or map one fresh
+    /// stack when none is cached. One call per refill batch. Mapping only
+    /// on a true miss keeps untouched stacks out of the caches: a cache
+    /// would hand them out cold, paying first-touch faults on the create
+    /// path while warm stacks wait in another stream's cache.
     void acquire_bulk(std::vector<Stack>& out, std::size_t n);
     /// Return every stack in `stacks` (drained; the vector is cleared).
     void recycle_bulk(std::vector<Stack>& stacks);
@@ -174,6 +178,13 @@ class StackCache {
         }
     }
 
+    /// Return every cached stack to the shared pool.
+    void flush() {
+        if (!local_.empty()) {
+            shared_->recycle_bulk(local_);
+        }
+    }
+
     [[nodiscard]] std::size_t cached() const noexcept { return local_.size(); }
 
   private:
@@ -230,6 +241,11 @@ void stack_thp_force_failure(bool fail) noexcept;
 Stack acquire_default_stack();
 /// Return a stack from acquire_default_stack(); other sizes unmap.
 void recycle_default_stack(Stack s) noexcept;
+/// Return the calling thread's cached default stacks to the shared tier.
+/// Streams call it when they run out of work: a stream that finishes ULTs
+/// other threads created would otherwise keep their stacks until its
+/// cache overflows, and the creators would map fresh ones meanwhile.
+void flush_default_stack_cache();
 /// Stacks currently cached in the shared tier of the default source
 /// (excludes per-thread caches; diagnostics/tests).
 [[nodiscard]] std::size_t default_stack_source_cached();

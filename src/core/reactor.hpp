@@ -196,8 +196,8 @@ class Reactor {
     void kick();  ///< wake the poller out of epoll_wait (timer/stop)
     std::size_t dispatch_events(int timeout_ms);
     std::size_t fire_due_timers();
-    /// ms until the earliest pending timer, clamped for epoll_wait; -1
-    /// when no timer is pending.
+    /// ms until the earliest pending timer for epoll_wait, capped at
+    /// 100 ms; the cap also when no timer is pending.
     int next_timeout_ms();
 
     int epfd_ = -1;

@@ -52,8 +52,11 @@ Ult::Ult(UniqueFunction f, arch::Stack stack)
     init_context();
 }
 
-Ult::~Ult() {
-    if (pooled_default_ && stack_.valid()) {
+Ult::~Ult() { release_stack(); }
+
+void Ult::release_stack() noexcept {
+    if (pooled_default_) {
+        pooled_default_ = false;
         arch::recycle_default_stack(std::move(stack_));
     }
 }

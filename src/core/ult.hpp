@@ -26,10 +26,13 @@ enum class YieldStatus : std::uintptr_t {
 class Ult final : public WorkUnit {
   public:
     /// Create a ULT. With `stack_bytes == 0` the stack comes from the
-    /// process-wide default stack source (arch::acquire_default_stack) and
-    /// is recycled there on destruction — every personality's plain spawn
-    /// path reuses stacks instead of paying an mmap per create. An explicit
-    /// size maps a fresh stack that unmaps on destruction.
+    /// process-wide default stack source (arch::acquire_default_stack) —
+    /// every personality's plain spawn path reuses stacks instead of paying
+    /// an mmap per create. The stream that runs the ULT to completion hands
+    /// that stack back to its own cache (release_stack), so a finished ULT
+    /// awaiting its joiner holds none; destruction recycles only the stack
+    /// of a ULT that never finished. An explicit size maps a fresh stack
+    /// that unmaps on destruction.
     explicit Ult(UniqueFunction f, std::size_t stack_bytes = 0);
 
     /// Create a ULT reusing a caller-pooled stack (the caller recycles it;
@@ -45,6 +48,14 @@ class Ult final : public WorkUnit {
         pooled_default_ = false;
         return std::move(stack_);
     }
+
+    /// Scheduler side, once the ULT reported kFinished: return a stack
+    /// owed to the default source to the calling thread's cache. No-op for
+    /// caller-pooled and explicitly sized stacks.
+    void release_stack() noexcept;
+
+    /// Whether the ULT still owns a stack (tests).
+    [[nodiscard]] bool holds_stack() const noexcept { return stack_.valid(); }
 
     /// The ULT currently running on this OS thread, or nullptr when the
     /// caller is ordinary thread code.

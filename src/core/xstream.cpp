@@ -227,6 +227,10 @@ void XStream::run_unit(WorkUnit* unit) {
     }
     switch (status) {
         case YieldStatus::kFinished:
+            // The stack is dead: give it to this stream's cache now, while
+            // the unit is still ours — after finish_unit's publish the
+            // joiner may free it — so the next create here reuses it.
+            ult->release_stack();
             finish_unit(ult);
             break;
         case YieldStatus::kYielded:

@@ -17,9 +17,11 @@
 #include <functional>
 #include <memory>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "arch/locality.hpp"
+#include "arch/stack.hpp"
 #include "core/sched_stats.hpp"
 #include "core/scheduler.hpp"
 #include "core/ult.hpp"
@@ -198,10 +200,17 @@ class XStream {
     /// aborts the park — no lost wakeup.
     template <typename Done>
     void drive(sync::IdleBackoff idle, Done&& done) {
+        bool ran = false;
         while (!done()) {
             if (progress()) {
                 idle.reset();
+                ran = true;
                 continue;
+            }
+            if (std::exchange(ran, false)) {
+                // Out of work: hand the stacks of the ULTs this stream
+                // finished back to the streams that create ULTs.
+                arch::flush_default_stack_cache();
             }
             count_idle_step(idle.step(
                 [&] { return done() || scheduler().has_work(); }));

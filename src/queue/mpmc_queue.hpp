@@ -3,12 +3,20 @@
 // Vyukov-style: per-slot sequence numbers let producers and consumers claim
 // slots with a single CAS each, with no shared lock. Backs shared pools that
 // many execution streams push to and pop from concurrently.
+//
+// The slots live in an anonymous zero-filled mapping and each one stores its
+// sequence relative to its own index, so all-zero memory already is the
+// empty ring: construction writes nothing, and a page of slots becomes
+// resident only once the ring's head first reaches it.
 #pragma once
+
+#include <sys/mman.h>
 
 #include <atomic>
 #include <cstddef>
-#include <memory>
+#include <new>
 #include <optional>
+#include <type_traits>
 
 #include "arch/cpu.hpp"
 
@@ -16,14 +24,15 @@ namespace lwt::queue {
 
 template <typename T>
 class MpmcQueue {
+    // Values sit in memory no constructor ever touches.
+    static_assert(std::is_trivially_copyable_v<T>,
+                  "MpmcQueue holds trivially copyable values only");
+
   public:
     explicit MpmcQueue(std::size_t capacity = 4096)
-        : mask_(round_up_pow2(capacity) - 1),
-          slots_(std::make_unique<Slot[]>(mask_ + 1)) {
-        for (std::size_t i = 0; i <= mask_; ++i) {
-            slots_[i].sequence.store(i, std::memory_order_relaxed);
-        }
-    }
+        : mask_(round_up_pow2(capacity) - 1), slots_(map_slots(mask_ + 1)) {}
+
+    ~MpmcQueue() { ::munmap(slots_, (mask_ + 1) * sizeof(Slot)); }
 
     MpmcQueue(const MpmcQueue&) = delete;
     MpmcQueue& operator=(const MpmcQueue&) = delete;
@@ -32,15 +41,14 @@ class MpmcQueue {
     bool try_push(T value) {
         std::size_t pos = head_.load(std::memory_order_relaxed);
         for (;;) {
-            Slot& slot = slots_[pos & mask_];
-            const std::size_t seq = slot.sequence.load(std::memory_order_acquire);
+            const std::size_t seq = sequence(pos);
             const std::ptrdiff_t diff =
                 static_cast<std::ptrdiff_t>(seq) - static_cast<std::ptrdiff_t>(pos);
             if (diff == 0) {
                 if (head_.compare_exchange_weak(pos, pos + 1,
                                                 std::memory_order_relaxed)) {
-                    slot.value = std::move(value);
-                    slot.sequence.store(pos + 1, std::memory_order_release);
+                    slots_[pos & mask_].value = value;
+                    publish(pos, pos + 1);
                     return true;
                 }
             } else if (diff < 0) {
@@ -77,16 +85,14 @@ class MpmcQueue {
                 continue;
             }
             for (std::size_t i = 0; i < want; ++i) {
-                Slot& slot = slots_[(pos + i) & mask_];
                 // The claimed slot may still hold the previous lap's value
                 // until its consumer bumps the sequence; wait it out, as the
                 // spinning single push does for a full queue.
-                while (slot.sequence.load(std::memory_order_acquire) !=
-                       pos + i) {
+                while (sequence(pos + i) != pos + i) {
                     arch::cpu_relax();
                 }
-                slot.value = values[done + i];
-                slot.sequence.store(pos + i + 1, std::memory_order_release);
+                slots_[(pos + i) & mask_].value = values[done + i];
+                publish(pos + i, pos + i + 1);
             }
             done += want;
         }
@@ -96,15 +102,14 @@ class MpmcQueue {
     std::optional<T> try_pop() {
         std::size_t pos = tail_.load(std::memory_order_relaxed);
         for (;;) {
-            Slot& slot = slots_[pos & mask_];
-            const std::size_t seq = slot.sequence.load(std::memory_order_acquire);
+            const std::size_t seq = sequence(pos);
             const std::ptrdiff_t diff = static_cast<std::ptrdiff_t>(seq) -
                                         static_cast<std::ptrdiff_t>(pos + 1);
             if (diff == 0) {
                 if (tail_.compare_exchange_weak(pos, pos + 1,
                                                 std::memory_order_relaxed)) {
-                    std::optional<T> out(std::move(slot.value));
-                    slot.sequence.store(pos + mask_ + 1, std::memory_order_release);
+                    std::optional<T> out(slots_[pos & mask_].value);
+                    publish(pos, pos + mask_ + 1);
                     return out;
                 }
             } else if (diff < 0) {
@@ -127,10 +132,39 @@ class MpmcQueue {
     [[nodiscard]] bool empty() const noexcept { return size_approx() == 0; }
 
   private:
+    // Plain fields: the mapping's zero bytes are a valid Slot, and the
+    // sequence is only ever accessed through std::atomic_ref.
     struct Slot {
-        std::atomic<std::size_t> sequence{0};
-        T value{};
+        std::size_t relative_sequence;  // Vyukov sequence minus the index
+        T value;
     };
+    static_assert(std::atomic_ref<std::size_t>::required_alignment <=
+                  alignof(std::size_t));
+
+    /// Vyukov sequence of the slot `pos` maps to (acquire).
+    std::size_t sequence(std::size_t pos) const noexcept {
+        const std::size_t index = pos & mask_;
+        return std::atomic_ref<std::size_t>(slots_[index].relative_sequence)
+                   .load(std::memory_order_acquire) +
+               index;
+    }
+
+    /// Release-store `seq` as the sequence of the slot `pos` maps to.
+    void publish(std::size_t pos, std::size_t seq) noexcept {
+        const std::size_t index = pos & mask_;
+        std::atomic_ref<std::size_t>(slots_[index].relative_sequence)
+            .store(seq - index, std::memory_order_release);
+    }
+
+    static Slot* map_slots(std::size_t count) {
+        void* base = ::mmap(nullptr, count * sizeof(Slot),
+                            PROT_READ | PROT_WRITE,
+                            MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+        if (base == MAP_FAILED) {
+            throw std::bad_alloc{};
+        }
+        return static_cast<Slot*>(base);
+    }
 
     static std::size_t round_up_pow2(std::size_t v) noexcept {
         std::size_t p = 1;
@@ -141,7 +175,7 @@ class MpmcQueue {
     }
 
     const std::size_t mask_;
-    std::unique_ptr<Slot[]> slots_;
+    Slot* const slots_;
     alignas(arch::kCacheLine) std::atomic<std::size_t> head_{0};
     alignas(arch::kCacheLine) std::atomic<std::size_t> tail_{0};
 };

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
@@ -19,6 +20,7 @@
 #include "arch/audit.hpp"
 #include "arch/locality.hpp"
 #include "arch/stack.hpp"
+#include "core/join.hpp"
 #include "core/metrics.hpp"
 #include "core/observability.hpp"
 #include "core/pool.hpp"
@@ -27,6 +29,16 @@
 #include "core/unit_cache.hpp"
 #include "core/work_unit.hpp"
 #include "core/xstream.hpp"
+
+// TSan cannot follow fcontext stack switches, so the tests that run ULTs
+// on a stream skip themselves under TSan.
+#if defined(__SANITIZE_THREAD__)
+#define LWT_TSAN 1
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define LWT_TSAN 1
+#endif
+#endif
 
 namespace {
 
@@ -331,20 +343,119 @@ TEST(StackTest, StackCacheDrainsFromTheTailInBatches) {
     EXPECT_EQ(shared.cached(), kBatch);
 }
 
+TEST(StackTest, RefillMapsOneStackOnlyOnAMiss) {
+    // A refill hands out what the pool caches; it maps a single stack, not
+    // a batch, only when nothing is cached, so no cache holds stacks that
+    // were never touched.
+    arch::SharedStackPool shared(16 * 1024, /*max_cached=*/64);
+    std::vector<arch::Stack> out;
+    const std::uint64_t maps0 = arch::stack_map_count();
+    shared.acquire_bulk(out, arch::StackCache::kBatch);
+    EXPECT_EQ(out.size(), 1u);
+    EXPECT_EQ(arch::stack_map_count() - maps0, 1u);
+    for (int i = 0; i < 2; ++i) {
+        out.push_back(arch::Stack::allocate(16 * 1024));
+    }
+    shared.recycle_bulk(out);
+    const std::uint64_t maps1 = arch::stack_map_count();
+    shared.acquire_bulk(out, arch::StackCache::kBatch);
+    EXPECT_EQ(out.size(), 3u);
+    EXPECT_EQ(arch::stack_map_count(), maps1);
+}
+
 TEST(StackTest, DefaultSourcePoolsUltStacks) {
-    // Plain `new Ult(fn)` draws from the process-wide source and ~Ult
-    // recycles: churning many ULTs costs at most one refill batch of maps.
+#ifdef LWT_TSAN
+    GTEST_SKIP() << "ULT context switches are invisible to TSan";
+#endif
+    // Plain `new Ult(fn)` draws from the process-wide source and the stream
+    // that runs it to completion recycles the stack: churning many ULTs
+    // through a stream costs at most one refill batch of maps. The stream
+    // is attached to this thread, so creates and terminations share one
+    // thread cache; each join runs its ULT inline through run_unit.
+    core::DequePool pool;
+    core::XStream stream(0, std::make_unique<core::Scheduler>(
+                                std::vector<core::Pool*>{&pool}));
+    stream.attach_caller();
     {  // warm the thread-local cache
         auto warm = std::make_unique<core::Ult>([] {});
     }
     const std::uint64_t maps0 = arch::stack_map_count();
+    int ran = 0;
     for (int i = 0; i < 64; ++i) {
-        auto u = std::make_unique<core::Ult>([] {});
+        auto* u = new core::Ult([&ran] { ++ran; });
+        pool.push(u);
+        core::join_unit(u);
+        EXPECT_FALSE(u->holds_stack());
+        delete u;
     }
-    // Create/destroy churn reuses one pooled stack; at most one refill
-    // batch of fresh maps if the thread cache started cold.
+    stream.detach_caller();
+    EXPECT_EQ(ran, 64);
+    // Create/join churn reuses one pooled stack; at most one refill batch
+    // of fresh maps if the thread cache started cold.
     EXPECT_LE(arch::stack_map_count() - maps0,
               arch::StackCache::kBatch);
+}
+
+TEST(StackTest, FinishedUnjoinedUltHoldsNoStack) {
+#ifdef LWT_TSAN
+    GTEST_SKIP() << "ULT context switches are invisible to TSan";
+#endif
+    // The terminating stream takes the stack back before it publishes the
+    // joiner slot: a joinable ULT that finished but is not yet joined keeps
+    // only its descriptor.
+    core::DequePool pool;
+    auto stream = std::make_unique<core::XStream>(
+        0, std::make_unique<core::Scheduler>(
+               std::vector<core::Pool*>{&pool}));
+    stream->start();
+    auto* u = new core::Ult([] {});
+    ASSERT_TRUE(u->holds_stack());
+    pool.push(u);
+    while (!u->join_done()) {
+        std::this_thread::yield();
+    }
+    EXPECT_FALSE(u->holds_stack());
+    core::join_unit(u);
+    delete u;
+    stream->stop_and_join();
+}
+
+TEST(StackTest, IdleStreamReturnsFinishedStacksToSharedTier) {
+#ifdef LWT_TSAN
+    GTEST_SKIP() << "ULT context switches are invisible to TSan";
+#endif
+    if (std::getenv("LWT_STACK_CACHE") != nullptr) {
+        GTEST_SKIP() << "LWT_STACK_CACHE set in the environment";
+    }
+    // ULTs created here and finished on another stream recycle into that
+    // stream's cache; once it runs out of work it hands them to the shared
+    // tier, where this thread's next refill finds them, still unjoined.
+    constexpr std::size_t kUnits = 8;
+    core::DequePool pool;
+    auto stream = std::make_unique<core::XStream>(
+        0, std::make_unique<core::Scheduler>(
+               std::vector<core::Pool*>{&pool}));
+    stream->start();
+    std::vector<core::Ult*> units;
+    for (std::size_t i = 0; i < kUnits; ++i) {
+        units.push_back(new core::Ult([] {}));
+    }
+    const std::size_t shared0 = arch::default_stack_source_cached();
+    for (core::Ult* u : units) {
+        pool.push(u);
+    }
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (arch::default_stack_source_cached() < shared0 + kUnits &&
+           std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::yield();
+    }
+    EXPECT_GE(arch::default_stack_source_cached(), shared0 + kUnits);
+    for (core::Ult* u : units) {
+        core::join_unit(u);
+        delete u;
+    }
+    stream->stop_and_join();
 }
 
 // --- audit shards -------------------------------------------------------------

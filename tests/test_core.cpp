@@ -2,7 +2,10 @@
 // schedulers, execution streams, ULT-level sync, channels.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <atomic>
+#include <fstream>
 #include <memory>
 #include <set>
 #include <string>
@@ -174,6 +177,30 @@ void expect_pool_fifo_semantics(P&& pool) {
 
 TEST(Pools, SharedFifoPoolIsFifo) { expect_pool_fifo_semantics(SharedFifoPool{}); }
 TEST(Pools, MpmcPoolIsFifo) { expect_pool_fifo_semantics(MpmcPool{16}); }
+
+/// Resident set size of this process in bytes (/proc/self/statm).
+long resident_bytes() {
+    std::ifstream statm("/proc/self/statm");
+    long size_pages = 0;
+    long resident_pages = 0;
+    statm >> size_pages >> resident_pages;
+    return resident_pages * sysconf(_SC_PAGESIZE);
+}
+
+TEST(Pools, MpmcPoolRingIsResidentOnlyWhenUsed) {
+    // A default MpmcPool ring spans 64 Ki slots (1 MiB); constructing one
+    // must not touch them, so eight pools add well under one ring's worth.
+    const long before = resident_bytes();
+    std::vector<std::unique_ptr<MpmcPool>> pools;
+    for (int i = 0; i < 8; ++i) {
+        pools.push_back(std::make_unique<MpmcPool>());
+    }
+    EXPECT_LT(resident_bytes() - before, 1L << 20);
+    for (auto& pool : pools) {
+        expect_pool_fifo_semantics(*pool);
+    }
+}
+
 TEST(Pools, DequePoolFifoOrder) {
     expect_pool_fifo_semantics(DequePool{DequePool::PopOrder::kFifo});
 }

@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <numeric>
+#include <optional>
 #include <set>
 #include <thread>
 #include <vector>
@@ -41,6 +42,39 @@ TEST(MpmcQueue, RejectsPushWhenFull) {
         ASSERT_TRUE(q.try_push(i));
     }
     EXPECT_FALSE(q.try_push(4));
+}
+
+TEST(MpmcQueue, PushBulkWaitsForConsumersAcrossLaps) {
+    // A bulk push into a full ring claims one slot past the consumer and
+    // waits for that slot's previous lap to drain. Five laps of a 4-slot
+    // ring take every slot's relative sequence through several wraps.
+    MpmcQueue<int> q(4);
+    constexpr int kValues = 20;
+    std::vector<int> values(kValues);
+    std::iota(values.begin(), values.end(), 0);
+    std::thread producer([&] { q.push_bulk(values.data(), values.size()); });
+    for (int i = 0; i < kValues; ++i) {
+        if (i + 4 < kValues) {
+            // The producer has claimed value i + 4's slot, which still
+            // holds value i: it is spinning in push_bulk's wait loop.
+            while (q.size_approx() != q.capacity() + 1) {
+                std::this_thread::yield();
+            }
+        }
+        std::optional<int> v;
+        while (!(v = q.try_pop())) {
+            std::this_thread::yield();  // the last values may still be landing
+        }
+        EXPECT_EQ(*v, i);
+    }
+    producer.join();
+    EXPECT_FALSE(q.try_pop().has_value());
+    // Still a well-formed 4-slot ring after the wraps.
+    for (int i = 0; i < 4; ++i) {
+        ASSERT_TRUE(q.try_push(100 + i));
+    }
+    EXPECT_FALSE(q.try_push(104));
+    EXPECT_EQ(q.try_pop(), std::optional<int>(100));
 }
 
 TEST(MpmcQueue, ManyProducersManyConsumersConserveItems) {

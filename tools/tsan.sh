@@ -9,14 +9,15 @@
 #
 # Usage: tools/tsan.sh [ctest-regex]
 #   default regex:
-#   'test_steal|test_trace|test_metrics|test_topology|test_alloc|test_join|test_sync_ult|test_io|test_introspect'
-#   (test_join and test_sync_ult self-gate their ULT-switching cases behind
-#   LWT_TSAN, leaving the parker/FEB-waiter-list/channel-rendezvous/
-#   reactor timer-claim races for TSan to chew on.)
+#   'test_steal|test_trace|test_metrics|test_topology|test_alloc|test_join|test_sync_ult|test_io|test_introspect|test_queue'
+#   (test_join, test_sync_ult and test_alloc self-gate their ULT-switching
+#   cases behind LWT_TSAN, leaving the parker/FEB-waiter-list/channel-
+#   rendezvous/reactor timer-claim races for TSan to chew on; test_queue
+#   races the MPMC ring's atomic_ref sequence arithmetic.)
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
-REGEX="${1:-test_steal|test_trace|test_metrics|test_topology|test_alloc|test_join|test_sync_ult|test_io|test_introspect}"
+REGEX="${1:-test_steal|test_trace|test_metrics|test_topology|test_alloc|test_join|test_sync_ult|test_io|test_introspect|test_queue}"
 BUILD=build-tsan
 
 cmake -B "$BUILD" -S . \
