@@ -4,19 +4,33 @@
 #include <sys/eventfd.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <mutex>
 #include <thread>
 
 #include "arch/cpu.hpp"
+#include "core/scheduler.hpp"
+#include "core/xstream.hpp"
 
 namespace lwt::core {
 
 namespace {
 
 using SteadyNs = std::uint64_t;
+
+/// Events one epoll_wait collects.
+constexpr int kBatch = 128;
+/// Longest epoll_wait of the backstop poller.
+constexpr int kMaxPollMs = 100;
+/// How long the backstop poller stays out of epoll_wait between looks at
+/// whether idle streams still poll; about the longest a readiness event
+/// waits when every stream turns busy. Twice the default park timeout, so
+/// a stream re-sitting after each timeout always moves the epoch in one.
+constexpr auto kBackstopNap = std::chrono::milliseconds(2);
 
 SteadyNs now_ns() noexcept {
     return static_cast<SteadyNs>(
@@ -151,11 +165,23 @@ struct Reactor::PollerThread {
     std::thread thread;
 };
 
+/// What the seat holder's epoll_wait collected, dispatched once the
+/// holder is off its lot (leave_seat).
+struct Reactor::Seat {
+    ::epoll_event events[kBatch];
+    int n = 0;
+};
+
 Reactor::Reactor()
     : wheel_(new Wheel),
+      seat_events_(new Seat),
       wakes_(MetricsRegistry::instance().counter("io.reactor.wakes")),
       polls_(MetricsRegistry::instance().counter("io.reactor.polls")),
-      timer_fires_(MetricsRegistry::instance().counter("io.timer.fires")) {
+      timer_fires_(MetricsRegistry::instance().counter("io.timer.fires")),
+      claims_(MetricsRegistry::instance().counter("io.reactor.claims")),
+      seat_waits_(MetricsRegistry::instance().counter("io.reactor.seat_waits")),
+      poller_dispatches_(MetricsRegistry::instance().counter(
+          "io.reactor.poller_dispatches")) {
     epfd_ = ::epoll_create1(EPOLL_CLOEXEC);
     eventfd_ = ::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
     if (epfd_ >= 0 && eventfd_ >= 0) {
@@ -185,6 +211,7 @@ Reactor::~Reactor() {
     for (auto& page : pages_) {
         delete page.load(std::memory_order_acquire);
     }
+    delete seat_events_;
     delete wheel_;
 }
 
@@ -212,7 +239,7 @@ void Reactor::ensure_running() {
     }
 }
 
-void Reactor::kick() {
+void Reactor::kick() noexcept {
     if (eventfd_ >= 0) {
         const std::uint64_t one = 1;
         [[maybe_unused]] ssize_t n = ::write(eventfd_, &one, sizeof(one));
@@ -220,27 +247,54 @@ void Reactor::kick() {
 }
 
 void Reactor::poller_main() {
+    std::uint64_t seen = stream_epoch_.load(std::memory_order_acquire);
     while (!stop_.load(std::memory_order_acquire)) {
-        dispatch_events(next_timeout_ms());
-        fire_due_timers();
+        // Backstop: while idle streams poll — one holds the spinner token
+        // or the seat or waits for it, or took either during the last
+        // nap — stay out of epoll_wait, so readiness runs on the streams
+        // that notice it.
+        const std::uint64_t epoch =
+            stream_epoch_.load(std::memory_order_seq_cst);
+        std::uint8_t free = kSeatFree;
+        if (epoch != seen || streams_polling() ||
+            !seat_.compare_exchange_strong(free, kSeatPoller,
+                                           std::memory_order_seq_cst)) {
+            seen = epoch;
+            std::this_thread::sleep_for(kBackstopNap);
+            continue;
+        }
+        if (stream_epoch_.load(std::memory_order_seq_cst) != seen ||
+            streams_polling()) {
+            // A stream turned idle while we took the seat: give it back.
+            seat_.store(kSeatFree, std::memory_order_release);
+            continue;
+        }
+        Seat& seat = *seat_events_;
+        const int n = ::epoll_wait(epfd_, seat.events, kBatch,
+                                   next_timeout_ms(kMaxPollMs));
+        std::size_t done = dispatch(seat.events, n, nullptr, /*seated=*/true);
+        done += fire_due_timers();
+        poller_dispatches_.inc(done);
+        seat_.store(kSeatFree, std::memory_order_release);
     }
 }
 
-int Reactor::next_timeout_ms() {
+int Reactor::next_timeout_ms(int cap_ms) {
+    // seq_cst: Dekker with add_timer, which lowers `earliest` then loads
+    // the seat — a seat holder that read the old bound gets kicked.
     const SteadyNs earliest =
-        wheel_->earliest.load(std::memory_order_acquire);
+        wheel_->earliest.load(std::memory_order_seq_cst);
     if (earliest == ~SteadyNs{0}) {
-        // No pending timer: still cap the sleep so a timer armed between
-        // this load and epoll_wait (whose eventfd kick we might consume
-        // first in a racing try_poll) is only delayed, never stranded.
-        return 100;
+        return cap_ms;
     }
     const SteadyNs now = now_ns();
     if (earliest <= now) {
         return 0;
     }
     const SteadyNs delta_ms = (earliest - now + 999'999) / 1'000'000;
-    return delta_ms > 100 ? 100 : static_cast<int>(delta_ms);
+    return delta_ms > static_cast<SteadyNs>(cap_ms)
+               ? cap_ms
+               : static_cast<int>(delta_ms);
 }
 
 // ---------------------------------------------------------------------------
@@ -416,15 +470,16 @@ void Reactor::add_timer(Timer& t, Deadline d, void (*fn)(void*), void* arg) {
         wheel_->link(t);
         wheel_->pending.fetch_add(1, std::memory_order_relaxed);
     }
-    // Publish the (possibly sooner) earliest deadline and kick the poller
-    // out of a longer epoll sleep so it re-sizes its timeout.
+    // Publish the (possibly sooner) earliest deadline and kick the seat
+    // holder out of a longer epoll sleep so it re-sizes its timeout.
     SteadyNs prev = wheel_->earliest.load(std::memory_order_relaxed);
     while (t.deadline_ns < prev &&
            !wheel_->earliest.compare_exchange_weak(
-               prev, t.deadline_ns, std::memory_order_acq_rel)) {
+               prev, t.deadline_ns, std::memory_order_seq_cst)) {
     }
-    if (t.deadline_ns < prev && poller_started_.load(std::memory_order_relaxed)) {
-        kick();
+    if (t.deadline_ns < prev &&
+        seat_.load(std::memory_order_seq_cst) != kSeatFree) {
+        kick();  // the seat holder re-sizes its epoll_wait
     }
 }
 
@@ -434,7 +489,13 @@ bool Reactor::cancel_timer(Timer& t) {
         if (t.state.load(std::memory_order_acquire) == Timer::St::kPending) {
             wheel_->unlink(t);
             t.state.store(Timer::St::kCancelled, std::memory_order_release);
-            wheel_->pending.fetch_sub(1, std::memory_order_relaxed);
+            if (wheel_->pending.fetch_sub(1, std::memory_order_relaxed) == 1) {
+                // No timer left: drop the bound, or every poll would size
+                // its epoll_wait to this deadline, 0 ms once it passed.
+                // An add_timer that links after us lowers it again.
+                wheel_->earliest.store(~SteadyNs{0},
+                                       std::memory_order_release);
+            }
             return true;
         }
     }
@@ -532,19 +593,16 @@ IoStatus Reactor::sleep_until(Deadline d) {
 // ---------------------------------------------------------------------------
 // polling
 
-std::size_t Reactor::dispatch_events(int timeout_ms) {
-    constexpr int kBatch = 128;
-    ::epoll_event events[kBatch];
-    const int n = ::epoll_wait(epfd_, events, kBatch, timeout_ms);
-    if (n <= 0) {
-        return 0;
-    }
+std::size_t Reactor::dispatch(const ::epoll_event* events, int n,
+                              XStream* runner, bool seated) {
     std::size_t woken = 0;
     for (int i = 0; i < n; ++i) {
         const int fd = events[i].data.fd;
         if (fd == eventfd_) {
+            // Only the seat holder drains the kick: a try_poll that ate it
+            // would leave the blocked holder asleep.
             std::uint64_t drain;
-            while (::read(eventfd_, &drain, sizeof(drain)) > 0) {
+            while (seated && ::read(eventfd_, &drain, sizeof(drain)) > 0) {
             }
             continue;
         }
@@ -578,21 +636,120 @@ std::size_t Reactor::dispatch_events(int timeout_ms) {
         }
         for (std::size_t k = 0; k < nw; ++k) {
             wakes_.inc();
-            wake_sync_waiter(to_wake[k]);
+            wake_noticed(to_wake[k], runner);
             ++woken;
         }
     }
     return woken;
 }
 
-std::size_t Reactor::try_poll() {
+void Reactor::wake_noticed(SyncWaiter* w, XStream* runner) noexcept {
+    // Run where noticed (the wake_joiner shape, core/join.cpp): the
+    // noticing stream would pop the ULT from a pool it can run from anyway,
+    // after a push, a lot notify and maybe another stream's wake. Another
+    // stream's private pool, a kBlocking handshake still in flight or a
+    // taken hint slot keep the ordinary wake.
+    if (runner != nullptr && w->kind == SyncWaiter::Kind::kUlt &&
+        runner->next_hint() == nullptr) {
+        auto* ult = static_cast<Ult*>(w->ptr);
+        const Pool* home = ult->home_pool.load(std::memory_order_relaxed);
+        if (home != nullptr && runner->scheduler().can_run_from(home) &&
+            Ult::claim_blocked(ult)) {
+            runner->set_next_hint(ult);
+            claims_.inc();
+            return;
+        }
+    }
+    wake_sync_waiter(w);
+}
+
+std::size_t Reactor::try_poll(XStream* runner) {
     if (!running_.load(std::memory_order_acquire)) {
         return 0;
     }
     polls_.inc();
-    std::size_t n = dispatch_events(0);
-    n += fire_due_timers();
-    return n;
+    ::epoll_event events[kBatch];
+    const int n = ::epoll_wait(epfd_, events, kBatch, 0);
+    std::size_t woken = dispatch(events, n, runner, /*seated=*/false);
+    woken += fire_due_timers();
+    return woken;
+}
+
+// ---------------------------------------------------------------------------
+// idle-stream duties
+
+bool Reactor::has_waiters() const noexcept {
+    return fd_waiters_.load(std::memory_order_relaxed) != 0 ||
+           wheel_->pending.load(std::memory_order_relaxed) != 0;
+}
+
+bool Reactor::take_spinner() noexcept {
+    if (spinner_.load(std::memory_order_relaxed) ||
+        spinner_.exchange(true, std::memory_order_seq_cst)) {
+        return false;
+    }
+    stream_epoch_.fetch_add(1, std::memory_order_seq_cst);
+    return true;
+}
+
+void Reactor::release_spinner() noexcept {
+    spinner_.store(false, std::memory_order_release);
+}
+
+bool Reactor::take_seat() noexcept {
+    if (!running_.load(std::memory_order_acquire) || !has_waiters()) {
+        return false;
+    }
+    stream_epoch_.fetch_add(1, std::memory_order_seq_cst);
+    std::uint8_t holder = kSeatFree;
+    if (seat_.compare_exchange_strong(holder, kSeatStream,
+                                      std::memory_order_seq_cst)) {
+        return true;
+    }
+    if (holder != kSeatPoller) {
+        return false;
+    }
+    // Ask the backstop for the seat back and wait for it: declining would
+    // park this stream on its lot for a whole park timeout. The kick ends
+    // its epoll_wait, and seat_wanted_ keeps it from sitting again.
+    seat_wanted_.store(true, std::memory_order_seq_cst);
+    kick();
+    while (seat_.load(std::memory_order_acquire) == kSeatPoller) {
+        std::this_thread::yield();
+    }
+    holder = kSeatFree;
+    const bool taken = seat_.compare_exchange_strong(
+        holder, kSeatStream, std::memory_order_seq_cst);
+    seat_wanted_.store(false, std::memory_order_release);
+    return taken;
+}
+
+bool Reactor::streams_polling() const noexcept {
+    return spinner_.load(std::memory_order_seq_cst) ||
+           seat_wanted_.load(std::memory_order_seq_cst);
+}
+
+bool Reactor::stream_seated() const noexcept {
+    return seat_.load(std::memory_order_acquire) == kSeatStream;
+}
+
+bool Reactor::sit(std::chrono::microseconds timeout) noexcept {
+    polls_.inc();
+    seat_waits_.inc();
+    const auto cap_ms = static_cast<int>(std::min<std::int64_t>(
+        (timeout.count() + 999) / 1000, std::numeric_limits<int>::max()));
+    Seat& seat = *seat_events_;
+    seat.n = ::epoll_wait(epfd_, seat.events, kBatch, next_timeout_ms(cap_ms));
+    return seat.n > 0;
+}
+
+std::size_t Reactor::leave_seat(XStream* runner) noexcept {
+    Seat& seat = *seat_events_;
+    const int n = std::exchange(seat.n, 0);
+    std::size_t woken = dispatch(seat.events, n, runner, /*seated=*/true);
+    woken += fire_due_timers();
+    seat_.store(kSeatFree, std::memory_order_release);
+    return woken;
 }
 
 }  // namespace lwt::core

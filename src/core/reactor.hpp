@@ -10,15 +10,23 @@
 // plain OS thread degrades to a ThreadParker sleep; an attached stream
 // drains its pools while waiting (SyncBlocker does all three).
 //
-// Event delivery is two-path, like Go's netpoller:
+// Idle execution streams are the poller, like Go's and Tokio's workers
+// (docs/io_reactor.md §2). While the global reactor has fd waiters or
+// pending timers:
 //
-//   * a dedicated poller thread (default on; LWT_IO_POLLER=0 disables)
-//     blocks in epoll_wait sized to the next timer deadline and wakes
-//     parked waiters directly — I/O completes even when every stream is
-//     busy executing CPU work;
-//   * idle execution streams call try_poll() from XStream::progress()
-//     when their pools are empty, shaving the wake hop when the runtime
-//     has spare cycles anyway (docs/io_reactor.md).
+//   * one idle stream at a time, the spinner, polls it with try_poll()
+//     on each spin/yield step of its idle ladder; every other stream
+//     whose ladder can park goes straight to its park rung;
+//   * a stream at its park rung takes the single seat, the right to
+//     block in epoll_wait, when it is free, and parks there instead of on
+//     its lot's condvar; a lot notify kicks the seat (sync::ParkSeat);
+//   * readiness a stream's own loop notices for a ULT it can run is
+//     claimed into that stream's next-unit hint, not queued and notified;
+//   * the dedicated poller thread (default on; LWT_IO_POLLER=0 disables)
+//     is a backstop: it stays out of epoll_wait while streams poll and
+//     takes the seat only when they have all been busy for a whole nap or
+//     no runtime exists, so I/O still completes when every stream runs
+//     CPU work.
 //
 // Waits are edge-owned: each waiter registers in the fd's per-direction
 // slot, the fd is (re)armed EPOLLONESHOT, and whichever of {readiness
@@ -37,9 +45,14 @@
 
 #include "core/metrics.hpp"
 #include "core/waiter.hpp"
+#include "sync/parking_lot.hpp"
 #include "sync/spinlock.hpp"
 
+struct epoll_event;
+
 namespace lwt::core {
+
+class XStream;
 
 /// Outcome of a reactor wait.
 enum class IoStatus : std::uint8_t {
@@ -84,7 +97,7 @@ class Deadline {
 /// constructible object, so a runtime that wants private I/O isolation can
 /// own its own (it must then drive try_poll()/its own poller itself; only
 /// the global instance is polled by idle streams).
-class Reactor {
+class Reactor final : public sync::ParkSeat {
   public:
     /// Intrusive one-shot timer. Lives on the waiting context's stack (or
     /// anywhere that outlives the fire/cancel); a Timer may be reused for
@@ -154,33 +167,73 @@ class Reactor {
 
     /// Dispatch whatever is ready right now — fd events and due timers —
     /// without blocking. Returns the number of wakes + callbacks issued.
-    /// Safe to call from any thread concurrently with the poller.
-    std::size_t try_poll();
+    /// Safe to call from any thread concurrently with the poller. With a
+    /// `runner` (a stream's own scheduling loop, on its thread), the first
+    /// readiness wake of a ULT whose home pool the stream can run from is
+    /// claimed into its next-unit hint instead of queued (run where
+    /// noticed).
+    std::size_t try_poll(XStream* runner = nullptr);
 
     /// True once any wait/timer armed the global reactor — the one-load
-    /// gate XStream::progress() checks before routing idle cycles here.
+    /// gate an idle stream checks before it looks at the reactor.
     [[nodiscard]] static bool idle_poll_armed() noexcept {
         return s_global_armed.load(std::memory_order_acquire);
     }
 
-    /// Disable/enable the dedicated poller thread (before the first wait;
-    /// LWT_IO_POLLER=0|1 overrides). Without it, I/O completion rides
-    /// entirely on idle execution streams — see docs/io_reactor.md for
-    /// when that degrades.
+    /// Disable/enable the dedicated backstop poller thread (before the
+    /// first wait; LWT_IO_POLLER=0|1 overrides). Without it, I/O
+    /// completion rides entirely on idle execution streams — see
+    /// docs/io_reactor.md for when that degrades.
     void set_poller_enabled(bool on) noexcept {
         poller_enabled_.store(on, std::memory_order_relaxed);
     }
+
+    // --- idle-stream duties (XStream's idle ladder) ---------------------------
+
+    /// True while an fd has a waiter or a timer is pending: idle streams
+    /// then poll and sit.
+    [[nodiscard]] bool has_waiters() const noexcept;
+
+    /// The one-spinner token: at most one idle stream polls with
+    /// try_poll() on its spin/yield rungs. False when another holds it.
+    [[nodiscard]] bool take_spinner() noexcept;
+    void release_spinner() noexcept;
+
+    /// Take the seat, the right to block in epoll_wait, for the calling
+    /// stream. False when there is nothing to wait for or another stream
+    /// holds it; a seat held by the backstop poller is asked back with a
+    /// kick and waited for.
+    [[nodiscard]] bool take_seat() noexcept;
+    /// Seat holder only: block in epoll_wait until an event, a kick or
+    /// min(`timeout`, next timer). False only on the timeout.
+    bool sit(std::chrono::microseconds timeout) noexcept;
+    /// Seat holder only: dispatch what sit() collected and due timers,
+    /// claiming into `runner`'s hint as try_poll() does, then give the
+    /// seat up. Returns the wakes + callbacks issued.
+    std::size_t leave_seat(XStream* runner) noexcept;
+
+    /// End the seat holder's epoll_wait, or make the next one return at
+    /// once (a lot notify, a sooner timer, a stream asking the backstop
+    /// for the seat, shutdown).
+    void kick() noexcept override;
 
     /// Waiters currently parked on fds (diagnostics/tests).
     [[nodiscard]] std::size_t fd_waiters() const noexcept {
         return fd_waiters_.load(std::memory_order_acquire);
     }
 
+    /// True while an idle stream holds the seat (diagnostics/tests).
+    [[nodiscard]] bool stream_seated() const noexcept;
+
   private:
     struct FdPage;
     struct FdEntry;
     struct IoWait;
     struct Wheel;
+    struct Seat;
+
+    /// Who holds the seat.
+    enum SeatHolder : std::uint8_t { kSeatFree, kSeatStream, kSeatPoller };
 
     static std::atomic<bool> s_global_armed;
 
@@ -193,12 +246,19 @@ class Reactor {
 
     void ensure_running();
     void poller_main();
-    void kick();  ///< wake the poller out of epoll_wait (timer/stop)
-    std::size_t dispatch_events(int timeout_ms);
+    /// A stream holds the spinner token or waits for the seat.
+    [[nodiscard]] bool streams_polling() const noexcept;
+    /// Wake the claimed waiters of the `n` events at `events`; the kick
+    /// eventfd is drained only by a seat holder (`seated`), whose wait it
+    /// was meant to end.
+    std::size_t dispatch(const ::epoll_event* events, int n,
+                         XStream* runner, bool seated);
+    /// Wake `w`, or claim its ULT into `runner`'s next-unit hint.
+    void wake_noticed(SyncWaiter* w, XStream* runner) noexcept;
     std::size_t fire_due_timers();
     /// ms until the earliest pending timer for epoll_wait, capped at
-    /// 100 ms; the cap also when no timer is pending.
-    int next_timeout_ms();
+    /// `cap_ms`; the cap also when no timer is pending.
+    int next_timeout_ms(int cap_ms);
 
     int epfd_ = -1;
     int eventfd_ = -1;
@@ -218,6 +278,15 @@ class Reactor {
     sync::Spinlock page_alloc_lock_;
 
     Wheel* wheel_;  // timer wheel (owned; defined in reactor.cpp)
+    Seat* seat_events_;  // the seat holder's event buffer (owned)
+
+    // Idle-stream duties. stream_epoch_ moves whenever a stream takes the
+    // spinner token or the seat, or asks the seat back from the poller: the
+    // backstop polls only after a whole nap in which it did not move.
+    alignas(arch::kCacheLine) std::atomic<std::uint8_t> seat_{kSeatFree};
+    std::atomic<bool> spinner_{false};
+    std::atomic<bool> seat_wanted_{false};  ///< a stream waits for the seat
+    std::atomic<std::uint64_t> stream_epoch_{0};
 
     // Poller thread handle (std::thread would drag <thread> into every
     // include of this header; keep it opaque).
@@ -228,6 +297,9 @@ class Reactor {
     Counter& wakes_;
     Counter& polls_;
     Counter& timer_fires_;
+    Counter& claims_;
+    Counter& seat_waits_;
+    Counter& poller_dispatches_;
 };
 
 }  // namespace lwt::core

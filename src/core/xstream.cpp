@@ -115,10 +115,13 @@ void XStream::loop() {
     }
     // Drain semantics: exit only when stopping *and* out of work, a hint
     // included.
-    drive(sync::IdleBackoff(idle_config_, parking_lot_), [this] {
-        return stop_requested() && next_hint_ == nullptr &&
-               !scheduler().has_work();
-    });
+    drive(
+        sync::IdleBackoff(idle_config_, parking_lot_),
+        [this] {
+            return stop_requested() && next_hint_ == nullptr &&
+                   !scheduler().has_work();
+        },
+        /*own_loop=*/true);
     tl_current_xstream = nullptr;
     set_this_thread_stream(kNoStream);
 }
@@ -150,19 +153,56 @@ bool XStream::progress() {
         unit = scheduler().next();
     }
     if (unit == nullptr) {
-        // Out of work: lend this idle stream to the I/O reactor. A
-        // dispatched readiness event or due timer may wake a ULT straight
-        // into our pools, so retry the scheduler once after a hit.
-        if (Reactor::idle_poll_armed() &&
-            Reactor::global().try_poll() > 0) {
-            unit = scheduler().next();
-        }
-        if (unit == nullptr) {
-            return false;
-        }
+        return false;
     }
     run_unit(unit);
     return true;
+}
+
+bool XStream::IdleIo::poll(sync::IdleBackoff& idle) noexcept {
+    if (!Reactor::idle_poll_armed()) {
+        return false;
+    }
+    Reactor& reactor = Reactor::global();
+    if (!spinning_) {
+        if (idle.parks_next() || !reactor.has_waiters()) {
+            return false;
+        }
+        if (!reactor.take_spinner()) {
+            // Another stream spins: a ladder that can park waits in the
+            // seat or on the lot instead of polling too.
+            idle.skip_to_park();
+            return false;
+        }
+        spinning_ = true;
+    }
+    if (idle.parks_next()) {
+        busy();  // walked to the park rung: hand the token on
+        return false;
+    }
+    return reactor.try_poll(runner_) > 0;
+}
+
+std::optional<bool> XStream::IdleIo::sit(
+    sync::ParkingLot& lot, std::uint64_t ticket,
+    std::chrono::microseconds timeout) noexcept {
+    if (!Reactor::idle_poll_armed()) {
+        return std::nullopt;
+    }
+    Reactor& reactor = Reactor::global();
+    if (!reactor.take_seat()) {
+        return std::nullopt;
+    }
+    const bool woken =
+        lot.park_in(reactor, ticket, [&] { return reactor.sit(timeout); });
+    // Off the lot now: our own pushes below notify nobody needlessly.
+    reactor.leave_seat(runner_);
+    return woken;
+}
+
+void XStream::IdleIo::release_spinner() noexcept {
+    Reactor::global().release_spinner();
+    spinning_ = false;
 }
 
 void XStream::finish_unit(WorkUnit* unit) {

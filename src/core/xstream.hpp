@@ -8,14 +8,19 @@
 // docs/idle_loop.md): bounded spin -> exponential backoff -> park on the
 // runtime's ParkingLot until a Pool::push wakes the stream. A thread
 // attached to the stream waits on the same ladder (run_until_notified).
-// Every steal probe and idle step is counted in per-stream SchedCounters,
-// snapshotted through sched_stats().
+// While the I/O reactor has waiters, idle streams are its poller: one
+// spins polling it, and the park rung blocks in its epoll seat when free
+// (core/reactor.hpp). Every steal probe and idle step is counted in
+// per-stream SchedCounters, snapshotted through sched_stats().
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -191,18 +196,56 @@ class XStream {
     void run_unit(WorkUnit* unit);
 
   private:
+    /// What one idle ladder does for the global I/O reactor while it has
+    /// waiters (docs/io_reactor.md §2): poll it as the one spinner, send a
+    /// ladder that can park straight to its park rung when another stream
+    /// spins, and park in the reactor's epoll seat when it is free. Only
+    /// the stream's own loop runs readiness where it notices it (claims
+    /// into its next-unit hint); waits of an attached caller keep the
+    /// ordinary wake.
+    class IdleIo {
+      public:
+        /// `runner`: the stream whose own loop this is, or nullptr.
+        explicit IdleIo(XStream* runner) noexcept : runner_(runner) {}
+        ~IdleIo() { busy(); }
+        IdleIo(const IdleIo&) = delete;
+        IdleIo& operator=(const IdleIo&) = delete;
+
+        /// The stream found work: hand the spinner token on.
+        void busy() noexcept {
+            if (spinning_) {
+                release_spinner();
+            }
+        }
+        /// After an empty sweep. True when it dispatched readiness or
+        /// timers, so the stream should look for work again.
+        bool poll(sync::IdleBackoff& idle) noexcept;
+        /// IdleBackoff::step's seat: park in the reactor's epoll seat.
+        std::optional<bool> sit(sync::ParkingLot& lot, std::uint64_t ticket,
+                                std::chrono::microseconds timeout) noexcept;
+
+      private:
+        void release_spinner() noexcept;
+
+        XStream* const runner_;  ///< claims readiness into its hint
+        bool spinning_ = false;  ///< holds the reactor's spinner token
+    };
+
     void loop();
     /// The one idle-ladder loop, shared by loop() and both run_until
     /// flavours: run units until `done()` holds, stepping `idle` after each
     /// empty sweep and counting the step. A park's re-check runs with
     /// interest registered, so a push (or `done` flipping with a lot
     /// notify, as a stop or a lot-routed parker does) that lands after it
-    /// aborts the park — no lost wakeup.
+    /// aborts the park — no lost wakeup. `own_loop` marks the stream's own
+    /// scheduling loop, which may run readiness where it notices it.
     template <typename Done>
-    void drive(sync::IdleBackoff idle, Done&& done) {
+    void drive(sync::IdleBackoff idle, Done&& done, bool own_loop = false) {
+        IdleIo io(own_loop ? this : nullptr);
         bool ran = false;
         while (!done()) {
             if (progress()) {
+                io.busy();
                 idle.reset();
                 ran = true;
                 continue;
@@ -212,8 +255,15 @@ class XStream {
                 // finished back to the streams that create ULTs.
                 arch::flush_default_stack_cache();
             }
+            if (io.poll(idle)) {
+                continue;
+            }
             count_idle_step(idle.step(
-                [&] { return done() || scheduler().has_work(); }));
+                [&] { return done() || scheduler().has_work(); },
+                [&](sync::ParkingLot& lot, std::uint64_t ticket,
+                    std::chrono::microseconds timeout) {
+                    return io.sit(lot, ticket, timeout);
+                }));
         }
     }
     /// Push a pending next hint to its home pool, or to this stream's main

@@ -6,12 +6,16 @@
 // Finding work resets the ladder to the bottom. The three rungs are also
 // the three selectable policies, so benchmarks can ablate them (spin vs
 // backoff vs park — see bench/ablation_sched.cpp and docs/idle_loop.md).
+// A caller may offer the park rung a seat to block in instead of the
+// lot's condvar (XStream offers the I/O reactor's epoll seat).
 #pragma once
 
 #include <chrono>
 #include <cstdint>
 #include <cstring>
+#include <optional>
 #include <thread>
+#include <utility>
 
 #include "arch/cpu.hpp"
 #include "sync/parking_lot.hpp"
@@ -86,11 +90,40 @@ class IdleBackoff {
         yields_ = 0;
     }
 
+    /// True when the next step() parks: the ladder has walked to its park
+    /// rung.
+    [[nodiscard]] bool parks_next() const noexcept {
+        return can_park() && spins_ >= config_.spin_limit &&
+               yields_ >= config_.yield_limit;
+    }
+
+    /// Jump to the park rung, skipping spin and backoff; a no-op for a
+    /// ladder that cannot park.
+    void skip_to_park() noexcept {
+        if (can_park()) {
+            spins_ = config_.spin_limit;
+            yields_ = config_.yield_limit;
+        }
+    }
+
     /// Wait a little, escalating. `recheck()` is consulted with park
     /// interest already registered, immediately before blocking; it must
     /// return true if work (or a stop request) makes blocking pointless.
     template <typename Recheck>
     Step step(Recheck&& recheck) {
+        return step(std::forward<Recheck>(recheck),
+                    [](ParkingLot&, std::uint64_t, std::chrono::microseconds) {
+                        return std::optional<bool>{};
+                    });
+    }
+
+    /// As step(recheck), but a park first offers `seat(lot, ticket,
+    /// timeout)` to block elsewhere than the lot's condvar, with interest
+    /// registered and the re-check empty (ParkingLot::park_in). It returns
+    /// nullopt to decline, else whether the wait was woken rather than
+    /// timed out.
+    template <typename Recheck, typename Seat>
+    Step step(Recheck&& recheck, Seat&& seat) {
         if (config_.policy == IdlePolicy::kSpin) {
             // Pre-backoff behaviour: relax for the pipeline, yield for
             // oversubscribed hosts. Never escalates.
@@ -103,9 +136,7 @@ class IdleBackoff {
             arch::cpu_relax();
             return Step::kSpun;
         }
-        const bool can_park =
-            config_.policy == IdlePolicy::kPark && lot_ != nullptr;
-        if (!can_park || yields_ < config_.yield_limit) {
+        if (!can_park() || yields_ < config_.yield_limit) {
             if (yields_ < config_.yield_limit) {
                 // Exponential backoff: double the pause train before each
                 // yield so contended steals thin out quickly.
@@ -123,6 +154,10 @@ class IdleBackoff {
             lot_->cancel_park();
             return Step::kParkAborted;
         }
+        if (const std::optional<bool> woken =
+                seat(*lot_, ticket, config_.park_timeout)) {
+            return *woken ? Step::kParkNotified : Step::kParkTimeout;
+        }
         return lot_->park(ticket, config_.park_timeout)
                    ? Step::kParkNotified
                    : Step::kParkTimeout;
@@ -131,6 +166,11 @@ class IdleBackoff {
     [[nodiscard]] const IdleConfig& config() const noexcept { return config_; }
 
   private:
+    /// True when the ladder can reach its park rung (kPark with a lot).
+    [[nodiscard]] bool can_park() const noexcept {
+        return config_.policy == IdlePolicy::kPark && lot_ != nullptr;
+    }
+
     IdleConfig config_;
     ParkingLot* lot_;
     unsigned spins_ = 0;

@@ -12,6 +12,11 @@
 // motivates the discipline: unconditional spinning wastes the cores the
 // paper's Figures 4-8 measure, while naive sleeping loses wakeups; the
 // epoch handshake gives both liveness and an idle CPU.
+//
+// A registered waiter may block in a ParkSeat instead of the condvar: the
+// I/O reactor's epoll seat (core/reactor.hpp), where an idle stream waits
+// for readiness and pool pushes at once. The lot then kicks the seat on a
+// notify (park_in).
 #pragma once
 
 #include <atomic>
@@ -23,6 +28,18 @@
 #include "arch/cpu.hpp"
 
 namespace lwt::sync {
+
+/// A wait a parking waiter may block in instead of the lot's condvar (the
+/// reactor's epoll seat). The lot only needs to end it.
+class ParkSeat {
+  public:
+    /// End the seat's wait in progress, or make its next one return at
+    /// once. Callable from any thread.
+    virtual void kick() noexcept = 0;
+
+  protected:
+    ~ParkSeat() = default;
+};
 
 /// Shared wait point for parked streams. One lot typically serves one
 /// runtime instance (all its pools notify the same lot; any parked stream
@@ -37,10 +54,11 @@ class ParkingLot {
     /// in its queue, never before — the waiter's re-check must be able to
     /// see it. Cheap when nobody is registered: a fence and a load.
     void notify_all() noexcept {
-        if (registered() == 0) {
+        const std::uint64_t parked = registered();
+        if (parked == 0) {
             return;
         }
-        wake(/*all=*/true);
+        wake(/*all=*/true, parked);
     }
 
     /// Like notify_all(), but wakes at most ONE parked waiter. Correct
@@ -57,7 +75,7 @@ class ParkingLot {
         if (parked > 1) {
             wakeups_avoided_.fetch_add(parked - 1, std::memory_order_relaxed);
         }
-        wake(/*all=*/false);
+        wake(/*all=*/false, parked);
     }
 
     /// Waiter side, step 1: register interest and take a ticket. Must be
@@ -88,6 +106,24 @@ class ParkingLot {
         }
         waiters_.fetch_sub(1, std::memory_order_release);
         return notified;
+    }
+
+    /// Waiter side, step 2, blocking in `seat` instead of the condvar:
+    /// publish the seat, re-check the epoch, then call `sit()`, which
+    /// blocks until seat.kick(), the seat's own events or its timeout and
+    /// returns false only on the timeout. Dekker with wake(): the waiter
+    /// stores the seat then loads the epoch, a notifier bumps the epoch
+    /// then loads the seat, so either the waiter sees the notify or the
+    /// notifier kicks the seat. One waiter per lot may sit at a time.
+    /// Returns true unless the sit timed out with no notify.
+    template <typename Sit>
+    bool park_in(ParkSeat& seat, std::uint64_t ticket, Sit&& sit) {
+        seat_.store(&seat, std::memory_order_seq_cst);
+        const bool woken =
+            epoch_.load(std::memory_order_seq_cst) != ticket || sit();
+        seat_.store(nullptr, std::memory_order_relaxed);
+        waiters_.fetch_sub(1, std::memory_order_release);
+        return woken || epoch_.load(std::memory_order_acquire) != ticket;
     }
 
     /// Current epoch: bumped exactly once per notify that found a waiter
@@ -126,18 +162,26 @@ class ParkingLot {
     /// Waiters registered as seen by a producer that just published. The
     /// seq_cst fence orders the publish before the load (Dekker with
     /// prepare_park): reading 0 means any waiter registering later will
-    /// find the work in its re-check, so skipping the wake is safe.
+    /// find the work in its re-check, so skipping the wake is safe. The
+    /// acquire makes a seat cleared by a waiter that has since left
+    /// visible to wake().
     [[nodiscard]] std::uint64_t registered() const noexcept {
         std::atomic_thread_fence(std::memory_order_seq_cst);
-        return waiters_.load(std::memory_order_relaxed);
+        return waiters_.load(std::memory_order_acquire);
     }
 
     /// Slow path: move the epoch (a registered waiter's park then returns
-    /// at once), then signal under the mutex, which fences against a
-    /// waiter between its epoch check and the actual block.
-    void wake(bool all) noexcept {
-        epoch_.fetch_add(1, std::memory_order_acq_rel);
+    /// at once), kick a seated waiter, then signal under the mutex, which
+    /// fences against a waiter between its epoch check and the actual
+    /// block. A single wake with other waiters parked leaves the seated
+    /// one watching its seat and signals the condvar only.
+    void wake(bool all, std::uint64_t parked) noexcept {
+        epoch_.fetch_add(1, std::memory_order_seq_cst);
         notifies_.fetch_add(1, std::memory_order_relaxed);
+        if (ParkSeat* seat = seat_.load(std::memory_order_seq_cst);
+            seat != nullptr && (all || parked <= 1)) {
+            seat->kick();
+        }
         std::lock_guard<std::mutex> guard(mutex_);
         if (all) {
             cv_.notify_all();
@@ -148,6 +192,7 @@ class ParkingLot {
 
     alignas(arch::kCacheLine) std::atomic<std::uint64_t> epoch_{0};
     alignas(arch::kCacheLine) std::atomic<std::uint64_t> waiters_{0};
+    std::atomic<ParkSeat*> seat_{nullptr};  ///< the seated waiter's seat
     std::atomic<std::uint64_t> notifies_{0};
     std::atomic<std::uint64_t> wakeups_avoided_{0};
     std::mutex mutex_;

@@ -10,6 +10,7 @@
 
 #include "abt/abt.hpp"
 #include "core/scheduler.hpp"
+#include "idle_policy_pin.hpp"
 
 namespace {
 
@@ -154,9 +155,11 @@ TEST(Abt, YieldToBeatsQueueOrder) {
 TEST(Abt, DynamicXstreamCreation) {
     // Booted under the park policy, a stream created at run time gets the
     // same idle ladder and lot as the boot streams: once idle, it parks.
+    lwt::test::IdlePolicyEnvPin pin;
     lwt::core::set_default_idle_policy(lwt::sync::IdlePolicy::kPark);
     Library lib(cfg(1));
     lwt::core::set_default_idle_policy(std::nullopt);  // resolved at boot
+    pin.restore();
     EXPECT_EQ(lib.num_xstreams(), 1u);
     const std::size_t rank = lib.xstream_create();
     EXPECT_EQ(rank, 1u);

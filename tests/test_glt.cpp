@@ -17,6 +17,7 @@
 #include "core/runtime.hpp"
 #include "core/xstream.hpp"
 #include "glt/glt.hpp"
+#include "idle_policy_pin.hpp"
 
 namespace {
 
@@ -215,7 +216,9 @@ TEST_P(GltBackendTest, ParkPolicyReachesEveryBackend) {
     opts.backend = GetParam();
     opts.workers = 2;
     opts.idle = lwt::sync::IdlePolicy::kPark;
+    lwt::test::IdlePolicyEnvPin pin;
     auto rt = lwt::glt::init(opts);
+    pin.restore();
     std::vector<UnitToken> tokens;
     for (int i = 0; i < 16; ++i) {
         tokens.push_back(rt->ult_create([] {}));

@@ -1,7 +1,9 @@
 // Tests for the async I/O reactor (core/reactor.hpp, src/io/io.hpp;
 // docs/io_reactor.md): fd-readiness waits with deadline/cancel arbitration,
 // the timer wheel, the suspending sleep, the reactor-backed timed waits on
-// Channel/Future, and loopback echo smoke across personalities.
+// Channel/Future, idle streams as the poller (the epoll seat, readiness run
+// where it is noticed, the backstop poller), and loopback echo smoke across
+// personalities.
 //
 // TSan builds (tools/tsan.sh) run this file too: TSan cannot follow
 // fcontext switches, so tests that suspend ULTs are gated out. The
@@ -10,20 +12,31 @@
 // they are the racy core the reactor has to get right.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "abt/abt.hpp"
+#include "arch/cpu.hpp"
+#include "arch/locality.hpp"
 #include "core/channel.hpp"
 #include "core/future.hpp"
 #include "core/metrics.hpp"
+#include "core/pool.hpp"
 #include "core/reactor.hpp"
+#include "core/runtime.hpp"
+#include "core/scheduler.hpp"
+#include "core/ult.hpp"
+#include "core/xstream.hpp"
 #include "gol/gol.hpp"
+#include "idle_policy_pin.hpp"
 #include "io/io.hpp"
+#include "queue/locked_deque.hpp"
 
 #if defined(__SANITIZE_THREAD__)
 #define LWT_TSAN 1
@@ -280,9 +293,351 @@ TEST(IoTimedSync, FutureWaitForTimesOutThenSeesValue) {
     EXPECT_EQ(f.wait_for(milliseconds(0)).value_or(-1), 9);
 }
 
+// --- idle streams are the poller (docs/io_reactor.md §2) --------------------
+
+std::uint64_t counter(const char* name) {
+    return lwt::core::MetricsRegistry::instance().counter(name).value();
+}
+
+/// FIFO pool that counts the units pushed into it.
+class CountingPool final : public lwt::core::Pool {
+  public:
+    lwt::core::WorkUnit* pop() override {
+        return deque_.pop_front().value_or(nullptr);
+    }
+    [[nodiscard]] std::size_t size_hint() const override {
+        return deque_.size();
+    }
+    [[nodiscard]] int pushes() const noexcept { return pushes_.load(); }
+
+  protected:
+    void do_push(lwt::core::WorkUnit* unit) override {
+        pushes_.fetch_add(1);
+        on_push(unit);
+        deque_.push_back(unit);
+    }
+
+  private:
+    lwt::queue::LockedDeque<lwt::core::WorkUnit*> deque_;
+    std::atomic<int> pushes_{0};
+};
+
+/// `n` dedicated streams over the one `pool`, parking after a short ladder.
+/// The tests below assert on parks, so LWT_IDLE_POLICY is held off the boot.
+std::unique_ptr<lwt::core::Runtime> boot_parking_streams(
+    std::size_t n, lwt::core::Pool& pool,
+    std::chrono::microseconds park_timeout = std::chrono::microseconds(1000)) {
+    lwt::sync::IdleConfig idle;
+    idle.policy = lwt::sync::IdlePolicy::kPark;
+    idle.spin_limit = 4;
+    idle.yield_limit = 2;
+    idle.park_timeout = park_timeout;
+    lwt::test::IdlePolicyEnvPin pin;
+    return std::make_unique<lwt::core::Runtime>(
+        n,
+        [&pool](unsigned) {
+            return std::make_unique<lwt::core::Scheduler>(
+                std::vector<lwt::core::Pool*>{&pool});
+        },
+        lwt::arch::LocalityMap::flat(n),
+        lwt::core::Runtime::Primary::kDedicatedThread, idle);
+}
+
+/// Spin until `pred()` holds; false after `limit`.
+template <typename Pred>
+bool wait_for(Pred&& pred, std::chrono::milliseconds limit) {
+    const auto deadline = steady_clock::now() + limit;
+    while (!pred()) {
+        if (steady_clock::now() > deadline) {
+            return false;
+        }
+        std::this_thread::yield();
+    }
+    return true;
+}
+
+/// A plain thread parked on a socket nobody writes to until release():
+/// while it waits, the reactor has a waiter and idle streams poll it.
+class SilentWaiter {
+  public:
+    SilentWaiter() {
+        auto pair = io::Socket::pair();
+        EXPECT_TRUE(pair.ok());
+        rd_ = std::move(pair.value().first);
+        wr_ = std::move(pair.value().second);
+        const std::size_t before = Reactor::global().fd_waiters();
+        thread_ = std::thread([this] {
+            char c;
+            EXPECT_TRUE(rd_.read_exact(&c, 1).ok());
+            done_.store(true);
+        });
+        EXPECT_TRUE(wait_for(
+            [&] { return Reactor::global().fd_waiters() > before; },
+            milliseconds(10'000)));
+    }
+    ~SilentWaiter() {
+        EXPECT_TRUE(wr_.write_all("x", 1).ok());
+        EXPECT_TRUE(wait_for([&] { return done_.load(); }, milliseconds(10'000)))
+            << "no poller served the silent waiter";
+        while (!done_.load()) {
+            Reactor::global().try_poll();  // free it anyway
+        }
+        thread_.join();
+    }
+
+  private:
+    io::Socket rd_;
+    io::Socket wr_;
+    std::atomic<bool> done_{false};
+    std::thread thread_;
+};
+
+TEST(IdleStreamsPoll, PushWakesAStreamParkedInTheSeat) {
+    // The reactor has a waiter, so the runtime's one idle stream parks in
+    // its epoll seat instead of on the lot. A pool push must end that park
+    // at once through the lot's kick; a lost kick would stall the unit for
+    // the whole 5 s park timeout. Half the pushes land while the stream is
+    // blocked in epoll_wait, half as it enters the seat.
+    SilentWaiter silent;
+    Reactor& reactor = Reactor::global();
+    const std::uint64_t seat_waits = counter("io.reactor.seat_waits");
+    lwt::core::DequePool pool;
+    auto rt = boot_parking_streams(1, pool, std::chrono::seconds(5));
+    steady_clock::duration worst{};
+    for (int i = 0; i < 200; ++i) {
+        ASSERT_TRUE(wait_for(
+            [&] {
+                return reactor.stream_seated() &&
+                       rt->parking_lot().waiters() == 1;
+            },
+            milliseconds(10'000)))
+            << "the idle stream never sat in round " << i;
+        if (i % 2 == 0) {
+            std::this_thread::sleep_for(std::chrono::microseconds(200));
+        }
+        std::atomic<bool> ran{false};
+        auto* unit = new lwt::core::Tasklet([&ran] { ran.store(true); });
+        unit->detached = true;
+        const auto start = steady_clock::now();
+        pool.push(unit);
+        ASSERT_TRUE(wait_for([&] { return ran.load(); }, milliseconds(2000)))
+            << "push " << i << " did not wake the seated stream";
+        worst = std::max(worst, steady_clock::now() - start);
+    }
+    rt.reset();
+    EXPECT_LT(worst, milliseconds(2000));
+    EXPECT_GT(counter("io.reactor.seat_waits"), seat_waits);
+}
+
+TEST(IdleStreamsPoll, PollerStaysOutWhileAStreamIsIdle) {
+    // Two idle streams hold the reactor's spinner token or its seat the
+    // whole time, so readiness and timers for a plain-thread waiter are
+    // dispatched by them and the backstop poller dispatches nothing. Each
+    // write lands while a stream is blocked in the seat, where a poller
+    // also blocked in epoll_wait would win about half the events.
+    SilentWaiter silent;
+    Reactor& reactor = Reactor::global();
+    lwt::core::DequePool pool;
+    auto rt = boot_parking_streams(2, pool);
+    ASSERT_TRUE(wait_for([&] { return reactor.stream_seated(); },
+                         milliseconds(10'000)));
+    auto pair = io::Socket::pair();
+    ASSERT_TRUE(pair.ok());
+    io::Socket rd = std::move(pair.value().first);
+    io::Socket wr = std::move(pair.value().second);
+    const std::uint64_t poller = counter("io.reactor.poller_dispatches");
+    const std::uint64_t wakes = counter("io.reactor.wakes");
+    constexpr int kRounds = 100;
+    std::atomic<int> got{0};
+    std::thread reader([&] {
+        char c;
+        for (int i = 0; i < kRounds; ++i) {
+            if (i % 10 == 0) {
+                io::sleep_for(milliseconds(1));  // a timer too
+            }
+            EXPECT_TRUE(rd.read_exact(&c, 1).ok());
+            got.fetch_add(1);
+        }
+    });
+    for (int i = 0; i < kRounds; ++i) {
+        // Write once the reader is parked, so every read is a wake.
+        ASSERT_TRUE(wait_for(
+            [&] {
+                return got.load() == i && reactor.fd_waiters() >= 2 &&
+                       reactor.stream_seated();
+            },
+            milliseconds(10'000)));
+        ASSERT_TRUE(wr.write_all("y", 1).ok());
+    }
+    reader.join();
+    // The poller counts a pass after its wakes: give one in flight time.
+    std::this_thread::sleep_for(milliseconds(5));
+    EXPECT_EQ(counter("io.reactor.poller_dispatches"), poller);
+    EXPECT_GE(counter("io.reactor.wakes") - wakes,
+              std::uint64_t{kRounds + kRounds / 10});
+}
+
+TEST(IdleStreamsPoll, SeatSleepsPastACancelledDeadline) {
+    // A read completes before its deadline, so its timer is cancelled and
+    // no timer is left. The seated stream must then size its epoll_wait
+    // to its park timeout, not to the cancelled deadline: once that
+    // passed, a stale bound would make every wait return at once.
+    SilentWaiter silent;
+    Reactor& reactor = Reactor::global();
+    lwt::core::DequePool pool;
+    auto rt = boot_parking_streams(1, pool, milliseconds(50));
+    ASSERT_TRUE(wait_for([&] { return reactor.stream_seated(); },
+                         milliseconds(10'000)));
+    auto pair = io::Socket::pair();
+    ASSERT_TRUE(pair.ok());
+    io::Socket rd = std::move(pair.value().first);
+    io::Socket wr = std::move(pair.value().second);
+    const std::size_t parked = reactor.fd_waiters();
+    std::thread reader([&] {
+        char c;
+        EXPECT_TRUE(rd.read_exact(&c, 1, Deadline::in(milliseconds(5))).ok());
+    });
+    ASSERT_TRUE(wait_for([&] { return reactor.fd_waiters() > parked; },
+                         milliseconds(10'000)));
+    ASSERT_TRUE(wr.write_all("d", 1).ok());
+    reader.join();
+    std::this_thread::sleep_for(milliseconds(10));  // the deadline passes
+    const std::uint64_t waits = counter("io.reactor.seat_waits");
+    std::this_thread::sleep_for(milliseconds(20));
+    EXPECT_LT(counter("io.reactor.seat_waits") - waits, 50u);
+}
+
+TEST(IdleStreamsPoll, BackstopCompletesIoWhileEveryStreamIsBusy) {
+    // Both streams run a CPU-bound unit until the plain-thread waiter's
+    // read and sleep complete: only the backstop poller can deliver them.
+    lwt::core::DequePool pool;
+    auto rt = boot_parking_streams(2, pool);
+    std::atomic<bool> release{false};
+    std::atomic<int> busy{0};
+    for (int i = 0; i < 2; ++i) {
+        auto* unit = new lwt::core::Tasklet([&] {
+            busy.fetch_add(1);
+            while (!release.load()) {
+                lwt::arch::cpu_relax();
+            }
+        });
+        unit->detached = true;
+        pool.push(unit);
+    }
+    ASSERT_TRUE(wait_for([&] { return busy.load() == 2; },
+                         milliseconds(10'000)));
+    auto pair = io::Socket::pair();
+    ASSERT_TRUE(pair.ok());
+    io::Socket rd = std::move(pair.value().first);
+    io::Socket wr = std::move(pair.value().second);
+    const std::uint64_t poller = counter("io.reactor.poller_dispatches");
+    const std::size_t parked = Reactor::global().fd_waiters();
+    std::thread waiter([&] {
+        char c;
+        EXPECT_TRUE(rd.read_exact(&c, 1).ok());
+        io::sleep_for(milliseconds(5));
+        release.store(true);
+    });
+    // Write once the waiter is parked, so its read is a wake.
+    EXPECT_TRUE(wait_for(
+        [&] { return Reactor::global().fd_waiters() > parked; },
+        milliseconds(10'000)));
+    ASSERT_TRUE(wr.write_all("z", 1).ok());
+    const bool done =
+        wait_for([&] { return release.load(); }, milliseconds(10'000));
+    release.store(true);  // never leave the streams spinning
+    waiter.join();
+    EXPECT_TRUE(done) << "I/O stalled while every stream was busy";
+    // The poller counts a pass after its wakes: let the count catch up.
+    EXPECT_TRUE(wait_for(
+        [&] { return counter("io.reactor.poller_dispatches") - poller >= 2; },
+        milliseconds(10'000)));
+}
+
+TEST(IdleStreamsPoll, BackstopPollsWhenNoRuntimeExists) {
+    // No stream exists to poll: the backstop poller delivers readiness and
+    // timers to plain threads.
+    auto pair = io::Socket::pair();
+    ASSERT_TRUE(pair.ok());
+    io::Socket rd = std::move(pair.value().first);
+    io::Socket wr = std::move(pair.value().second);
+    const std::uint64_t poller = counter("io.reactor.poller_dispatches");
+    const std::size_t parked = Reactor::global().fd_waiters();
+    std::atomic<bool> done{false};
+    std::thread waiter([&] {
+        char c;
+        EXPECT_TRUE(rd.read_exact(&c, 1).ok());
+        io::sleep_for(milliseconds(2));
+        done.store(true);
+    });
+    // Write once the waiter is parked, so its read is a wake.
+    EXPECT_TRUE(wait_for(
+        [&] { return Reactor::global().fd_waiters() > parked; },
+        milliseconds(10'000)));
+    ASSERT_TRUE(wr.write_all("w", 1).ok());
+    const bool served =
+        wait_for([&] { return done.load(); }, milliseconds(10'000));
+    while (!done.load()) {
+        Reactor::global().try_poll();  // nobody else will: free the waiter
+    }
+    waiter.join();
+    EXPECT_TRUE(served) << "no poller served a plain-thread waiter";
+    // The poller counts a pass after its wakes: let the count catch up.
+    EXPECT_TRUE(wait_for(
+        [&] { return counter("io.reactor.poller_dispatches") - poller >= 2; },
+        milliseconds(10'000)));
+}
+
 #if !defined(LWT_TSAN)
 
 // --- ULT-context tests (suspend/resume through the scheduler) ----------------
+
+TEST(IdleStreamsPoll, ReadinessRunsOnTheStreamThatNoticesIt) {
+    // A ULT reads one byte at a time from a socket written only while the
+    // stream sits in the epoll seat. The stream that notices the readiness
+    // runs the reader next from its hint: the pool sees only the first
+    // push, each wake is a claim, and every read resumes on that stream.
+    auto pair = io::Socket::pair();
+    ASSERT_TRUE(pair.ok());
+    io::Socket rd = std::move(pair.value().first);
+    io::Socket wr = std::move(pair.value().second);
+    Reactor& reactor = Reactor::global();
+    CountingPool pool;
+    auto rt = boot_parking_streams(1, pool);
+    lwt::core::XStream* const stream = &rt->stream(0);
+    constexpr int kReads = 50;
+    std::atomic<int> reads{0};
+    std::atomic<int> elsewhere{0};
+    auto* reader = new lwt::core::Ult([&] {
+        char c;
+        for (int i = 0; i < kReads; ++i) {
+            EXPECT_TRUE(rd.read_exact(&c, 1).ok());
+            if (lwt::core::XStream::current() != stream) {
+                elsewhere.fetch_add(1);
+            }
+            reads.fetch_add(1);
+        }
+    });
+    reader->detached = true;
+    const std::uint64_t claims = counter("io.reactor.claims");
+    pool.push(reader);
+    for (int i = 0; i < kReads; ++i) {
+        ASSERT_TRUE(wait_for(
+            [&] {
+                return reads.load() == i && reactor.fd_waiters() > 0 &&
+                       reactor.stream_seated();
+            },
+            milliseconds(10'000)))
+            << "read " << i;
+        ASSERT_TRUE(wr.write_all("r", 1).ok());
+    }
+    ASSERT_TRUE(
+        wait_for([&] { return reads.load() == kReads; }, milliseconds(10'000)));
+    rt.reset();
+    EXPECT_EQ(pool.pushes(), 1);
+    EXPECT_EQ(elsewhere.load(), 0);
+    EXPECT_GE(counter("io.reactor.claims") - claims, std::uint64_t{kReads});
+}
 
 TEST(IoUlt, SleepSuspendsGoroutineNotThread) {
     lwt::gol::Config c;

@@ -20,6 +20,7 @@
 #include "core/scheduler.hpp"
 #include "core/work_unit.hpp"
 #include "core/xstream.hpp"
+#include "idle_policy_pin.hpp"
 #include "sync/idle_backoff.hpp"
 #include "sync/parking_lot.hpp"
 
@@ -433,14 +434,20 @@ TEST(XStreamParking, IdleStreamsParkAndWakeOnPush) {
     idle.park_timeout = std::chrono::microseconds(50'000);
     std::atomic<std::size_t> done{0};
     {
+        lwt::test::IdlePolicyEnvPin pin;  // the test asserts on kPark
         Runtime rt(kStreams, [&](unsigned rank) {
             return std::make_unique<StealingScheduler>(raw[rank], raw,
                                                        0x51edu + rank);
         }, idle);
+        pin.restore();
         // Wait until a secondary stream has demonstrably parked (idle parks
         // time out and re-park, bumping the counter) before pushing work —
         // the point is that parked streams wake and help drain it.
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(30);
         while (rt.sched_stats().parks == 0) {
+            ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+                << "no idle stream parked";
             std::this_thread::yield();
         }
         constexpr std::size_t kUnits = 256;
