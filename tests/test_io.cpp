@@ -495,13 +495,14 @@ TEST(IdleStreamsPoll, SeatSleepsPastACancelledDeadline) {
     const std::size_t parked = reactor.fd_waiters();
     std::thread reader([&] {
         char c;
-        EXPECT_TRUE(rd.read_exact(&c, 1, Deadline::in(milliseconds(5))).ok());
+        EXPECT_TRUE(
+            rd.read_exact(&c, 1, Deadline::in(milliseconds(200))).ok());
     });
     ASSERT_TRUE(wait_for([&] { return reactor.fd_waiters() > parked; },
                          milliseconds(10'000)));
     ASSERT_TRUE(wr.write_all("d", 1).ok());
     reader.join();
-    std::this_thread::sleep_for(milliseconds(10));  // the deadline passes
+    std::this_thread::sleep_for(milliseconds(250));  // the deadline passes
     const std::uint64_t waits = counter("io.reactor.seat_waits");
     std::this_thread::sleep_for(milliseconds(20));
     EXPECT_LT(counter("io.reactor.seat_waits") - waits, 50u);
