@@ -356,8 +356,9 @@ bool wait_for(Pred&& pred, std::chrono::milliseconds limit) {
     return true;
 }
 
-/// A plain thread parked on a socket nobody writes to until release():
-/// while it waits, the reactor has a waiter and idle streams poll it.
+/// A plain thread parked on a socket nobody writes to until it is
+/// destroyed: while it waits, the reactor has a waiter and idle streams
+/// poll it.
 class SilentWaiter {
   public:
     SilentWaiter() {
@@ -402,8 +403,8 @@ TEST(IdleStreamsPoll, PushWakesAStreamParkedInTheSeat) {
     Reactor& reactor = Reactor::global();
     const std::uint64_t seat_waits = counter("io.reactor.seat_waits");
     lwt::core::DequePool pool;
+    std::atomic<int> ran{0};
     auto rt = boot_parking_streams(1, pool, std::chrono::seconds(5));
-    steady_clock::duration worst{};
     for (int i = 0; i < 200; ++i) {
         ASSERT_TRUE(wait_for(
             [&] {
@@ -415,17 +416,14 @@ TEST(IdleStreamsPoll, PushWakesAStreamParkedInTheSeat) {
         if (i % 2 == 0) {
             std::this_thread::sleep_for(std::chrono::microseconds(200));
         }
-        std::atomic<bool> ran{false};
-        auto* unit = new lwt::core::Tasklet([&ran] { ran.store(true); });
+        auto* unit = new lwt::core::Tasklet([&ran] { ran.fetch_add(1); });
         unit->detached = true;
-        const auto start = steady_clock::now();
         pool.push(unit);
-        ASSERT_TRUE(wait_for([&] { return ran.load(); }, milliseconds(2000)))
+        ASSERT_TRUE(
+            wait_for([&] { return ran.load() == i + 1; }, milliseconds(2000)))
             << "push " << i << " did not wake the seated stream";
-        worst = std::max(worst, steady_clock::now() - start);
     }
     rt.reset();
-    EXPECT_LT(worst, milliseconds(2000));
     EXPECT_GT(counter("io.reactor.seat_waits"), seat_waits);
 }
 
@@ -461,14 +459,19 @@ TEST(IdleStreamsPoll, PollerStaysOutWhileAStreamIsIdle) {
     });
     for (int i = 0; i < kRounds; ++i) {
         // Write once the reader is parked, so every read is a wake.
-        ASSERT_TRUE(wait_for(
+        const bool parked = wait_for(
             [&] {
                 return got.load() == i && reactor.fd_waiters() >= 2 &&
                        reactor.stream_seated();
             },
-            milliseconds(10'000)));
-        ASSERT_TRUE(wr.write_all("y", 1).ok());
+            milliseconds(10'000));
+        EXPECT_TRUE(parked) << "round " << i;
+        if (!parked) {
+            break;
+        }
+        EXPECT_TRUE(wr.write_all("y", 1).ok());
     }
+    wr.close();  // a reader left behind by a failed round reads EOF
     reader.join();
     // The poller counts a pass after its wakes: give one in flight time.
     std::this_thread::sleep_for(milliseconds(5));
@@ -498,9 +501,9 @@ TEST(IdleStreamsPoll, SeatSleepsPastACancelledDeadline) {
         EXPECT_TRUE(
             rd.read_exact(&c, 1, Deadline::in(milliseconds(200))).ok());
     });
-    ASSERT_TRUE(wait_for([&] { return reactor.fd_waiters() > parked; },
+    EXPECT_TRUE(wait_for([&] { return reactor.fd_waiters() > parked; },
                          milliseconds(10'000)));
-    ASSERT_TRUE(wr.write_all("d", 1).ok());
+    EXPECT_TRUE(wr.write_all("d", 1).ok());
     reader.join();
     std::this_thread::sleep_for(milliseconds(250));  // the deadline passes
     const std::uint64_t waits = counter("io.reactor.seat_waits");
@@ -511,10 +514,14 @@ TEST(IdleStreamsPoll, SeatSleepsPastACancelledDeadline) {
 TEST(IdleStreamsPoll, BackstopCompletesIoWhileEveryStreamIsBusy) {
     // Both streams run a CPU-bound unit until the plain-thread waiter's
     // read and sleep complete: only the backstop poller can deliver them.
+    auto pair = io::Socket::pair();
+    ASSERT_TRUE(pair.ok());
+    io::Socket rd = std::move(pair.value().first);
+    io::Socket wr = std::move(pair.value().second);
     lwt::core::DequePool pool;
-    auto rt = boot_parking_streams(2, pool);
     std::atomic<bool> release{false};
     std::atomic<int> busy{0};
+    auto rt = boot_parking_streams(2, pool);
     for (int i = 0; i < 2; ++i) {
         auto* unit = new lwt::core::Tasklet([&] {
             busy.fetch_add(1);
@@ -525,12 +532,8 @@ TEST(IdleStreamsPoll, BackstopCompletesIoWhileEveryStreamIsBusy) {
         unit->detached = true;
         pool.push(unit);
     }
-    ASSERT_TRUE(wait_for([&] { return busy.load() == 2; },
+    EXPECT_TRUE(wait_for([&] { return busy.load() == 2; },
                          milliseconds(10'000)));
-    auto pair = io::Socket::pair();
-    ASSERT_TRUE(pair.ok());
-    io::Socket rd = std::move(pair.value().first);
-    io::Socket wr = std::move(pair.value().second);
     const std::uint64_t poller = counter("io.reactor.poller_dispatches");
     const std::size_t parked = Reactor::global().fd_waiters();
     std::thread waiter([&] {
@@ -543,10 +546,11 @@ TEST(IdleStreamsPoll, BackstopCompletesIoWhileEveryStreamIsBusy) {
     EXPECT_TRUE(wait_for(
         [&] { return Reactor::global().fd_waiters() > parked; },
         milliseconds(10'000)));
-    ASSERT_TRUE(wr.write_all("z", 1).ok());
+    EXPECT_TRUE(wr.write_all("z", 1).ok());
     const bool done =
         wait_for([&] { return release.load(); }, milliseconds(10'000));
     release.store(true);  // never leave the streams spinning
+    wr.close();           // nor the waiter parked
     waiter.join();
     EXPECT_TRUE(done) << "I/O stalled while every stream was busy";
     // The poller counts a pass after its wakes: let the count catch up.
@@ -575,9 +579,10 @@ TEST(IdleStreamsPoll, BackstopPollsWhenNoRuntimeExists) {
     EXPECT_TRUE(wait_for(
         [&] { return Reactor::global().fd_waiters() > parked; },
         milliseconds(10'000)));
-    ASSERT_TRUE(wr.write_all("w", 1).ok());
+    EXPECT_TRUE(wr.write_all("w", 1).ok());
     const bool served =
         wait_for([&] { return done.load(); }, milliseconds(10'000));
+    wr.close();
     while (!done.load()) {
         Reactor::global().try_poll();  // nobody else will: free the waiter
     }
@@ -598,17 +603,19 @@ TEST(IdleStreamsPoll, ReadinessRunsOnTheStreamThatNoticesIt) {
     // stream sits in the epoll seat. The stream that notices the readiness
     // runs the reader next from its hint: the pool sees only the first
     // push, each wake is a claim, and every read resumes on that stream.
+    // Declared before the sockets: a reader left parked by a failed round
+    // is woken into the pool when they close.
+    CountingPool pool;
     auto pair = io::Socket::pair();
     ASSERT_TRUE(pair.ok());
     io::Socket rd = std::move(pair.value().first);
     io::Socket wr = std::move(pair.value().second);
     Reactor& reactor = Reactor::global();
-    CountingPool pool;
-    auto rt = boot_parking_streams(1, pool);
-    lwt::core::XStream* const stream = &rt->stream(0);
     constexpr int kReads = 50;
     std::atomic<int> reads{0};
     std::atomic<int> elsewhere{0};
+    auto rt = boot_parking_streams(1, pool);
+    lwt::core::XStream* const stream = &rt->stream(0);
     auto* reader = new lwt::core::Ult([&] {
         char c;
         for (int i = 0; i < kReads; ++i) {
@@ -622,17 +629,24 @@ TEST(IdleStreamsPoll, ReadinessRunsOnTheStreamThatNoticesIt) {
     reader->detached = true;
     const std::uint64_t claims = counter("io.reactor.claims");
     pool.push(reader);
-    for (int i = 0; i < kReads; ++i) {
-        ASSERT_TRUE(wait_for(
+    int written = 0;
+    for (; written < kReads; ++written) {
+        const bool parked = wait_for(
             [&] {
-                return reads.load() == i && reactor.fd_waiters() > 0 &&
+                return reads.load() == written && reactor.fd_waiters() > 0 &&
                        reactor.stream_seated();
             },
-            milliseconds(10'000)))
-            << "read " << i;
-        ASSERT_TRUE(wr.write_all("r", 1).ok());
+            milliseconds(10'000));
+        EXPECT_TRUE(parked) << "read " << written;
+        if (!parked) {
+            break;
+        }
+        EXPECT_TRUE(wr.write_all("r", 1).ok());
     }
-    ASSERT_TRUE(
+    // After a failed round, let the reader finish anyway.
+    const std::string rest(static_cast<std::size_t>(kReads - written), 'r');
+    EXPECT_TRUE(wr.write_all(rest.data(), rest.size()).ok());
+    EXPECT_TRUE(
         wait_for([&] { return reads.load() == kReads; }, milliseconds(10'000)));
     rt.reset();
     EXPECT_EQ(pool.pushes(), 1);
