@@ -235,8 +235,10 @@ struct RuntimeOptions {
     /// Metrics sink: "1" = stderr table, "*.json" = table + JSON dump
     /// (LWT_METRICS); empty = off.
     std::string metrics_sink;
-    /// Run the dedicated reactor poller thread (LWT_IO_POLLER); nullopt =
-    /// on. With it off, I/O readiness is only discovered by idle streams.
+    /// Run the reactor's backstop poller thread (LWT_IO_POLLER), which
+    /// polls only while every stream is busy or no runtime exists;
+    /// nullopt = on. With it off, I/O readiness is only discovered by idle
+    /// streams.
     std::optional<bool> io_poller;
     /// Introspection HTTP endpoint, "127.0.0.1:PORT" / ":PORT" / "PORT"
     /// (LWT_INTROSPECT); port 0 picks a free port — read it back with
