@@ -26,11 +26,15 @@ using SteadyNs = std::uint64_t;
 constexpr int kBatch = 128;
 /// Longest epoll_wait of the backstop poller.
 constexpr int kMaxPollMs = 100;
-/// How long the backstop poller stays out of epoll_wait between looks at
-/// whether idle streams still poll; about the longest a readiness event
-/// waits when every stream turns busy. Twice the default park timeout, so
-/// a stream re-sitting after each timeout always moves the epoch in one.
-constexpr auto kBackstopNap = std::chrono::milliseconds(2);
+/// How long the backstop poller naps between looks while a stream watches
+/// the reactor: the longest a readiness event or timer waits once every
+/// stream turns busy. One wake costs 10-12 us of CPU on a 4-vCPU VM, so
+/// these naps take 1-2% of a vCPU (EXPERIMENTS.md).
+constexpr auto kBackstopNap = std::chrono::microseconds(500);
+/// How long no stream must have watched before the backstop polls. Longer
+/// than the gaps between one watcher turning busy and the next taking over
+/// (an echo request's handler runs for about 10 us).
+constexpr SteadyNs kBackstopGraceNs = 100'000;
 
 SteadyNs now_ns() noexcept {
     return static_cast<SteadyNs>(
@@ -247,26 +251,32 @@ void Reactor::kick() noexcept {
 }
 
 void Reactor::poller_main() {
-    std::uint64_t seen = stream_epoch_.load(std::memory_order_acquire);
     while (!stop_.load(std::memory_order_acquire)) {
-        // Backstop: while idle streams poll — one holds the spinner token
-        // or the seat or waits for it, or took either during the last
-        // nap — stay out of epoll_wait, so readiness runs on the streams
-        // that notice it.
-        const std::uint64_t epoch =
-            stream_epoch_.load(std::memory_order_seq_cst);
-        std::uint8_t free = kSeatFree;
-        if (epoch != seen || streams_polling() ||
-            !seat_.compare_exchange_strong(free, kSeatPoller,
-                                           std::memory_order_seq_cst)) {
-            seen = epoch;
+        // Backstop: stay out of epoll_wait while a stream watches the
+        // reactor, so readiness runs on the streams that notice it. Poll
+        // once none has watched for the grace: every stream is busy, or
+        // no runtime exists.
+        if (streams_watch()) {
             std::this_thread::sleep_for(kBackstopNap);
             continue;
         }
-        if (stream_epoch_.load(std::memory_order_seq_cst) != seen ||
-            streams_polling()) {
-            // A stream turned idle while we took the seat: give it back.
-            seat_.store(kSeatFree, std::memory_order_release);
+        // The stamp is read before the clock, so it is not in the future.
+        const SteadyNs grace_end =
+            unwatched_since_.load(std::memory_order_relaxed) +
+            kBackstopGraceNs;
+        if (const SteadyNs now = now_ns(); now < grace_end) {
+            std::this_thread::sleep_for(
+                std::chrono::nanoseconds(grace_end - now));
+            continue;
+        }
+        std::uint8_t free = kSeatFree;
+        if (!seat_.compare_exchange_strong(free, kSeatPoller,
+                                           std::memory_order_seq_cst)) {
+            continue;  // a stream just sat
+        }
+        if (streams_watch()) {
+            // A stream turned idle as we took the seat: give it back.
+            seat_.store(kSeatFree, std::memory_order_seq_cst);
             continue;
         }
         Seat& seat = *seat_events_;
@@ -275,7 +285,7 @@ void Reactor::poller_main() {
         std::size_t done = dispatch(seat.events, n, nullptr, /*seated=*/true);
         done += fire_due_timers();
         poller_dispatches_.inc(done);
-        seat_.store(kSeatFree, std::memory_order_release);
+        seat_.store(kSeatFree, std::memory_order_seq_cst);
     }
 }
 
@@ -688,19 +698,25 @@ bool Reactor::take_spinner() noexcept {
         spinner_.exchange(true, std::memory_order_seq_cst)) {
         return false;
     }
-    stream_epoch_.fetch_add(1, std::memory_order_seq_cst);
+    // Dekker with poller_main, which takes the seat, then checks for a
+    // spinner: either it sees us and keeps out, or we end its wait here.
+    if (seat_.load(std::memory_order_seq_cst) == kSeatPoller) {
+        kick();
+    }
     return true;
 }
 
 void Reactor::release_spinner() noexcept {
-    spinner_.store(false, std::memory_order_release);
+    // Stamped before the release, so a backstop that sees the token free
+    // reads the stamp of this release or a later one.
+    unwatched_since_.store(now_ns(), std::memory_order_relaxed);
+    spinner_.store(false, std::memory_order_seq_cst);
 }
 
 bool Reactor::take_seat() noexcept {
     if (!running_.load(std::memory_order_acquire) || !has_waiters()) {
         return false;
     }
-    stream_epoch_.fetch_add(1, std::memory_order_seq_cst);
     std::uint8_t holder = kSeatFree;
     if (seat_.compare_exchange_strong(holder, kSeatStream,
                                       std::memory_order_seq_cst)) {
@@ -724,9 +740,10 @@ bool Reactor::take_seat() noexcept {
     return taken;
 }
 
-bool Reactor::streams_polling() const noexcept {
+bool Reactor::streams_watch() const noexcept {
     return spinner_.load(std::memory_order_seq_cst) ||
-           seat_wanted_.load(std::memory_order_seq_cst);
+           seat_wanted_.load(std::memory_order_seq_cst) ||
+           seat_.load(std::memory_order_seq_cst) == kSeatStream;
 }
 
 bool Reactor::stream_seated() const noexcept {
@@ -734,7 +751,6 @@ bool Reactor::stream_seated() const noexcept {
 }
 
 bool Reactor::sit(std::chrono::microseconds timeout) noexcept {
-    polls_.inc();
     seat_waits_.inc();
     const auto cap_ms = static_cast<int>(std::min<std::int64_t>(
         (timeout.count() + 999) / 1000, std::numeric_limits<int>::max()));
@@ -748,7 +764,8 @@ std::size_t Reactor::leave_seat(XStream* runner) noexcept {
     const int n = std::exchange(seat.n, 0);
     std::size_t woken = dispatch(seat.events, n, runner, /*seated=*/true);
     woken += fire_due_timers();
-    seat_.store(kSeatFree, std::memory_order_release);
+    unwatched_since_.store(now_ns(), std::memory_order_relaxed);
+    seat_.store(kSeatFree, std::memory_order_seq_cst);
     return woken;
 }
 

@@ -15,18 +15,20 @@
 // pending timers:
 //
 //   * one idle stream at a time, the spinner, polls it with try_poll()
-//     on each spin/yield step of its idle ladder; every other stream
-//     whose ladder can park goes straight to its park rung;
+//     on each spin/yield step of its idle ladder, and hands the token on
+//     before it runs a unit; every other stream whose ladder can park goes
+//     straight to its park rung;
 //   * a stream at its park rung takes the single seat, the right to
 //     block in epoll_wait, when it is free, and parks there instead of on
 //     its lot's condvar; a lot notify kicks the seat (sync::ParkSeat);
 //   * readiness a stream's own loop notices for a ULT it can run is
 //     claimed into that stream's next-unit hint, not queued and notified;
 //   * the dedicated poller thread (default on; LWT_IO_POLLER=0 disables)
-//     is a backstop: it stays out of epoll_wait while streams poll and
-//     takes the seat only when they have all been busy for a whole nap or
-//     no runtime exists, so I/O still completes when every stream runs
-//     CPU work.
+//     is a backstop: it stays out of epoll_wait while a stream holds the
+//     spinner token or the seat, and takes the seat once none has for a
+//     grace period (every stream busy, or no runtime exists), so I/O
+//     still completes when every stream runs CPU work, up to a nap
+//     (0.5 ms) late.
 //
 // Waits are edge-owned: each waiter registers in the fd's per-direction
 // slot, the fd is (re)armed EPOLLONESHOT, and whichever of {readiness
@@ -196,7 +198,10 @@ class Reactor final : public sync::ParkSeat {
 
     /// The one-spinner token: at most one idle stream polls with
     /// try_poll() on its spin/yield rungs. False when another holds it.
+    /// Taking it ends a backstop's epoll_wait.
     [[nodiscard]] bool take_spinner() noexcept;
+    /// Give the token up, before running a unit or walking to the park
+    /// rung: a token held by a busy stream would keep everyone out.
     void release_spinner() noexcept;
 
     /// Take the seat, the right to block in epoll_wait, for the calling
@@ -246,8 +251,9 @@ class Reactor final : public sync::ParkSeat {
 
     void ensure_running();
     void poller_main();
-    /// A stream holds the spinner token or waits for the seat.
-    [[nodiscard]] bool streams_polling() const noexcept;
+    /// A stream watches the reactor: it holds the spinner token or the
+    /// seat, or waits for the seat.
+    [[nodiscard]] bool streams_watch() const noexcept;
     /// Wake the claimed waiters of the `n` events at `events`; the kick
     /// eventfd is drained only by a seat holder (`seated`), whose wait it
     /// was meant to end.
@@ -280,13 +286,14 @@ class Reactor final : public sync::ParkSeat {
     Wheel* wheel_;  // timer wheel (owned; defined in reactor.cpp)
     Seat* seat_events_;  // the seat holder's event buffer (owned)
 
-    // Idle-stream duties. stream_epoch_ moves whenever a stream takes the
-    // spinner token or the seat, or asks the seat back from the poller: the
-    // backstop polls only after a whole nap in which it did not move.
+    // Idle-stream duties. A stream watches the reactor while it holds the
+    // spinner token or the seat; unwatched_since_ (steady ns) stamps the
+    // last time one stopped, and the backstop polls only once nobody has
+    // watched for a grace period.
     alignas(arch::kCacheLine) std::atomic<std::uint8_t> seat_{kSeatFree};
     std::atomic<bool> spinner_{false};
     std::atomic<bool> seat_wanted_{false};  ///< a stream waits for the seat
-    std::atomic<std::uint64_t> stream_epoch_{0};
+    std::atomic<std::uint64_t> unwatched_since_{0};
 
     // Poller thread handle (std::thread would drag <thread> into every
     // include of this header; keep it opaque).

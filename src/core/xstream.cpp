@@ -134,6 +134,15 @@ void XStream::run_until_notified(const sync::ThreadParker& parker) {
 }
 
 bool XStream::progress() {
+    WorkUnit* unit = next_unit();
+    if (unit == nullptr) {
+        return false;
+    }
+    run_unit(unit);
+    return true;
+}
+
+WorkUnit* XStream::next_unit() {
     // Liveness heartbeat for the stall watchdog. Single-writer (only the
     // driving thread comes through here), so load+store beats a lock-ed
     // RMW: one relaxed store is the whole fig2 cost of the feature.
@@ -147,16 +156,8 @@ bool XStream::progress() {
             sched_stack_.pop_back();
         }
     }
-    WorkUnit* unit = next_hint_;
-    next_hint_ = nullptr;
-    if (unit == nullptr) {
-        unit = scheduler().next();
-    }
-    if (unit == nullptr) {
-        return false;
-    }
-    run_unit(unit);
-    return true;
+    WorkUnit* unit = std::exchange(next_hint_, nullptr);
+    return unit != nullptr ? unit : scheduler().next();
 }
 
 bool XStream::IdleIo::poll(sync::IdleBackoff& idle) noexcept {

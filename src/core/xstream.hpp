@@ -211,7 +211,8 @@ class XStream {
         IdleIo(const IdleIo&) = delete;
         IdleIo& operator=(const IdleIo&) = delete;
 
-        /// The stream found work: hand the spinner token on.
+        /// The stream found work: hand the spinner token on before the
+        /// unit runs.
         void busy() noexcept {
             if (spinning_) {
                 release_spinner();
@@ -232,6 +233,9 @@ class XStream {
     };
 
     void loop();
+    /// Bump the progress heartbeat and pick the next unit to run: the hint,
+    /// else the scheduler's. nullptr when idle.
+    WorkUnit* next_unit();
     /// The one idle-ladder loop, shared by loop() and both run_until
     /// flavours: run units until `done()` holds, stepping `idle` after each
     /// empty sweep and counting the step. A park's re-check runs with
@@ -244,10 +248,14 @@ class XStream {
         IdleIo io(own_loop ? this : nullptr);
         bool ran = false;
         while (!done()) {
-            if (progress()) {
+            if (WorkUnit* unit = next_unit()) {
+                // Off the reactor's duties before the unit runs: it may run
+                // for long, and a held spinner token would keep every other
+                // stream and the backstop from polling meanwhile.
                 io.busy();
                 idle.reset();
                 ran = true;
+                run_unit(unit);
                 continue;
             }
             if (std::exchange(ran, false)) {

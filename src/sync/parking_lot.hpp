@@ -54,11 +54,10 @@ class ParkingLot {
     /// in its queue, never before — the waiter's re-check must be able to
     /// see it. Cheap when nobody is registered: a fence and a load.
     void notify_all() noexcept {
-        const std::uint64_t parked = registered();
-        if (parked == 0) {
+        if (registered() == 0) {
             return;
         }
-        wake(/*all=*/true, parked);
+        wake(/*all=*/true);
     }
 
     /// Like notify_all(), but wakes at most ONE parked waiter. Correct
@@ -75,7 +74,7 @@ class ParkingLot {
         if (parked > 1) {
             wakeups_avoided_.fetch_add(parked - 1, std::memory_order_relaxed);
         }
-        wake(/*all=*/false, parked);
+        wake(/*all=*/false);
     }
 
     /// Waiter side, step 1: register interest and take a ticket. Must be
@@ -173,13 +172,11 @@ class ParkingLot {
     /// Slow path: move the epoch (a registered waiter's park then returns
     /// at once), kick a seated waiter, then signal under the mutex, which
     /// fences against a waiter between its epoch check and the actual
-    /// block. A single wake with other waiters parked leaves the seated
-    /// one watching its seat and signals the condvar only.
-    void wake(bool all, std::uint64_t parked) noexcept {
+    /// block.
+    void wake(bool all) noexcept {
         epoch_.fetch_add(1, std::memory_order_seq_cst);
         notifies_.fetch_add(1, std::memory_order_relaxed);
-        if (ParkSeat* seat = seat_.load(std::memory_order_seq_cst);
-            seat != nullptr && (all || parked <= 1)) {
+        if (ParkSeat* seat = seat_.load(std::memory_order_seq_cst)) {
             seat->kick();
         }
         std::lock_guard<std::mutex> guard(mutex_);

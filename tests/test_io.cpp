@@ -322,25 +322,35 @@ class CountingPool final : public lwt::core::Pool {
     std::atomic<int> pushes_{0};
 };
 
-/// `n` dedicated streams over the one `pool`, parking after a short ladder.
-/// The tests below assert on parks, so LWT_IDLE_POLICY is held off the boot.
-std::unique_ptr<lwt::core::Runtime> boot_parking_streams(
-    std::size_t n, lwt::core::Pool& pool,
+/// `n` dedicated streams under `policy` with a short ladder; stream r
+/// serves `pools[r % pools.size()]`. The tests below assert on what the
+/// policy does, so LWT_IDLE_POLICY is held off the boot.
+std::unique_ptr<lwt::core::Runtime> boot_streams(
+    std::size_t n, std::vector<lwt::core::Pool*> pools,
+    lwt::sync::IdlePolicy policy,
     std::chrono::microseconds park_timeout = std::chrono::microseconds(1000)) {
     lwt::sync::IdleConfig idle;
-    idle.policy = lwt::sync::IdlePolicy::kPark;
+    idle.policy = policy;
     idle.spin_limit = 4;
     idle.yield_limit = 2;
     idle.park_timeout = park_timeout;
     lwt::test::IdlePolicyEnvPin pin;
     return std::make_unique<lwt::core::Runtime>(
         n,
-        [&pool](unsigned) {
+        [pools](unsigned rank) {
             return std::make_unique<lwt::core::Scheduler>(
-                std::vector<lwt::core::Pool*>{&pool});
+                std::vector<lwt::core::Pool*>{pools[rank % pools.size()]});
         },
         lwt::arch::LocalityMap::flat(n),
         lwt::core::Runtime::Primary::kDedicatedThread, idle);
+}
+
+/// `n` dedicated streams over the one `pool`, parking after a short ladder.
+std::unique_ptr<lwt::core::Runtime> boot_parking_streams(
+    std::size_t n, lwt::core::Pool& pool,
+    std::chrono::microseconds park_timeout = std::chrono::microseconds(1000)) {
+    return boot_streams(n, {&pool}, lwt::sync::IdlePolicy::kPark,
+                        park_timeout);
 }
 
 /// Spin until `pred()` holds; false after `limit`.
@@ -511,9 +521,10 @@ TEST(IdleStreamsPoll, SeatSleepsPastACancelledDeadline) {
     EXPECT_LT(counter("io.reactor.seat_waits") - waits, 50u);
 }
 
-TEST(IdleStreamsPoll, BackstopCompletesIoWhileEveryStreamIsBusy) {
-    // Both streams run a CPU-bound unit until the plain-thread waiter's
-    // read and sleep complete: only the backstop poller can deliver them.
+/// Both streams of a runtime under `policy` run a CPU-bound unit until a
+/// plain-thread waiter's read and sleep complete: only the backstop poller
+/// can deliver them.
+void backstop_serves_while_every_stream_is_busy(lwt::sync::IdlePolicy policy) {
     auto pair = io::Socket::pair();
     ASSERT_TRUE(pair.ok());
     io::Socket rd = std::move(pair.value().first);
@@ -521,7 +532,14 @@ TEST(IdleStreamsPoll, BackstopCompletesIoWhileEveryStreamIsBusy) {
     lwt::core::DequePool pool;
     std::atomic<bool> release{false};
     std::atomic<int> busy{0};
-    auto rt = boot_parking_streams(2, pool);
+    const std::uint64_t polls = counter("io.reactor.polls");
+    auto rt = boot_streams(2, {&pool}, policy);
+    if (Reactor::global().has_waiters()) {
+        // Land the units once an idle stream polls as the spinner.
+        EXPECT_TRUE(wait_for(
+            [&] { return counter("io.reactor.polls") - polls > 10; },
+            milliseconds(10'000)));
+    }
     for (int i = 0; i < 2; ++i) {
         auto* unit = new lwt::core::Tasklet([&] {
             busy.fetch_add(1);
@@ -557,6 +575,89 @@ TEST(IdleStreamsPoll, BackstopCompletesIoWhileEveryStreamIsBusy) {
     EXPECT_TRUE(wait_for(
         [&] { return counter("io.reactor.poller_dispatches") - poller >= 2; },
         milliseconds(10'000)));
+}
+
+TEST(IdleStreamsPoll, BackstopCompletesIoWhileEveryStreamIsBusy) {
+    backstop_serves_while_every_stream_is_busy(lwt::sync::IdlePolicy::kPark);
+}
+
+TEST(IdleStreamsPoll, BackstopCompletesIoWhenTheSpinnerTurnsBusy) {
+    // The reactor has a waiter before the units land, so one backoff
+    // stream holds the spinner token when it picks a unit up (backoff
+    // never parks, so it holds the token for as long as it is idle). It
+    // must hand the token on before the unit runs: a token held by a
+    // running unit reads as a stream polling and keeps the backstop out.
+    SilentWaiter silent;
+    backstop_serves_while_every_stream_is_busy(
+        lwt::sync::IdlePolicy::kBackoff);
+}
+
+TEST(IdleStreamsPoll, IdleStreamPollsWhileTheSpinnerRunsAUnit) {
+    // Two backoff streams with private pools; while idle, one of them
+    // holds the spinner token. Each round runs a CPU-bound unit on one
+    // stream until a plain thread's read completes. The rounds alternate
+    // pools, and the spinner stays put while idle, so some round lands on
+    // the spinner. It hands the token on before its unit runs, so the
+    // other stream, idle, polls the reactor while the unit runs. (A
+    // stream the OS keeps off its CPU for longer than the backstop's grace
+    // lets the backstop serve the read instead, so this does not count
+    // poller dispatches.)
+    lwt::core::DequePool pools[2];
+    auto pair = io::Socket::pair();
+    ASSERT_TRUE(pair.ok());
+    io::Socket rd = std::move(pair.value().first);
+    io::Socket wr = std::move(pair.value().second);
+    Reactor& reactor = Reactor::global();
+    auto rt = boot_streams(2, {&pools[0], &pools[1]},
+                           lwt::sync::IdlePolicy::kBackoff);
+    constexpr int kRounds = 4;
+    std::atomic<int> got{0};
+    const std::size_t parked = reactor.fd_waiters();
+    std::thread reader([&] {
+        char c;
+        for (int i = 0; i < kRounds; ++i) {
+            EXPECT_TRUE(rd.read_exact(&c, 1).ok());
+            got.fetch_add(1);
+        }
+    });
+    ASSERT_TRUE(wait_for([&] { return reactor.fd_waiters() > parked; },
+                         milliseconds(10'000)));
+    std::atomic<int> running{0};
+    std::atomic<int> finished{0};
+    for (int i = 0; i < kRounds; ++i) {
+        auto* unit = new lwt::core::Tasklet([&, i] {
+            running.store(i + 1);
+            // Bounded, so a stalled read fails the round, not the suite.
+            const auto deadline = steady_clock::now() + milliseconds(10'000);
+            while (got.load() <= i && steady_clock::now() < deadline) {
+                lwt::arch::cpu_relax();
+            }
+            finished.store(i + 1);
+        });
+        unit->detached = true;
+        pools[i % 2].push(unit);
+        // Write once the unit runs, the reader is parked again and an
+        // idle stream polls.
+        EXPECT_TRUE(wait_for(
+            [&] {
+                return running.load() == i + 1 &&
+                       reactor.fd_waiters() > parked;
+            },
+            milliseconds(10'000)));
+        const std::uint64_t polls = counter("io.reactor.polls");
+        EXPECT_TRUE(wait_for(
+            [&] { return counter("io.reactor.polls") - polls > 10; },
+            milliseconds(5000)))
+            << "round " << i << ": no idle stream polled";
+        EXPECT_TRUE(wr.write_all("s", 1).ok());
+        EXPECT_TRUE(
+            wait_for([&] { return got.load() == i + 1; }, milliseconds(5000)))
+            << "round " << i << ": the read stalled";
+        EXPECT_TRUE(wait_for([&] { return finished.load() == i + 1; },
+                             milliseconds(15'000)));
+    }
+    wr.close();  // a reader left behind by a failed round reads EOF
+    reader.join();
 }
 
 TEST(IdleStreamsPoll, BackstopPollsWhenNoRuntimeExists) {
