@@ -7,7 +7,6 @@
 //   * core::Semaphore(1) (suspend-based binary semaphore)
 //   * core::RwLock      (write mode: suspend-based, writer-preferring)
 //   * sync::Spinlock    (pure spin — the pre-suite baseline)
-//   * sync::TicketLock  (spin, FIFO-fair — the fairness yardstick)
 // plus a 2-ULT core::Condvar ping-pong for the wake-latency path.
 //
 // Reported per primitive, into BENCH_sync.json (always written; the
@@ -313,15 +312,6 @@ int main() {
         "sync::Spinlock", false, threads, ults, reps, window_ms, [] {
             struct W {
                 lwt::sync::Spinlock l;
-                void lock() { l.lock(); }
-                void unlock() { l.unlock(); }
-            };
-            return std::make_unique<W>();
-        }));
-    results.push_back(measure_lock(
-        "sync::TicketLock", false, threads, ults, reps, window_ms, [] {
-            struct W {
-                lwt::sync::TicketLock l;
                 void lock() { l.lock(); }
                 void unlock() { l.unlock(); }
             };

@@ -4,6 +4,8 @@
 // numbers explain *why* the figure-level results look the way they do
 // (e.g. tasklet create ≈ closure alloc, ULT create ≈ + stack + context).
 #include <benchmark/benchmark.h>
+#include <pthread.h>
+#include <sched.h>
 
 #include <atomic>
 #include <memory>
@@ -131,15 +133,6 @@ void BM_SpinlockUncontended(benchmark::State& state) {
 }
 BENCHMARK(BM_SpinlockUncontended);
 
-void BM_TicketLockUncontended(benchmark::State& state) {
-    sync::TicketLock lock;
-    for (auto _ : state) {
-        lock.lock();
-        lock.unlock();
-    }
-}
-BENCHMARK(BM_TicketLockUncontended);
-
 // --- queues (the pool-topology story) ------------------------------------------
 
 void BM_MpmcQueuePushPop(benchmark::State& state) {
@@ -207,15 +200,38 @@ void BM_EventCounterAddSignal(benchmark::State& state) {
 }
 BENCHMARK(BM_EventCounterAddSignal);
 
-void BM_EventCounterSignalResumeLatency(benchmark::State& state) {
-    // Cross-thread signal→resume round trip on the parker path — the
-    // latency the join.signal_resume_ticks histogram captures in situ. A
-    // partner thread signals each armed counter; the measured region is
-    // arm + park + direct wake + resume.
+/// Cross-thread signal→resume round trips on the parker path — the latency
+/// the join.signal_resume_ticks histogram captures in situ. A partner
+/// thread signals each armed counter; the measured region is arm + park +
+/// direct wake + resume. With `pin`, the two threads first move to two
+/// different allowed CPUs; the unpinned row is the host control.
+void signal_resume_round_trips(benchmark::State& state, bool pin) {
+    cpu_set_t allowed;
+    sched_getaffinity(0, sizeof allowed, &allowed);
+    std::vector<int> cpus;
+    for (int c = 0; c < CPU_SETSIZE; ++c) {
+        if (CPU_ISSET(c, &allowed)) {
+            cpus.push_back(c);
+        }
+    }
+    if (pin && cpus.size() < 2) {
+        state.SkipWithError("needs two allowed CPUs to pin its threads");
+        return;
+    }
+    auto pin_to = [&](bool partner) {
+        if (pin) {
+            cpu_set_t one;
+            CPU_ZERO(&one);
+            CPU_SET(partner ? cpus.back() : cpus.front(), &one);
+            pthread_setaffinity_np(pthread_self(), sizeof one, &one);
+        }
+    };
+    pin_to(/*partner=*/false);
     core::EventCounter ec;
     std::atomic<core::EventCounter*> armed{nullptr};
     std::atomic<bool> stop{false};
     std::thread partner([&] {
+        pin_to(/*partner=*/true);
         for (;;) {
             core::EventCounter* c =
                 armed.exchange(nullptr, std::memory_order_acq_rel);
@@ -233,8 +249,20 @@ void BM_EventCounterSignalResumeLatency(benchmark::State& state) {
     }
     stop.store(true, std::memory_order_release);
     partner.join();
+    if (pin) {
+        pthread_setaffinity_np(pthread_self(), sizeof allowed, &allowed);
+    }
+}
+
+void BM_EventCounterSignalResumeLatency(benchmark::State& state) {
+    signal_resume_round_trips(state, /*pin=*/false);
 }
 BENCHMARK(BM_EventCounterSignalResumeLatency)->UseRealTime();
+
+void BM_EventCounterSignalResumeLatencyPinned(benchmark::State& state) {
+    signal_resume_round_trips(state, /*pin=*/true);
+}
+BENCHMARK(BM_EventCounterSignalResumeLatencyPinned)->UseRealTime();
 
 void BM_FebWriteFReadFF(benchmark::State& state) {
     qth::FebTable table;

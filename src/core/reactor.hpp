@@ -20,7 +20,7 @@
 //     straight to its park rung;
 //   * a stream at its park rung takes the single seat, the right to
 //     block in epoll_wait, when it is free, and parks there instead of on
-//     its lot's condvar; a lot notify kicks the seat (sync::ParkSeat);
+//     its lot's epoch; a lot notify kicks the seat (sync::ParkSeat);
 //   * readiness a stream's own loop notices for a ULT it can run is
 //     claimed into that stream's next-unit hint, not queued and notified;
 //   * the dedicated poller thread (default on; LWT_IO_POLLER=0 disables)

@@ -185,7 +185,7 @@ bool XStream::IdleIo::poll(sync::IdleBackoff& idle) noexcept {
 }
 
 std::optional<bool> XStream::IdleIo::sit(
-    sync::ParkingLot& lot, std::uint64_t ticket,
+    sync::ParkingLot& lot, std::uint32_t ticket,
     std::chrono::microseconds timeout) noexcept {
     if (!Reactor::idle_poll_armed()) {
         return std::nullopt;

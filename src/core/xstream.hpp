@@ -222,7 +222,7 @@ class XStream {
         /// timers, so the stream should look for work again.
         bool poll(sync::IdleBackoff& idle) noexcept;
         /// IdleBackoff::step's seat: park in the reactor's epoll seat.
-        std::optional<bool> sit(sync::ParkingLot& lot, std::uint64_t ticket,
+        std::optional<bool> sit(sync::ParkingLot& lot, std::uint32_t ticket,
                                 std::chrono::microseconds timeout) noexcept;
 
       private:
@@ -268,7 +268,7 @@ class XStream {
             }
             count_idle_step(idle.step(
                 [&] { return done() || scheduler().has_work(); },
-                [&](sync::ParkingLot& lot, std::uint64_t ticket,
+                [&](sync::ParkingLot& lot, std::uint32_t ticket,
                     std::chrono::microseconds timeout) {
                     return io.sit(lot, ticket, timeout);
                 }));

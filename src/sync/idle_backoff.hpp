@@ -7,7 +7,7 @@
 // the three selectable policies, so benchmarks can ablate them (spin vs
 // backoff vs park — see bench/ablation_sched.cpp and docs/idle_loop.md).
 // A caller may offer the park rung a seat to block in instead of the
-// lot's condvar (XStream offers the I/O reactor's epoll seat).
+// lot's epoch (XStream offers the I/O reactor's epoll seat).
 #pragma once
 
 #include <chrono>
@@ -112,13 +112,13 @@ class IdleBackoff {
     template <typename Recheck>
     Step step(Recheck&& recheck) {
         return step(std::forward<Recheck>(recheck),
-                    [](ParkingLot&, std::uint64_t, std::chrono::microseconds) {
+                    [](ParkingLot&, std::uint32_t, std::chrono::microseconds) {
                         return std::optional<bool>{};
                     });
     }
 
     /// As step(recheck), but a park first offers `seat(lot, ticket,
-    /// timeout)` to block elsewhere than the lot's condvar, with interest
+    /// timeout)` to block elsewhere than on the lot's epoch, with interest
     /// registered and the re-check empty (ParkingLot::park_in). It returns
     /// nullopt to decline, else whether the wait was woken rather than
     /// timed out.
@@ -149,7 +149,7 @@ class IdleBackoff {
             std::this_thread::yield();
             return Step::kYielded;
         }
-        const std::uint64_t ticket = lot_->prepare_park();
+        const std::uint32_t ticket = lot_->prepare_park();
         if (recheck()) {
             lot_->cancel_park();
             return Step::kParkAborted;

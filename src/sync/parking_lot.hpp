@@ -4,32 +4,55 @@
 // until a producer publishes work. The protocol is the classic eventcount
 // (Vyukov): waiters register, take a ticket (the current epoch), re-check
 // their work predicate, then sleep until the epoch moves. Producers bump
-// the epoch and take the mutex only when a waiter is registered, so the
-// producer fast path is one seq_cst fence plus one load — no write to the
-// lot's shared cache lines while nobody waits.
+// the epoch only when a waiter is registered, so the producer fast path is
+// one seq_cst fence plus one load — no write to the lot's shared cache
+// lines while nobody waits. "Basic Lock Algorithms in Lightweight Thread
+// Environments" (PAPERS.md) motivates it: spinning wastes the cores the
+// paper's Figures 4-8 measure, naive sleeping loses wakeups.
 //
-// "Basic Lock Algorithms in Lightweight Thread Environments" (PAPERS.md)
-// motivates the discipline: unconditional spinning wastes the cores the
-// paper's Figures 4-8 measure, while naive sleeping loses wakeups; the
-// epoch handshake gives both liveness and an idle CPU.
-//
-// A registered waiter may block in a ParkSeat instead of the condvar: the
-// I/O reactor's epoll seat (core/reactor.hpp), where an idle stream waits
-// for readiness and pool pushes at once. The lot then kicks the seat on a
-// notify (park_in).
+// The lot and ThreadParker each sleep in futex(2) on one 32-bit word. A
+// wake issued after the store that ends a wait can reach the word after
+// its waiter returned: it then wakes nobody, or spuriously wakes a later
+// waiter at the same address, so every wait loops on its predicate
+// (docs/sync.md §4). A registered waiter may block in a ParkSeat instead:
+// the I/O reactor's epoll seat (core/reactor.hpp), which a notify kicks.
 #pragma once
+
+#include <linux/futex.h>
+#include <sys/syscall.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
+#include <climits>
 #include <cstdint>
-#include <mutex>
+#include <ctime>
 
 #include "arch/cpu.hpp"
 
 namespace lwt::sync {
 
-/// A wait a parking waiter may block in instead of the lot's condvar (the
+namespace detail {
+
+/// Raw futex(2) on a process-private word: C++20 atomic::wait has no
+/// timeout. A wait may return early (a signal, a wake meant for an earlier
+/// waiter at the same address), so callers loop on their predicate. A wake
+/// reads nothing: a notifier whose waiter may have freed the word passes
+/// the address it took before its store.
+using FutexWord = std::atomic<std::uint32_t>;
+
+inline void futex_wait(FutexWord& word, std::uint32_t value,
+                       const timespec* timeout = nullptr) noexcept {
+    syscall(SYS_futex, &word, FUTEX_WAIT_PRIVATE, value, timeout, nullptr, 0);
+}
+
+inline void futex_wake(FutexWord* word, int count) noexcept {
+    syscall(SYS_futex, word, FUTEX_WAKE_PRIVATE, count, nullptr, nullptr, 0);
+}
+
+}  // namespace detail
+
+/// A wait a parking waiter may block in instead of on the lot's epoch (the
 /// reactor's epoll seat). The lot only needs to end it.
 class ParkSeat {
   public:
@@ -54,10 +77,9 @@ class ParkingLot {
     /// in its queue, never before — the waiter's re-check must be able to
     /// see it. Cheap when nobody is registered: a fence and a load.
     void notify_all() noexcept {
-        if (registered() == 0) {
-            return;
+        if (registered() != 0) {
+            wake(/*all=*/true);
         }
-        wake(/*all=*/true);
     }
 
     /// Like notify_all(), but wakes at most ONE parked waiter. Correct
@@ -81,7 +103,7 @@ class ParkingLot {
     /// followed by re-checking the work predicate, then either park() or
     /// cancel_park(). The fence pairs with the one in registered(): either
     /// the producer sees this registration, or the re-check sees its work.
-    [[nodiscard]] std::uint64_t prepare_park() noexcept {
+    [[nodiscard]] std::uint32_t prepare_park() noexcept {
         waiters_.fetch_add(1, std::memory_order_seq_cst);
         std::atomic_thread_fence(std::memory_order_seq_cst);
         return epoch_.load(std::memory_order_acquire);
@@ -92,22 +114,26 @@ class ParkingLot {
         waiters_.fetch_sub(1, std::memory_order_release);
     }
 
-    /// Waiter side, step 2: block until the epoch leaves `ticket` or the
-    /// timeout elapses (safety net against producers that bypass the lot).
-    /// Returns true when woken by a notify, false on timeout.
-    bool park(std::uint64_t ticket, std::chrono::microseconds timeout) {
-        bool notified;
-        {
-            std::unique_lock<std::mutex> lock(mutex_);
-            notified = cv_.wait_for(lock, timeout, [&] {
-                return epoch_.load(std::memory_order_acquire) != ticket;
-            });
+    /// Waiter side, step 2: sleep on the epoch until it leaves `ticket` or
+    /// the timeout elapses (safety net against producers that bypass the
+    /// lot). Returns true when woken by a notify, false on timeout.
+    bool park(std::uint32_t ticket, std::chrono::microseconds timeout) {
+        using namespace std::chrono;
+        const auto deadline = steady_clock::now() + timeout;
+        sleepers_.fetch_add(1, std::memory_order_seq_cst);
+        for (nanoseconds left = timeout;
+             left.count() > 0 && epoch_.load() == ticket;  // seq_cst: Dekker
+             left = deadline - steady_clock::now()) {
+            const timespec ts{left.count() / 1'000'000'000,
+                              left.count() % 1'000'000'000};
+            detail::futex_wait(epoch_, ticket, &ts);
         }
+        sleepers_.fetch_sub(1, std::memory_order_relaxed);
         waiters_.fetch_sub(1, std::memory_order_release);
-        return notified;
+        return epoch_.load(std::memory_order_acquire) != ticket;
     }
 
-    /// Waiter side, step 2, blocking in `seat` instead of the condvar:
+    /// Waiter side, step 2, blocking in `seat` instead of on the epoch:
     /// publish the seat, re-check the epoch, then call `sit()`, which
     /// blocks until seat.kick(), the seat's own events or its timeout and
     /// returns false only on the timeout. Dekker with wake(): the waiter
@@ -116,7 +142,7 @@ class ParkingLot {
     /// notifier kicks the seat. One waiter per lot may sit at a time.
     /// Returns true unless the sit timed out with no notify.
     template <typename Sit>
-    bool park_in(ParkSeat& seat, std::uint64_t ticket, Sit&& sit) {
+    bool park_in(ParkSeat& seat, std::uint32_t ticket, Sit&& sit) {
         seat_.store(&seat, std::memory_order_seq_cst);
         const bool woken =
             epoch_.load(std::memory_order_seq_cst) != ticket || sit();
@@ -127,10 +153,9 @@ class ParkingLot {
 
     /// Current epoch: bumped exactly once per notify that found a waiter
     /// registered (prepare_park() without its park() or cancel_park()
-    /// yet). Tests register one and use the delta to assert how many
-    /// notifies a code path issued (e.g. push_bulk's one-notify-per-batch
-    /// contract).
-    [[nodiscard]] std::uint64_t epoch() const noexcept {
+    /// yet). Tests register one and use the delta to count a code path's
+    /// notifies (e.g. push_bulk's one-notify-per-batch contract).
+    [[nodiscard]] std::uint32_t epoch() const noexcept {
         return epoch_.load(std::memory_order_acquire);
     }
 
@@ -170,53 +195,40 @@ class ParkingLot {
     }
 
     /// Slow path: move the epoch (a registered waiter's park then returns
-    /// at once), kick a seated waiter, then signal under the mutex, which
-    /// fences against a waiter between its epoch check and the actual
-    /// block.
+    /// at once), kick a seated waiter, then futex-wake the epoch only if a
+    /// park may sleep on it. Dekker with park(), which counts itself in
+    /// sleepers_ before it reads the epoch: this load sees the count, or
+    /// that read sees the bump.
     void wake(bool all) noexcept {
         epoch_.fetch_add(1, std::memory_order_seq_cst);
         notifies_.fetch_add(1, std::memory_order_relaxed);
         if (ParkSeat* seat = seat_.load(std::memory_order_seq_cst)) {
             seat->kick();
         }
-        std::lock_guard<std::mutex> guard(mutex_);
-        if (all) {
-            cv_.notify_all();
-        } else {
-            cv_.notify_one();
+        if (sleepers_.load(std::memory_order_seq_cst) != 0) {
+            detail::futex_wake(&epoch_, all ? INT_MAX : 1);
         }
     }
 
-    alignas(arch::kCacheLine) std::atomic<std::uint64_t> epoch_{0};
+    alignas(arch::kCacheLine) detail::FutexWord epoch_{0};
     alignas(arch::kCacheLine) std::atomic<std::uint64_t> waiters_{0};
-    std::atomic<ParkSeat*> seat_{nullptr};  ///< the seated waiter's seat
+    std::atomic<std::uint32_t> sleepers_{0};  ///< parks in park()'s loop
+    std::atomic<ParkSeat*> seat_{nullptr};    ///< the seated waiter's seat
     std::atomic<std::uint64_t> notifies_{0};
     std::atomic<std::uint64_t> wakeups_avoided_{0};
-    std::mutex mutex_;
-    std::condition_variable cv_;
 };
 
 /// One-shot waiter for an OS thread blocked in a join or counter wait (the
-/// non-ULT side of the direct-handoff protocol, docs/join_path.md). Two
-/// routings:
-///
-///  - bare (lot == nullptr): notify() flips the flag and signals the
-///    condvar; wait() blocks on it. Used by threads that are not execution
-///    streams (e.g. the Go-personality main thread).
-///  - lot-routed (lot != nullptr): notify() flips the flag and broadcasts
-///    on the given ParkingLot instead. An *attached stream* waiter parks on
-///    its runtime's lot so BOTH pool pushes and the termination wake it —
-///    it keeps draining its pools while waiting
-///    (XStream::run_until_notified).
-///
-/// Lifetime: the waiter owns the parker (stack allocation) and must not
-/// return until notified() is true. The flag store is notify()'s last
-/// access to the parker: the lot-routed path reads the lot pointer before
-/// it and touches only the (longer-lived) lot afterwards; the bare path
-/// signals the condvar under the mutex first and stores the flag after
-/// unlocking. A waiter may therefore poll notified() without the mutex —
-/// the attached-stream wait does, between units — and destroy the parker
-/// the moment it reads true.
+/// non-ULT side of the direct-handoff protocol, docs/join_path.md). notify()
+/// stores the word, then wakes the waiter:
+///  - bare (lot == nullptr): by a futex wake, only if wait() went to sleep
+///    (threads that are not execution streams, e.g. Go's main thread);
+///  - lot-routed: by a broadcast on the lot, where an *attached stream*
+///    parks so pool pushes wake it too (XStream::run_until_notified).
+/// Lifetime: the waiter owns the parker (stack allocation) and may destroy
+/// it the moment it reads notified() true. So notify() reads the lot and
+/// the word's address first; after the store, notify() reaches the word
+/// only through the kernel, and touches only the longer-lived lot.
 class ThreadParker {
   public:
     explicit ThreadParker(ParkingLot* lot = nullptr) noexcept : lot_(lot) {}
@@ -224,52 +236,36 @@ class ThreadParker {
     ThreadParker& operator=(const ThreadParker&) = delete;
 
     [[nodiscard]] bool notified() const noexcept {
-        return done_.load(std::memory_order_acquire);
+        return word_.load(std::memory_order_acquire) == kNotified;
     }
 
     [[nodiscard]] ParkingLot* lot() const noexcept { return lot_; }
 
     /// Waker side; callable exactly once, from any thread.
     void notify() noexcept {
-        ParkingLot* lot = lot_;  // before the store: the waiter may return
-                                 // (and destroy us) the moment done_ flips
-        if (lot != nullptr) {
-            done_.store(true, std::memory_order_release);
+        ParkingLot* const lot = lot_;
+        detail::FutexWord* const word = &word_;
+        if (word_.exchange(kNotified, std::memory_order_release) == kAsleep) {
+            detail::futex_wake(word, 1);
+        } else if (lot != nullptr) {
             lot->notify_all();
-            return;
         }
-        {
-            std::lock_guard<std::mutex> guard(mutex_);
-            signalled_ = true;
-            cv_.notify_one();
-        }
-        // Last: a waiter that polls the flag without the mutex returns (and
-        // destroys us) as soon as it flips.
-        done_.store(true, std::memory_order_release);
     }
 
-    /// Block until notified. Bare parkers only — a lot-routed waiter must
-    /// park on the lot (notify() never signals the member condvar then).
-    void wait() {
-        {
-            std::unique_lock<std::mutex> lock(mutex_);
-            cv_.wait(lock, [this] { return signalled_; });
-        }
-        // Woken by the condvar, the notifier is past its signal but may
-        // still be unlocking: wait out its final flag store before the
-        // caller may destroy us.
-        arch::Backoff backoff;
+    /// Block until notified, asleep on the word.
+    void wait() noexcept {
+        std::uint32_t idle = kIdle;
+        word_.compare_exchange_strong(idle, kAsleep, std::memory_order_relaxed);
         while (!notified()) {
-            backoff.pause();
+            detail::futex_wait(word_, kAsleep);
         }
     }
 
   private:
+    enum : std::uint32_t { kIdle, kNotified, kAsleep /* wait() sleeps */ };
+
     ParkingLot* const lot_;
-    std::atomic<bool> done_{false};
-    bool signalled_ = false;  // bare path; guarded by mutex_
-    std::mutex mutex_;
-    std::condition_variable cv_;
+    detail::FutexWord word_{kIdle};
 };
 
 }  // namespace lwt::sync

@@ -1,6 +1,6 @@
-// spinlock.hpp — busy-wait locks for short critical sections.
+// spinlock.hpp — a busy-wait lock for short critical sections.
 //
-// Both locks satisfy the Lockable requirements and work with std::lock_guard.
+// It satisfies the Lockable requirements and works with std::lock_guard.
 #pragma once
 
 #include <atomic>
@@ -39,39 +39,6 @@ class Spinlock {
 
   private:
     std::atomic<bool> flag_{false};
-};
-
-/// FIFO ticket lock: fair under contention, at the cost of all waiters
-/// spinning on the same now-serving counter.
-class TicketLock {
-  public:
-    TicketLock() noexcept = default;
-    TicketLock(const TicketLock&) = delete;
-    TicketLock& operator=(const TicketLock&) = delete;
-
-    void lock() noexcept {
-        const std::uint32_t my = next_.fetch_add(1, std::memory_order_relaxed);
-        arch::Backoff backoff;
-        while (serving_.load(std::memory_order_acquire) != my) {
-            backoff.pause();
-        }
-    }
-
-    bool try_lock() noexcept {
-        std::uint32_t serving = serving_.load(std::memory_order_relaxed);
-        std::uint32_t expected = serving;
-        return next_.compare_exchange_strong(expected, serving + 1,
-                                             std::memory_order_acquire,
-                                             std::memory_order_relaxed);
-    }
-
-    void unlock() noexcept {
-        serving_.fetch_add(1, std::memory_order_release);
-    }
-
-  private:
-    alignas(arch::kCacheLine) std::atomic<std::uint32_t> next_{0};
-    alignas(arch::kCacheLine) std::atomic<std::uint32_t> serving_{0};
 };
 
 }  // namespace lwt::sync

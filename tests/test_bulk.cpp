@@ -47,7 +47,7 @@ void expect_single_notify_per_batch(PoolT& pool) {
     for (std::size_t i = 0; i < kBatch; ++i) {
         batch.push_back(new lwt::core::Tasklet([] {}));
     }
-    const std::uint64_t before = lot.epoch();
+    const std::uint32_t before = lot.epoch();
     pool.push_bulk(batch);
     EXPECT_EQ(lot.epoch(), before + 1) << "bulk batch must notify once";
 
@@ -56,7 +56,7 @@ void expect_single_notify_per_batch(PoolT& pool) {
     EXPECT_EQ(lot.epoch(), before + 1);
 
     // Per-unit pushes notify per unit — the cost the bulk path removes.
-    const std::uint64_t mid = lot.epoch();
+    const std::uint32_t mid = lot.epoch();
     for (int i = 0; i < 8; ++i) {
         pool.push(new lwt::core::Tasklet([] {}));
     }

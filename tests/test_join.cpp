@@ -9,10 +9,15 @@
 // out under thread sanitizer. Tasklet and OS-thread protocol tests — the
 // racy part of the handoff machinery — all stay enabled.
 #include <gtest/gtest.h>
+#include <linux/futex.h>
+#include <sys/syscall.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
+#include <climits>
 #include <memory>
+#include <new>
 #include <thread>
 #include <vector>
 
@@ -55,7 +60,7 @@ TEST(JoinCore, NotifyOneCountsAvoidedWakeups) {
     std::atomic<bool> release{false};
     auto parked_waiter = [&] {
         while (!release.load()) {
-            const std::uint64_t ticket = lot.prepare_park();
+            const std::uint32_t ticket = lot.prepare_park();
             if (release.load()) {
                 lot.cancel_park();
                 break;
@@ -91,10 +96,10 @@ TEST(JoinCore, ThreadParkerBareRoundTrip) {
 }
 
 TEST(JoinCore, ThreadParkerPolledDestroyRace) {
-    // The attached-stream waits poll notified() between units, without the
-    // parker's mutex, and destroy the parker the moment it reads true —
-    // while the notifier may still be inside notify(). The flag store must
-    // be notify()'s last access (ASan/TSan flag any later one).
+    // The attached-stream waits poll notified() between units and destroy
+    // the parker the moment it reads true — while the notifier may still
+    // be inside notify(). After the store, notify() reaches the word only
+    // through the kernel (ASan/TSan flag any later access).
     for (int round = 0; round < 300; ++round) {
         auto owned = std::make_unique<lwt::sync::ThreadParker>();
         lwt::sync::ThreadParker* parker = owned.get();
@@ -103,6 +108,40 @@ TEST(JoinCore, ThreadParkerPolledDestroyRace) {
         }
         owned.reset();  // free immediately; notify() may still be running
         waker.join();
+    }
+}
+
+TEST(JoinCore, ThreadParkerWaitIgnoresStaleWakes) {
+    // wait() can return while its notifier is still inside notify(), about
+    // to futex-wake the word; a parker built again at that address can take
+    // the stale wake. Its wait() must not return before its own notify.
+    // Wakes aimed at every word of the storage while the waiter sleeps make
+    // the check certain: a wait that returned on any futex wake fails here.
+    using lwt::sync::ThreadParker;
+    alignas(ThreadParker) unsigned char storage[sizeof(ThreadParker)];
+    for (int round = 0; round < 40; ++round) {
+        auto* stale = new (storage) ThreadParker();
+        std::thread notifier([stale] { stale->notify(); });
+        stale->wait();
+        stale->~ThreadParker();
+        auto* parker = new (storage) ThreadParker();
+        std::atomic<bool> returned{false};
+        std::thread waiter([&] {
+            parker->wait();
+            returned.store(true);
+        });
+        for (int i = 0; i < 20; ++i) {
+            for (std::size_t off = 0; off < sizeof storage; off += 4) {
+                syscall(SYS_futex, storage + off, FUTEX_WAKE_PRIVATE, INT_MAX,
+                        nullptr, nullptr, 0);
+            }
+            std::this_thread::sleep_for(std::chrono::microseconds(50));
+        }
+        notifier.join();
+        EXPECT_FALSE(returned.load()) << "round " << round;
+        parker->notify();
+        waiter.join();
+        parker->~ThreadParker();
     }
 }
 

@@ -223,7 +223,7 @@ TEST(SchedStats, SnapshotsAggregate) {
 
 TEST(ParkingLot, NotifyAfterPrepareAbortsThePark) {
     lwt::sync::ParkingLot lot;
-    const std::uint64_t ticket = lot.prepare_park();
+    const std::uint32_t ticket = lot.prepare_park();
     lot.notify_all();  // epoch moves while we are registered
     // Must return immediately (notified), not wait for the full timeout.
     EXPECT_TRUE(lot.park(ticket, std::chrono::microseconds(60'000'000)));
@@ -232,7 +232,7 @@ TEST(ParkingLot, NotifyAfterPrepareAbortsThePark) {
 
 TEST(ParkingLot, TimeoutSafetyNetFires) {
     lwt::sync::ParkingLot lot;
-    const std::uint64_t ticket = lot.prepare_park();
+    const std::uint32_t ticket = lot.prepare_park();
     EXPECT_FALSE(lot.park(ticket, std::chrono::microseconds(1000)));
 }
 
@@ -240,7 +240,7 @@ TEST(ParkingLot, WakesAParkedThread) {
     lwt::sync::ParkingLot lot;
     std::atomic<bool> woken{false};
     std::thread waiter([&] {
-        const std::uint64_t ticket = lot.prepare_park();
+        const std::uint32_t ticket = lot.prepare_park();
         lot.park(ticket, std::chrono::microseconds(60'000'000));
         woken.store(true, std::memory_order_release);
     });
@@ -254,7 +254,7 @@ TEST(ParkingLot, WakesAParkedThread) {
 }
 
 TEST(ParkingLot, NoLostWakeUnderConcurrentNotifies) {
-    // notify_one/notify_all skip the epoch bump and the mutex while no
+    // notify_one/notify_all skip the epoch bump and the futex wake while no
     // waiter is registered, relying on their fence pairing with
     // prepare_park. Each producer publishes one item at a time with a
     // plain release store, notifies, and waits until every published item
@@ -302,7 +302,7 @@ TEST(ParkingLot, NoLostWakeUnderConcurrentNotifies) {
                 if (seen) {
                     continue;
                 }
-                const std::uint64_t ticket = lot.prepare_park();
+                const std::uint32_t ticket = lot.prepare_park();
                 if (published() > taken.load() || taken.load() >= kItems) {
                     lot.cancel_park();
                     continue;
@@ -399,7 +399,7 @@ TEST(Pool, PushNotifiesAttachedWaker) {
     pool.set_waker(&lot);
     std::atomic<bool> parked_and_woken{false};
     std::thread waiter([&] {
-        const std::uint64_t ticket = lot.prepare_park();
+        const std::uint32_t ticket = lot.prepare_park();
         if (pool.empty()) {
             lot.park(ticket, std::chrono::microseconds(60'000'000));
         } else {
@@ -536,7 +536,6 @@ TEST(SchedStatsRuntime, HitRateReportedUnderStealing) {
             return std::make_unique<StealingScheduler>(raw[rank], raw,
                                                        97u + rank);
         });
-        rt.reset_sched_stats();
         constexpr std::size_t kUnits = 4000;
         for (std::size_t i = 0; i < kUnits; ++i) {
             auto* t = new Tasklet([&done] {

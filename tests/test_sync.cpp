@@ -1,4 +1,4 @@
-// Tests for the OS-thread spin locks in src/sync.
+// Tests for the OS-thread spin lock in src/sync.
 #include <gtest/gtest.h>
 
 #include <thread>
@@ -9,16 +9,12 @@
 namespace {
 
 using lwt::sync::Spinlock;
-using lwt::sync::TicketLock;
 
 constexpr int kThreads = 4;
 constexpr int kIncrementsPerThread = 20000;
 
-// --- locks: mutual exclusion under contention -------------------------------
-
-template <typename Lock>
-long contended_count() {
-    Lock lock;
+TEST(Spinlock, MutualExclusionUnderContention) {
+    Spinlock lock;
     long counter = 0;
     std::vector<std::thread> workers;
     workers.reserve(kThreads);
@@ -33,28 +29,11 @@ long contended_count() {
     for (auto& w : workers) {
         w.join();
     }
-    return counter;
-}
-
-TEST(Spinlock, MutualExclusionUnderContention) {
-    EXPECT_EQ(contended_count<Spinlock>(), kThreads * kIncrementsPerThread);
-}
-
-TEST(TicketLock, MutualExclusionUnderContention) {
-    EXPECT_EQ(contended_count<TicketLock>(), kThreads * kIncrementsPerThread);
+    EXPECT_EQ(counter, kThreads * kIncrementsPerThread);
 }
 
 TEST(Spinlock, TryLockReflectsState) {
     Spinlock lock;
-    EXPECT_TRUE(lock.try_lock());
-    EXPECT_FALSE(lock.try_lock());
-    lock.unlock();
-    EXPECT_TRUE(lock.try_lock());
-    lock.unlock();
-}
-
-TEST(TicketLock, TryLockReflectsState) {
-    TicketLock lock;
     EXPECT_TRUE(lock.try_lock());
     EXPECT_FALSE(lock.try_lock());
     lock.unlock();
