@@ -12,6 +12,7 @@
 #include <thread>
 #include <vector>
 
+#include "abt/abt.hpp"
 #include "arch/fcontext.hpp"
 #include "arch/stack.hpp"
 #include "core/metrics.hpp"
@@ -21,6 +22,8 @@
 #include "core/work_unit.hpp"
 #include "core/channel.hpp"
 #include "core/sync_ult.hpp"
+#include "glt/glt.hpp"
+#include "mth/mth.hpp"
 #include "queue/chase_lev_deque.hpp"
 #include "queue/global_queue.hpp"
 #include "queue/locked_deque.hpp"
@@ -121,6 +124,53 @@ void BM_UltYieldRoundTrip(benchmark::State& state) {
     }
 }
 BENCHMARK(BM_UltYieldRoundTrip);
+
+// --- one create+join: glt vs the native call ---------------------------------
+//
+// A one-stream runtime whose stream 0 is the calling thread: the join runs
+// the unit inline, so no OS wake is on the path and each glt row differs
+// from its native row only by glt's dispatch and token.
+
+void BM_AbtNativeCreateJoin(benchmark::State& state) {
+    abt::Library lib(abt::Config{.num_xstreams = 1});
+    for (auto _ : state) {
+        abt::UnitHandle h = lib.thread_create([] {});
+        benchmark::DoNotOptimize(h);
+        h.free();
+    }
+}
+BENCHMARK(BM_AbtNativeCreateJoin);
+
+void BM_AbtGltCreateJoin(benchmark::State& state) {
+    auto rt = glt::Runtime::create(glt::Backend::kAbt, 1);
+    for (auto _ : state) {
+        glt::UnitToken t = rt->ult_create([] {});
+        benchmark::DoNotOptimize(t);
+        rt->join(t);
+    }
+}
+BENCHMARK(BM_AbtGltCreateJoin);
+
+void BM_MthNativeCreateJoin(benchmark::State& state) {
+    mth::Library lib(
+        mth::Config{.num_workers = 1, .policy = mth::Policy::kHelpFirst});
+    for (auto _ : state) {
+        mth::ThreadHandle h = lib.create([] {});
+        benchmark::DoNotOptimize(h);
+        h.join();
+    }
+}
+BENCHMARK(BM_MthNativeCreateJoin);
+
+void BM_MthGltCreateJoin(benchmark::State& state) {
+    auto rt = glt::Runtime::create(glt::Backend::kMth, 1);
+    for (auto _ : state) {
+        glt::UnitToken t = rt->ult_create([] {});
+        benchmark::DoNotOptimize(t);
+        rt->join(t);
+    }
+}
+BENCHMARK(BM_MthGltCreateJoin);
 
 // --- locks -------------------------------------------------------------------
 

@@ -26,8 +26,6 @@ UnitHandle& UnitHandle::operator=(UnitHandle&& other) noexcept {
     return *this;
 }
 
-UnitHandle::~UnitHandle() { free(); }
-
 core::Ult* UnitHandle::ult() const noexcept {
     if (unit_ != nullptr && unit_->kind == core::Kind::kUlt) {
         return static_cast<core::Ult*>(unit_);

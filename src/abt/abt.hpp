@@ -87,7 +87,11 @@ class UnitHandle {
     UnitHandle& operator=(UnitHandle&&) noexcept;
     UnitHandle(const UnitHandle&) = delete;
     UnitHandle& operator=(const UnitHandle&) = delete;
-    ~UnitHandle();
+    ~UnitHandle() {
+        if (unit_ != nullptr) {
+            free();
+        }
+    }
 
     /// Wait for completion (ABT_thread_join). Cooperative: drives the
     /// caller's scheduler when invoked from a stream, yields inside ULTs.

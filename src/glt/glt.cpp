@@ -15,6 +15,7 @@
 #include "core/runtime.hpp"
 #include "core/sync_ult.hpp"
 #include "core/trace_export.hpp"
+#include "core/unit_cache.hpp"
 
 namespace lwt::glt {
 
@@ -56,30 +57,34 @@ std::string_view backend_name(Backend backend) {
     return "?";
 }
 
-void Runtime::join_all(std::span<UnitToken> tokens) {
-    for (UnitToken& t : tokens) {
-        join(t);
-    }
-}
-
 void Runtime::join_all(std::vector<UnitToken>& tokens) {
     join_all(std::span<UnitToken>(tokens));
 }
 
 namespace {
 
+/// A backend's batch join: one loop over its own join, which the final
+/// backend class lets the compiler call directly.
+template <typename Self>
+class BatchJoin : public Runtime {
+  public:
+    void join_all(std::span<UnitToken> tokens) final {
+        for (UnitToken& t : tokens) {
+            static_cast<Self*>(this)->join(t);
+        }
+    }
+};
+
 // --- Argobots backend ---------------------------------------------------------
 
-class AbtGlt final : public Runtime {
-    struct Token final : UnitToken::State {
-        abt::UnitHandle handle;
-    };
+class AbtGlt final : public BatchJoin<AbtGlt> {
     struct Bulk final : BulkHandle::State {
         std::vector<abt::UnitHandle> handles;
     };
 
   public:
-    explicit AbtGlt(std::size_t n) : lib_(make_config(n)) {}
+    explicit AbtGlt(const abt::Config& config)
+        : lib_(config), streams_(lib_.num_xstreams()) {}
 
     Backend backend() const override { return Backend::kAbt; }
     std::size_t num_workers() const override { return lib_.num_xstreams(); }
@@ -99,22 +104,18 @@ class AbtGlt final : public Runtime {
     }
 
     UnitToken ult_create(core::UniqueFunction fn, Placement where) override {
-        auto state = std::make_unique<Token>();
-        state->handle =
+        return UnitToken(
             where.kind() == Placement::Kind::kDomain
                 ? lib_.thread_create_domain(std::move(fn), where.index())
-                : lib_.thread_create(std::move(fn), to_pool(where));
-        return UnitToken(std::move(state));
+                : lib_.thread_create(std::move(fn), to_pool(where)));
     }
 
     UnitToken tasklet_create(core::UniqueFunction fn,
                              Placement where) override {
-        auto state = std::make_unique<Token>();
-        state->handle =
+        return UnitToken(
             where.kind() == Placement::Kind::kDomain
                 ? lib_.task_create_domain(std::move(fn), where.index())
-                : lib_.task_create(std::move(fn), to_pool(where));
-        return UnitToken(std::move(state));
+                : lib_.task_create(std::move(fn), to_pool(where)));
     }
 
     BulkHandle spawn_bulk(std::size_t n, BulkBody fn, UnitKind kind,
@@ -125,7 +126,7 @@ class AbtGlt final : public Runtime {
         const abt::UnitKind ak = kind == UnitKind::kTasklet
                                      ? abt::UnitKind::kTasklet
                                      : abt::UnitKind::kUlt;
-        auto state = std::make_unique<Bulk>();
+        auto state = std::make_shared<Bulk>();
         state->handles =
             where.kind() == Placement::Kind::kDomain
                 ? lib_.create_bulk_domain(ak, n, fn, where.index())
@@ -145,41 +146,80 @@ class AbtGlt final : public Runtime {
     core::SchedStats sched_stats() const override { return lib_.sched_stats(); }
 
     void join(UnitToken& token) override {
-        if (auto* t = token.state_as<Token>()) {
-            t->handle.free();  // join-and-free, the Argobots idiom
+        if (auto* h = token.get_if<abt::UnitHandle>()) {
+            h->free();  // join-and-free, the Argobots idiom
             token.reset();
         }
     }
 
   private:
-    static abt::Config make_config(std::size_t n) {
-        abt::Config c;
-        c.num_xstreams = n;
-        return c;
-    }
-
-    /// any() -> -1 (library round-robin), worker(i) -> pool i.
-    static int to_pool(Placement where) {
-        return where.kind() == Placement::Kind::kWorker
-                   ? static_cast<int>(where.index())
-                   : -1;
+    /// any() -> -1 (library round-robin); worker(i) -> the pool stream i
+    /// takes its work from: its private pool, the shared pool, or its
+    /// domain's pool.
+    int to_pool(Placement where) const {
+        if (where.kind() != Placement::Kind::kWorker) {
+            return -1;
+        }
+        const std::size_t i = where.index() < streams_
+                                  ? where.index()
+                                  : where.index() % streams_;
+        switch (lib_.config().pool_kind) {
+            case abt::PoolKind::kPrivate:
+                return static_cast<int>(i);
+            case abt::PoolKind::kShared:
+                return 0;
+            case abt::PoolKind::kDomainShared:
+                return static_cast<int>(lib_.locality().placement(i).domain);
+        }
+        return -1;
     }
 
     abt::Library lib_;
+    /// glt adds no streams, so the count (which the library reads under a
+    /// lock) is fixed at boot.
+    const std::size_t streams_;
 };
 
 // --- Qthreads backend ---------------------------------------------------------
 
-class QthGlt final : public Runtime {
-    struct Token final : UnitToken::State {
-        std::unique_ptr<qth::aligned_t> ret = std::make_unique<qth::aligned_t>(0);
+/// std::allocate_shared over the descriptor slab magazines
+/// (core/unit_cache.hpp): a joined qth block goes back to the joining
+/// thread's magazine, where its next create finds it, with no lock.
+template <typename T>
+struct UnitCacheAllocator {
+    using value_type = T;
+    UnitCacheAllocator() = default;
+    template <typename U>
+    UnitCacheAllocator(const UnitCacheAllocator<U>&) noexcept {}
+    T* allocate(std::size_t n) {
+        return static_cast<T*>(core::unit_cache_alloc(n * sizeof(T)));
+    }
+    void deallocate(T* p, std::size_t n) noexcept {
+        core::unit_cache_free(p, n * sizeof(T));
+    }
+    template <typename U>
+    bool operator==(const UnitCacheAllocator<U>&) const noexcept {
+        return true;
+    }
+};
+
+class QthGlt final : public BatchJoin<QthGlt> {
+    /// A unit's FEB return word and its body in one block, shared by the
+    /// token and the running unit: a dropped token cannot free the word
+    /// before the unit fills it.
+    struct Unit {
+        qth::aligned_t word = 0;
+        core::UniqueFunction fn;
     };
     struct Bulk final : BulkHandle::State {
         qth::Sinc sinc;  // qt_sinc: the native aggregate join
     };
 
   public:
-    explicit QthGlt(std::size_t n) : lib_(make_config(n)) {}
+    explicit QthGlt(const qth::Config& config)
+        : lib_(config),
+          workers_(lib_.num_workers()),
+          per_shepherd_(workers_ / lib_.num_shepherds()) {}
 
     Backend backend() const override { return Backend::kQth; }
     std::size_t num_workers() const override { return lib_.num_workers(); }
@@ -192,7 +232,6 @@ class QthGlt final : public Runtime {
     }
 
     std::vector<std::size_t> domain_workers(std::size_t d) const override {
-        // workers_per_shepherd == 1, so worker rank == shepherd index.
         if (d >= lib_.num_domains()) {
             return {};
         }
@@ -200,18 +239,25 @@ class QthGlt final : public Runtime {
     }
 
     UnitToken ult_create(core::UniqueFunction fn, Placement where) override {
-        auto state = std::make_unique<Token>();
+        auto unit = std::allocate_shared<Unit>(UnitCacheAllocator<Unit>{}, 0,
+                                               std::move(fn));
+        qth::aligned_t* word = &unit->word;
+        lib_.purge(word);  // EMPTY until the unit fills it
+        // The unit fills the word itself, so the fork keeps this small
+        // closure inline and the block stands in for the heap closure of a
+        // native fork with a return word. The body runs from the ULT's
+        // frame, so its captures die with the unit, as on the native path.
+        auto run = [this, unit] {
+            core::UniqueFunction body = std::move(unit->fn);
+            body();
+            lib_.write_f(&unit->word, 1);
+        };
         if (where.kind() == Placement::Kind::kDomain) {
-            lib_.fork_to_domain(std::move(fn), state->ret.get(),
-                                where.index());
+            lib_.fork_to_domain(std::move(run), nullptr, where.index());
         } else {
-            const std::size_t shepherd =
-                where.kind() == Placement::Kind::kWorker
-                    ? where.index() % lib_.num_shepherds()
-                    : rr_++ % lib_.num_shepherds();
-            lib_.fork_to(std::move(fn), state->ret.get(), shepherd);
+            lib_.fork_to(std::move(run), nullptr, shepherd_for(where));
         }
-        return UnitToken(std::move(state));
+        return UnitToken(std::shared_ptr<qth::aligned_t>(std::move(unit), word));
     }
 
     UnitToken tasklet_create(core::UniqueFunction fn,
@@ -228,19 +274,22 @@ class QthGlt final : public Runtime {
         if (n == 0) {
             return {};
         }
-        auto state = std::make_unique<Bulk>();
+        auto state = std::make_shared<Bulk>();
+        qth::Sinc& sinc = state->sinc;
+        const BulkBody body = [fn = std::move(fn), state](std::size_t i) {
+            fn(i);
+        };
         if (where.kind() == Placement::Kind::kDomain) {
-            lib_.fork_bulk_domain(n, fn, state->sinc, where.index());
+            lib_.fork_bulk_domain(n, body, sinc, where.index());
         } else if (where.kind() == Placement::Kind::kWorker) {
-            const std::size_t shepherd = where.index() % lib_.num_shepherds();
-            state->sinc.expect(static_cast<std::int64_t>(n));
-            auto* sinc = &state->sinc;
+            const std::size_t shepherd = shepherd_for(where);
+            sinc.expect(static_cast<std::int64_t>(n));
             for (std::size_t i = 0; i < n; ++i) {
-                lib_.fork_to([fn, sinc, i] { fn(i); sinc->submit(); },
+                lib_.fork_to([body, &sinc, i] { body(i); sinc.submit(); },
                              nullptr, shepherd);
             }
         } else {
-            lib_.fork_bulk(n, fn, state->sinc);
+            lib_.fork_bulk(n, body, sinc);
         }
         return BulkHandle(std::move(state), n);
     }
@@ -257,36 +306,41 @@ class QthGlt final : public Runtime {
     core::SchedStats sched_stats() const override { return lib_.sched_stats(); }
 
     void join(UnitToken& token) override {
-        if (auto* t = token.state_as<Token>()) {
-            lib_.read_ff(t->ret.get());  // the qthreads join primitive
+        if (auto* word = token.get_if<std::shared_ptr<qth::aligned_t>>()) {
+            lib_.read_ff(word->get());  // the qthreads join primitive
             token.reset();
         }
     }
 
   private:
-    static qth::Config make_config(std::size_t n) {
-        qth::Config c;
-        c.num_shepherds = n;
-        c.workers_per_shepherd = 1;  // the paper's preferred layout
-        return c;
+    /// worker(i) -> worker i's shepherd (workers are numbered shepherd by
+    /// shepherd); any() -> round-robin over shepherds.
+    std::size_t shepherd_for(Placement where) {
+        if (where.kind() == Placement::Kind::kWorker) {
+            const std::size_t i = where.index() < workers_
+                                      ? where.index()
+                                      : where.index() % workers_;
+            return per_shepherd_ == 1 ? i : i / per_shepherd_;
+        }
+        return rr_++ % lib_.num_shepherds();
     }
 
     qth::Library lib_;
+    /// Fixed at boot, like abt's stream count.
+    const std::size_t workers_;
+    const std::size_t per_shepherd_;
     std::atomic<std::size_t> rr_{0};
 };
 
 // --- MassiveThreads backend ----------------------------------------------------
 
-class MthGlt final : public Runtime {
-    struct Token final : UnitToken::State {
-        mth::ThreadHandle handle;
-    };
+class MthGlt final : public BatchJoin<MthGlt> {
     struct Bulk final : BulkHandle::State {
         core::EventCounter done;
     };
 
   public:
-    explicit MthGlt(std::size_t n) : lib_(make_config(n)) {}
+    explicit MthGlt(const mth::Config& config) : lib_(config) {}
 
     Backend backend() const override { return Backend::kMth; }
     std::size_t num_workers() const override { return lib_.num_workers(); }
@@ -301,9 +355,7 @@ class MthGlt final : public Runtime {
                          Placement /*where*/) override {
         // MassiveThreads places work via its creation policy + stealing;
         // there is no explicit target (Table I: no cross-queue creation).
-        auto state = std::make_unique<Token>();
-        state->handle = lib_.create(std::move(fn));
-        return UnitToken(std::move(state));
+        return UnitToken(lib_.create(std::move(fn)));
     }
 
     UnitToken tasklet_create(core::UniqueFunction fn,
@@ -316,8 +368,10 @@ class MthGlt final : public Runtime {
         if (n == 0) {
             return {};
         }
-        auto state = std::make_unique<Bulk>();
-        lib_.create_bulk_detached(n, fn, state->done);
+        auto state = std::make_shared<Bulk>();
+        lib_.create_bulk_detached(
+            n, [fn = std::move(fn), state](std::size_t i) { fn(i); },
+            state->done);
         return BulkHandle(std::move(state), n);
     }
 
@@ -333,41 +387,25 @@ class MthGlt final : public Runtime {
     core::SchedStats sched_stats() const override { return lib_.sched_stats(); }
 
     void join(UnitToken& token) override {
-        if (auto* t = token.state_as<Token>()) {
-            t->handle.join();
+        if (auto* h = token.get_if<mth::ThreadHandle>()) {
+            h->join();
             token.reset();
         }
     }
 
   private:
-    static mth::Config make_config(std::size_t n) {
-        mth::Config c;
-        c.num_workers = n;
-        // Help-first: GLT creation happens from the main thread, outside
-        // any ULT, where work-first has no continuation to displace.
-        c.policy = mth::Policy::kHelpFirst;
-        return c;
-    }
-
     mth::Library lib_;
 };
 
 // --- Converse backend -------------------------------------------------------------
 
-class CvtGlt final : public Runtime {
-    struct Token final : UnitToken::State {
-        std::shared_ptr<std::atomic<bool>> done =
-            std::make_shared<std::atomic<bool>>(false);
-    };
+class CvtGlt final : public BatchJoin<CvtGlt> {
     struct Bulk final : BulkHandle::State {
-        // Shared with the in-flight messages so an unwaited handle cannot
-        // leave them signalling a dangling counter.
-        std::shared_ptr<core::EventCounter> done =
-            std::make_shared<core::EventCounter>();
+        core::EventCounter done;
     };
 
   public:
-    explicit CvtGlt(std::size_t n) : lib_(make_config(n)) {}
+    explicit CvtGlt(const cvt::Config& config) : lib_(config) {}
 
     Backend backend() const override { return Backend::kCvt; }
     std::size_t num_workers() const override { return lib_.num_pes(); }
@@ -395,14 +433,13 @@ class CvtGlt final : public Runtime {
 
     UnitToken tasklet_create(core::UniqueFunction fn,
                              Placement where) override {
-        auto state = std::make_unique<Token>();
-        auto done = state->done;
+        auto done = std::make_shared<std::atomic<bool>>(false);
         lib_.send_message(pick_pe(where),
                           [body = std::move(fn), done]() mutable {
                               body();
                               done->store(true, std::memory_order_release);
                           });
-        return UnitToken(std::move(state));
+        return UnitToken(std::move(done));
     }
 
     BulkHandle spawn_bulk(std::size_t n, BulkBody fn, UnitKind /*kind*/,
@@ -414,12 +451,11 @@ class CvtGlt final : public Runtime {
         if (n == 0) {
             return {};
         }
-        auto state = std::make_unique<Bulk>();
-        auto done = state->done;
-        done->add(static_cast<std::int64_t>(n));
-        auto body = [fn = std::move(fn), done](std::size_t i) {
+        auto state = std::make_shared<Bulk>();
+        state->done.add(static_cast<std::int64_t>(n));
+        auto body = [fn = std::move(fn), state](std::size_t i) {
             fn(i);
-            done->signal();
+            state->done.signal();
         };
         if (where.kind() == Placement::Kind::kDomain) {
             lib_.send_bulk_domain(n, body, where.index());
@@ -440,7 +476,7 @@ class CvtGlt final : public Runtime {
             // PE 0's attached thread the wait keeps draining the scheduler
             // (EventCounter::wait), preserving Converse return-mode
             // semantics without the polled predicate.
-            b->done->wait();
+            b->done.wait();
             handle.reset();
         }
     }
@@ -450,21 +486,14 @@ class CvtGlt final : public Runtime {
     core::SchedStats sched_stats() const override { return lib_.sched_stats(); }
 
     void join(UnitToken& token) override {
-        if (auto* t = token.state_as<Token>()) {
-            auto done = t->done;
+        if (auto* done = token.get_if<std::shared_ptr<std::atomic<bool>>>()) {
             lib_.scheduler_run_until(
-                [&] { return done->load(std::memory_order_acquire); });
+                [done] { return (*done)->load(std::memory_order_acquire); });
             token.reset();
         }
     }
 
   private:
-    static cvt::Config make_config(std::size_t n) {
-        cvt::Config c;
-        c.num_pes = n;
-        return c;
-    }
-
     /// Resolve a placement to one PE: worker(i) -> PE i, domain(d) ->
     /// round-robin over the domain's PEs (Converse queues are strictly
     /// per-PE, so domain targeting is recipient choice), any() ->
@@ -490,21 +519,13 @@ class CvtGlt final : public Runtime {
 
 // --- Go backend --------------------------------------------------------------------
 
-class GolGlt final : public Runtime {
-    struct Token final : UnitToken::State {
-        // Go's join mechanism is a channel receive (Table II row 5).
-        std::shared_ptr<core::Channel<int>> done =
-            std::make_shared<core::Channel<int>>(1);
-    };
+class GolGlt final : public BatchJoin<GolGlt> {
     struct Bulk final : BulkHandle::State {
-        // sync.WaitGroup idiom: one counter for the batch, shared with
-        // the goroutines so an unwaited handle cannot dangle.
-        std::shared_ptr<core::EventCounter> done =
-            std::make_shared<core::EventCounter>();
+        core::EventCounter done;  // sync.WaitGroup: one counter per batch
     };
 
   public:
-    explicit GolGlt(std::size_t n) : lib_(make_config(n)) {}
+    explicit GolGlt(const gol::Config& config) : lib_(config) {}
 
     Backend backend() const override { return Backend::kGol; }
     std::size_t num_workers() const override { return lib_.num_threads(); }
@@ -517,14 +538,14 @@ class GolGlt final : public Runtime {
 
     UnitToken ult_create(core::UniqueFunction fn,
                          Placement /*where*/) override {
-        // One global queue: placement hints are meaningless in Go.
-        auto state = std::make_unique<Token>();
-        auto done = state->done;
+        // One global queue: placement hints are meaningless in Go. The
+        // join is a channel receive (Table II row 5).
+        auto done = std::make_shared<core::Channel<int>>(1);
         lib_.go([body = std::move(fn), done]() mutable {
             body();
             done->send(1);
         });
-        return UnitToken(std::move(state));
+        return UnitToken(std::move(done));
     }
 
     UnitToken tasklet_create(core::UniqueFunction fn,
@@ -537,19 +558,18 @@ class GolGlt final : public Runtime {
         if (n == 0) {
             return {};
         }
-        auto state = std::make_unique<Bulk>();
-        auto done = state->done;
-        done->add(static_cast<std::int64_t>(n));
-        lib_.go_bulk(n, [body = std::move(fn), done](std::size_t i) {
+        auto state = std::make_shared<Bulk>();
+        state->done.add(static_cast<std::int64_t>(n));
+        lib_.go_bulk(n, [body = std::move(fn), state](std::size_t i) {
             body(i);
-            done->signal();
+            state->done.signal();
         });
         return BulkHandle(std::move(state), n);
     }
 
     void wait(BulkHandle& handle) override {
         if (auto* b = handle.state_as<Bulk>()) {
-            b->done->wait();  // main thread OS-yields; workers drain
+            b->done.wait();  // main thread OS-yields; workers drain
             handle.reset();
         }
     }
@@ -564,19 +584,13 @@ class GolGlt final : public Runtime {
     core::SchedStats sched_stats() const override { return lib_.sched_stats(); }
 
     void join(UnitToken& token) override {
-        if (auto* t = token.state_as<Token>()) {
-            t->done->recv();
+        if (auto* done = token.get_if<std::shared_ptr<core::Channel<int>>>()) {
+            (*done)->recv();
             token.reset();
         }
     }
 
   private:
-    static gol::Config make_config(std::size_t n) {
-        gol::Config c;
-        c.num_threads = n;
-        return c;
-    }
-
     gol::Library lib_;
 };
 
@@ -586,17 +600,35 @@ std::unique_ptr<Runtime> Runtime::create(Backend backend,
                                          std::size_t num_workers) {
     switch (backend) {
         case Backend::kAbt:
-            return std::make_unique<AbtGlt>(num_workers);
+            return create(abt::Config{.num_xstreams = num_workers});
         case Backend::kQth:
-            return std::make_unique<QthGlt>(num_workers);
+            // One worker per shepherd: the paper's preferred layout.
+            return create(qth::Config{.num_shepherds = num_workers,
+                                      .workers_per_shepherd = 1});
         case Backend::kMth:
-            return std::make_unique<MthGlt>(num_workers);
+            // Help-first: GLT creation happens from the main thread, outside
+            // any ULT, where work-first has no continuation to displace.
+            return create(mth::Config{.num_workers = num_workers,
+                                      .policy = mth::Policy::kHelpFirst});
         case Backend::kCvt:
-            return std::make_unique<CvtGlt>(num_workers);
+            return std::make_unique<CvtGlt>(cvt::Config{.num_pes = num_workers});
         case Backend::kGol:
-            return std::make_unique<GolGlt>(num_workers);
+            return std::make_unique<GolGlt>(
+                gol::Config{.num_threads = num_workers});
     }
     throw std::invalid_argument("unknown GLT backend enum value");
+}
+
+std::unique_ptr<Runtime> Runtime::create(const abt::Config& config) {
+    return std::make_unique<AbtGlt>(config);
+}
+
+std::unique_ptr<Runtime> Runtime::create(const qth::Config& config) {
+    return std::make_unique<QthGlt>(config);
+}
+
+std::unique_ptr<Runtime> Runtime::create(const mth::Config& config) {
+    return std::make_unique<MthGlt>(config);
 }
 
 std::unique_ptr<Runtime> Runtime::create_from_env() {

@@ -15,13 +15,18 @@
 // replaces the ad-hoc feature predicates so callers can query the Table I
 // feature matrix uniformly.
 //
-// glt::Runtime is a runtime-dispatch wrapper selected by enum or name
-// (e.g. from GLT_BACKEND), so one binary can host every backend — which is
-// how the benchmark harness sweeps libraries. Code that fixes its backend
-// at compile time should use the personality APIs directly (lwt::abt &c.);
-// they are the zero-overhead path this layer adapts.
+// glt::Runtime is a runtime-dispatch wrapper selected by enum, name (e.g.
+// from GLT_BACKEND) or personality Config, so one binary can host every
+// backend — which is how the benchmark harness sweeps libraries: the
+// Argobots, Qthreads and MassiveThreads series of figures 2-8 run through
+// it (src/patterns). A token holds the backend's native join handle
+// inline, so an abt or mth create allocates nothing beyond the native
+// call. Code that fixes its backend at compile time may still use the
+// personality APIs directly (lwt::abt &c.); they are the path this layer
+// adapts, without its dispatch.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <functional>
 #include <memory>
@@ -29,6 +34,8 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <type_traits>
+#include <variant>
 #include <vector>
 
 #include "abt/abt.hpp"
@@ -274,9 +281,18 @@ std::unique_ptr<Runtime> init(const RuntimeOptions& opts = {});
 class Runtime {
   public:
     /// `num_workers` = execution streams / shepherds / workers / PEs /
-    /// scheduler threads, uniformly (0 = resolve per backend env).
+    /// scheduler threads, uniformly (0 = resolve per backend env). abt gets
+    /// private pools, qth one worker per shepherd, mth help-first creation.
     static std::unique_ptr<Runtime> create(Backend backend,
                                            std::size_t num_workers = 0);
+
+    /// Boot abt, qth or mth from the personality's own Config: the axes
+    /// the paper's figures sweep (pool kind, shepherd layout, creation
+    /// policy) stay fields there. Work-first mth creation displaces its
+    /// creator only inside a unit; create from a root unit to get it.
+    static std::unique_ptr<Runtime> create(const abt::Config& config);
+    static std::unique_ptr<Runtime> create(const qth::Config& config);
+    static std::unique_ptr<Runtime> create(const mth::Config& config);
 
     /// Build from the environment — a thin wrapper over
     /// init(RuntimeOptions::from_env()): GLT_BACKEND selects the backend
@@ -337,8 +353,9 @@ class Runtime {
     /// Join one unit (Table II row 5), reclaiming it.
     virtual void join(UnitToken& token) = 0;
 
-    /// Join a batch of scalar tokens (the common epilogue of Listing 4).
-    void join_all(std::span<UnitToken> tokens);
+    /// Join a batch of scalar tokens (the common epilogue of Listing 4),
+    /// one backend join per token without a virtual call per token.
+    virtual void join_all(std::span<UnitToken> tokens) = 0;
     /// Convenience overload for vector callers.
     void join_all(std::vector<UnitToken>& tokens);
 
@@ -385,37 +402,47 @@ bool trace_end(const std::string& path);
 /// (auto-pick) and in banners/logs.
 std::string introspect_addr();
 
-/// Join token implementation detail: type-erased state with a deleter.
+/// Join token returned by creation calls: the backend's native join handle,
+/// held inline. abt and mth hold their unit handle, which joins on drop.
+/// qth (its FEB return word), cvt (a done flag) and gol (a channel) hold a
+/// completion object they share with the running unit, so a dropped token
+/// never frees what its unit still signals.
 class UnitToken {
   public:
+    using Handle =
+        std::variant<std::monostate, abt::UnitHandle, mth::ThreadHandle,
+                     std::shared_ptr<qth::aligned_t>,
+                     std::shared_ptr<std::atomic<bool>>,
+                     std::shared_ptr<core::Channel<int>>>;
+
     UnitToken() noexcept = default;
-    UnitToken(UnitToken&&) noexcept = default;
-    UnitToken& operator=(UnitToken&&) noexcept = default;
+    /// Hold one of Handle's alternatives, moved in place.
+    template <typename H>
+        requires std::is_constructible_v<Handle, H>
+    explicit UnitToken(H&& handle) noexcept
+        : handle_(std::in_place_type<std::remove_cvref_t<H>>,
+                  std::forward<H>(handle)) {}
 
-    [[nodiscard]] bool valid() const noexcept { return state_ != nullptr; }
-
-    /// Backend-private payload.
-    struct State {
-        virtual ~State() = default;
-    };
-
-    explicit UnitToken(std::unique_ptr<State> state) noexcept
-        : state_(std::move(state)) {}
-
-    template <typename T>
-    [[nodiscard]] T* state_as() const noexcept {
-        return static_cast<T*>(state_.get());
+    [[nodiscard]] bool valid() const noexcept {
+        return !std::holds_alternative<std::monostate>(handle_);
     }
 
-    void reset() noexcept { state_.reset(); }
+    /// The held handle if it is an H, else nullptr (backend use).
+    template <typename H>
+    [[nodiscard]] H* get_if() noexcept {
+        return std::get_if<H>(&handle_);
+    }
+
+    void reset() noexcept { handle_ = std::monostate{}; }
 
   private:
-    std::unique_ptr<State> state_;
+    Handle handle_;
 };
 
 /// Aggregate join handle: one type-erased completion record for a whole
 /// batch (a handle vector, a sinc, an event counter, ... — whatever the
-/// backend's native bulk join is).
+/// backend's native bulk join is). Units that signal the record share it,
+/// so a dropped handle never frees what they still signal.
 class BulkHandle {
   public:
     BulkHandle() noexcept = default;
@@ -431,7 +458,7 @@ class BulkHandle {
         virtual ~State() = default;
     };
 
-    explicit BulkHandle(std::unique_ptr<State> state,
+    explicit BulkHandle(std::shared_ptr<State> state,
                         std::size_t count) noexcept
         : state_(std::move(state)), count_(count) {}
 
@@ -446,7 +473,7 @@ class BulkHandle {
     }
 
   private:
-    std::unique_ptr<State> state_;
+    std::shared_ptr<State> state_;
     std::size_t count_ = 0;
 };
 

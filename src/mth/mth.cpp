@@ -18,8 +18,6 @@ ThreadHandle& ThreadHandle::operator=(ThreadHandle&& other) noexcept {
     return *this;
 }
 
-ThreadHandle::~ThreadHandle() { join(); }
-
 void ThreadHandle::join() {
     if (ult_ == nullptr) {
         return;

@@ -61,7 +61,11 @@ class ThreadHandle {
     ThreadHandle& operator=(ThreadHandle&& other) noexcept;
     ThreadHandle(const ThreadHandle&) = delete;
     ThreadHandle& operator=(const ThreadHandle&) = delete;
-    ~ThreadHandle();
+    ~ThreadHandle() {
+        if (ult_ != nullptr) {
+            join();
+        }
+    }
 
     /// myth_join: cooperative wait, then reclaim.
     void join();

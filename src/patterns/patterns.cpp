@@ -1,21 +1,17 @@
 #include "patterns/patterns.hpp"
 
-#include <atomic>
-#include <cassert>
 #include <cstdlib>
 #include <cstring>
 #include <thread>
 
-#include "abt/abt.hpp"
 #include "benchsupport/stats.hpp"
 #include "core/channel.hpp"
 #include "core/sync_ult.hpp"
 #include "core/xstream.hpp"
 #include "cvt/cvt.hpp"
+#include "glt/glt.hpp"
 #include "gol/gol.hpp"
 #include "momp/momp.hpp"
-#include "mth/mth.hpp"
-#include "qth/qth.hpp"
 
 namespace lwt::patterns {
 
@@ -100,427 +96,44 @@ void split_range(std::size_t n, std::size_t chunks, Fn&& fn) {
     }
 }
 
-// --- Argobots -----------------------------------------------------------------
+// --- Argobots, Qthreads and MassiveThreads through glt ------------------------
 
-class AbtRunner final : public PatternRunner {
+/// Every pattern written once over glt::Runtime. A variant is the
+/// personality Config the runtime boots from (pool kind, shepherd layout or
+/// creation policy), the kind of its work units, and whether the pattern
+/// runs inside one root unit. Placement follows the native dispatch:
+/// worker(i % threads) round-robins, worker(<current stream>) stays on the
+/// creator's pool or shepherd, and outer units of the nested patterns are
+/// always ULTs (a tasklet cannot create-and-join).
+class GltRunner final : public PatternRunner {
   public:
-    AbtRunner(Variant variant, std::size_t threads, abt::PoolKind pool_kind,
-              bool tasklets)
-        : variant_(variant), tasklets_(tasklets), lib_(make_config(threads, pool_kind)) {}
-
-    Variant variant() const override { return variant_; }
-    std::size_t threads() const override { return lib_.num_xstreams(); }
-
-    std::pair<double, double> create_join_times(
-        const std::function<void()>& body) override {
-        std::vector<abt::UnitHandle> handles;
-        handles.reserve(unit_count());
-        Timer t;
-        t.start();
-        for (std::size_t i = 0; i < unit_count(); ++i) {
-            handles.push_back(create(body, place(i)));
-        }
-        const double create_ms = t.stop_ms();
-        t.start();
-        for (auto& h : handles) {
-            h.free();  // Argobots joins AND frees (§VI)
-        }
-        const double join_ms = t.stop_ms();
-        return {create_ms, join_ms};
-    }
-
-    std::pair<double, double> create_join_times_bulk(
-        const std::function<void()>& body) override {
-        Timer t;
-        t.start();
-        auto handles = lib_.create_bulk(
-            tasklets_ ? abt::UnitKind::kTasklet : abt::UnitKind::kUlt,
-            unit_count(), [&body](std::size_t) { body(); });
-        const double create_ms = t.stop_ms();
-        t.start();
-        lib_.join_all_free(handles);  // one run_until over the batch
-        const double join_ms = t.stop_ms();
-        return {create_ms, join_ms};
-    }
-
-    void for_loop_bulk(std::size_t n, const ElemFn& body) override {
-        std::vector<std::pair<std::size_t, std::size_t>> chunks;
-        chunks.reserve(threads());
-        split_range(n, threads(), [&](std::size_t, std::size_t lo, std::size_t hi) {
-            chunks.emplace_back(lo, hi);
-        });
-        auto handles = lib_.create_bulk(
-            tasklets_ ? abt::UnitKind::kTasklet : abt::UnitKind::kUlt,
-            chunks.size(), [&body, &chunks](std::size_t c) {
-                for (std::size_t i = chunks[c].first; i < chunks[c].second; ++i) {
-                    body(i);
-                }
-            });
-        lib_.join_all_free(handles);
-    }
-
-    void for_loop(std::size_t n, const ElemFn& body) override {
-        std::vector<abt::UnitHandle> handles;
-        handles.reserve(threads());
-        split_range(n, threads(), [&](std::size_t c, std::size_t lo, std::size_t hi) {
-            handles.push_back(create(
-                [&body, lo, hi] {
-                    for (std::size_t i = lo; i < hi; ++i) {
-                        body(i);
-                    }
-                },
-                place(c)));
-        });
-        for (auto& h : handles) {
-            h.free();
-        }
-    }
-
-    void task_single(std::size_t n, const ElemFn& body) override {
-        std::vector<abt::UnitHandle> handles;
-        handles.reserve(n);
-        for (std::size_t i = 0; i < n; ++i) {
-            handles.push_back(create([&body, i] { body(i); }, place(i)));
-        }
-        for (auto& h : handles) {
-            h.free();
-        }
-    }
-
-    void task_parallel(std::size_t n, const ElemFn& body) override {
-        // Two steps (§VIII-B.4): step one is always ULTs (tasklets cannot
-        // create-and-join); step two uses the configured unit kind.
-        std::vector<abt::UnitHandle> outers;
-        outers.reserve(threads());
-        split_range(n, threads(), [&](std::size_t c, std::size_t lo, std::size_t hi) {
-            outers.push_back(lib_.thread_create(
-                [this, &body, lo, hi] {
-                    std::vector<abt::UnitHandle> inner;
-                    inner.reserve(hi - lo);
-                    const int here = current_pool();
-                    for (std::size_t i = lo; i < hi; ++i) {
-                        inner.push_back(create([&body, i] { body(i); }, here));
-                    }
-                    for (auto& h : inner) {
-                        h.free();
-                    }
-                },
-                place(c)));
-        });
-        for (auto& h : outers) {
-            h.free();
-        }
-    }
-
-    void nested_for(std::size_t outer, std::size_t inner,
-                    const Elem2Fn& body) override {
-        std::vector<abt::UnitHandle> outers;
-        outers.reserve(threads());
-        split_range(outer, threads(),
-                    [&](std::size_t c, std::size_t lo, std::size_t hi) {
-            outers.push_back(lib_.thread_create(
-                [this, &body, lo, hi, inner] {
-                    for (std::size_t i = lo; i < hi; ++i) {
-                        // Each outer iteration spawns `threads` units
-                        // dividing the inner loop (§VIII-A.3).
-                        std::vector<abt::UnitHandle> units;
-                        units.reserve(threads());
-                        split_range(inner, threads(),
-                                    [&](std::size_t ic, std::size_t jlo,
-                                        std::size_t jhi) {
-                            units.push_back(create(
-                                [&body, i, jlo, jhi] {
-                                    for (std::size_t j = jlo; j < jhi; ++j) {
-                                        body(i, j);
-                                    }
-                                },
-                                place(ic)));
-                        });
-                        for (auto& h : units) {
-                            h.free();
-                        }
-                    }
-                },
-                place(c)));
-        });
-        for (auto& h : outers) {
-            h.free();
-        }
-    }
-
-    void nested_task(std::size_t parents, std::size_t children,
-                     const Elem2Fn& body) override {
-        std::vector<abt::UnitHandle> outers;
-        outers.reserve(parents);
-        for (std::size_t p = 0; p < parents; ++p) {
-            outers.push_back(lib_.thread_create(
-                [this, &body, p, children] {
-                    std::vector<abt::UnitHandle> kids;
-                    kids.reserve(children);
-                    const int here = current_pool();
-                    for (std::size_t c = 0; c < children; ++c) {
-                        kids.push_back(create([&body, p, c] { body(p, c); }, here));
-                    }
-                    for (auto& h : kids) {
-                        h.free();
-                    }
-                },
-                place(p)));
-        }
-        for (auto& h : outers) {
-            h.free();
-        }
-    }
-
-  private:
-    static abt::Config make_config(std::size_t threads, abt::PoolKind kind) {
-        abt::Config c;
-        c.num_xstreams = threads;
-        c.pool_kind = kind;
-        return c;
-    }
-
-    abt::UnitHandle create(core::UniqueFunction fn, int where) {
-        return tasklets_ ? lib_.task_create(std::move(fn), where)
-                         : lib_.thread_create(std::move(fn), where);
-    }
-
-    /// Placement for the i-th unit: with private pools, round-robin over
-    /// streams (the paper's dispatch); the shared pool ignores placement.
-    int place(std::size_t i) const {
-        return lib_.config().pool_kind == abt::PoolKind::kShared
-                   ? 0
-                   : static_cast<int>(i % lib_.num_pools());
-    }
-
-    int current_pool() const {
-        if (lib_.config().pool_kind == abt::PoolKind::kShared) {
-            return 0;
-        }
-        core::XStream* s = core::XStream::current();
-        return s != nullptr ? static_cast<int>(s->rank()) : 0;
-    }
-
-    Variant variant_;
-    bool tasklets_;
-    mutable abt::Library lib_;
-};
-
-// --- Qthreads ------------------------------------------------------------------
-
-class QthRunner final : public PatternRunner {
-  public:
-    QthRunner(Variant variant, std::size_t threads, bool per_cpu)
-        : variant_(variant), lib_(make_config(threads, per_cpu)),
-          threads_(threads) {}
+    GltRunner(Variant variant, std::unique_ptr<glt::Runtime> rt,
+              glt::UnitKind kind, bool root)
+        : variant_(variant),
+          rt_(std::move(rt)),
+          threads_(rt_->num_workers()),
+          hints_(rt_->capabilities().placement_hints),
+          kind_(kind),
+          root_(root) {}
 
     Variant variant() const override { return variant_; }
     std::size_t threads() const override { return threads_; }
 
     std::pair<double, double> create_join_times(
         const std::function<void()>& body) override {
-        std::vector<qth::aligned_t> rets(unit_count(), 0);
-        Timer t;
-        t.start();
-        for (std::size_t i = 0; i < unit_count(); ++i) {
-            lib_.fork_to([&body] { body(); }, &rets[i],
-                         i % lib_.num_shepherds());
-        }
-        const double create_ms = t.stop_ms();
-        t.start();
-        for (auto& r : rets) {
-            lib_.read_ff(&r);  // the Qthreads join (§VI)
-        }
-        const double join_ms = t.stop_ms();
-        return {create_ms, join_ms};
-    }
-
-    std::pair<double, double> create_join_times_bulk(
-        const std::function<void()>& body) override {
-        qth::Sinc sinc;
-        Timer t;
-        t.start();
-        lib_.fork_bulk(unit_count(), [&body](std::size_t) { body(); }, sinc);
-        const double create_ms = t.stop_ms();
-        t.start();
-        sinc.wait();  // the qt_sinc aggregate join
-        const double join_ms = t.stop_ms();
-        return {create_ms, join_ms};
-    }
-
-    void for_loop_bulk(std::size_t n, const ElemFn& body) override {
-        std::vector<std::pair<std::size_t, std::size_t>> chunks;
-        chunks.reserve(threads_);
-        split_range(n, threads_, [&](std::size_t, std::size_t lo, std::size_t hi) {
-            chunks.emplace_back(lo, hi);
-        });
-        qth::Sinc sinc;
-        lib_.fork_bulk(
-            chunks.size(),
-            [&body, &chunks](std::size_t c) {
-                for (std::size_t i = chunks[c].first; i < chunks[c].second; ++i) {
-                    body(i);
-                }
-            },
-            sinc);
-        sinc.wait();
-    }
-
-    void for_loop(std::size_t n, const ElemFn& body) override {
-        std::vector<qth::aligned_t> rets(threads_, 0);
-        std::size_t used = 0;
-        split_range(n, threads_, [&](std::size_t c, std::size_t lo, std::size_t hi) {
-            lib_.fork_to(
-                [&body, lo, hi] {
-                    for (std::size_t i = lo; i < hi; ++i) {
-                        body(i);
-                    }
-                },
-                &rets[c], c % lib_.num_shepherds());
-            ++used;
-        });
-        for (std::size_t c = 0; c < used; ++c) {
-            lib_.read_ff(&rets[c]);
-        }
-    }
-
-    void task_single(std::size_t n, const ElemFn& body) override {
-        std::vector<qth::aligned_t> rets(n, 0);
-        for (std::size_t i = 0; i < n; ++i) {
-            lib_.fork_to([&body, i] { body(i); }, &rets[i],
-                         i % lib_.num_shepherds());
-        }
-        for (auto& r : rets) {
-            lib_.read_ff(&r);
-        }
-    }
-
-    void task_parallel(std::size_t n, const ElemFn& body) override {
-        std::vector<qth::aligned_t> outer(threads_, 0);
-        std::size_t used = 0;
-        split_range(n, threads_, [&](std::size_t c, std::size_t lo, std::size_t hi) {
-            lib_.fork_to(
-                [this, &body, lo, hi] {
-                    // Second step: each ULT forks its own tasks into its
-                    // current shepherd's queue (plain fork).
-                    std::vector<qth::aligned_t> inner(hi - lo, 0);
-                    for (std::size_t i = lo; i < hi; ++i) {
-                        lib_.fork([&body, i] { body(i); }, &inner[i - lo]);
-                    }
-                    for (auto& r : inner) {
-                        lib_.read_ff(&r);
-                    }
-                },
-                &outer[c], c % lib_.num_shepherds());
-            ++used;
-        });
-        for (std::size_t c = 0; c < used; ++c) {
-            lib_.read_ff(&outer[c]);
-        }
-    }
-
-    void nested_for(std::size_t outer_n, std::size_t inner_n,
-                    const Elem2Fn& body) override {
-        std::vector<qth::aligned_t> outer(threads_, 0);
-        std::size_t used = 0;
-        split_range(outer_n, threads_,
-                    [&](std::size_t c, std::size_t lo, std::size_t hi) {
-            lib_.fork_to(
-                [this, &body, lo, hi, inner_n] {
-                    for (std::size_t i = lo; i < hi; ++i) {
-                        std::vector<qth::aligned_t> units(threads_, 0);
-                        std::size_t iu = 0;
-                        split_range(inner_n, threads_,
-                                    [&](std::size_t ic, std::size_t jlo,
-                                        std::size_t jhi) {
-                            lib_.fork_to(
-                                [&body, i, jlo, jhi] {
-                                    for (std::size_t j = jlo; j < jhi; ++j) {
-                                        body(i, j);
-                                    }
-                                },
-                                &units[ic], ic % lib_.num_shepherds());
-                            ++iu;
-                        });
-                        for (std::size_t u = 0; u < iu; ++u) {
-                            lib_.read_ff(&units[u]);
-                        }
-                    }
-                },
-                &outer[c], c % lib_.num_shepherds());
-            ++used;
-        });
-        for (std::size_t c = 0; c < used; ++c) {
-            lib_.read_ff(&outer[c]);
-        }
-    }
-
-    void nested_task(std::size_t parents, std::size_t children,
-                     const Elem2Fn& body) override {
-        std::vector<qth::aligned_t> prets(parents, 0);
-        for (std::size_t p = 0; p < parents; ++p) {
-            lib_.fork_to(
-                [this, &body, p, children] {
-                    std::vector<qth::aligned_t> crets(children, 0);
-                    for (std::size_t c = 0; c < children; ++c) {
-                        lib_.fork([&body, p, c] { body(p, c); }, &crets[c]);
-                    }
-                    for (auto& r : crets) {
-                        lib_.read_ff(&r);
-                    }
-                },
-                &prets[p], p % lib_.num_shepherds());
-        }
-        for (auto& r : prets) {
-            lib_.read_ff(&r);
-        }
-    }
-
-  private:
-    static qth::Config make_config(std::size_t threads, bool per_cpu) {
-        qth::Config c;
-        if (per_cpu) {
-            c.num_shepherds = threads;
-            c.workers_per_shepherd = 1;
-        } else {
-            c.num_shepherds = 1;
-            c.workers_per_shepherd = threads;
-        }
-        return c;
-    }
-
-    Variant variant_;
-    qth::Library lib_;
-    std::size_t threads_;
-};
-
-// --- MassiveThreads ---------------------------------------------------------------
-
-class MthRunner final : public PatternRunner {
-  public:
-    MthRunner(Variant variant, std::size_t threads, mth::Policy policy)
-        : variant_(variant), lib_(make_config(threads, policy)) {}
-
-    Variant variant() const override { return variant_; }
-    std::size_t threads() const override { return lib_.num_workers(); }
-
-    std::pair<double, double> create_join_times(
-        const std::function<void()>& body) override {
         double create_ms = 0.0;
         double join_ms = 0.0;
-        lib_.run([&] {
-            std::vector<mth::ThreadHandle> handles;
-            handles.reserve(unit_count());
+        in_root([&] {
+            std::vector<glt::UnitToken> tokens;
+            tokens.reserve(unit_count());
             Timer t;
             t.start();
             for (std::size_t i = 0; i < unit_count(); ++i) {
-                handles.push_back(lib_.create([&body] { body(); }));
+                tokens.push_back(create([&body] { body(); }, place(i)));
             }
             create_ms = t.stop_ms();
             t.start();
-            for (auto& h : handles) {
-                h.join();
-            }
+            rt_->join_all(tokens);
             join_ms = t.stop_ms();
         });
         return {create_ms, join_ms};
@@ -528,16 +141,13 @@ class MthRunner final : public PatternRunner {
 
     std::pair<double, double> create_join_times_bulk(
         const std::function<void()>& body) override {
-        // Bulk creation is main-thread driven (help-first: the batch has
-        // no single continuation to steal), joined via the event counter.
-        core::EventCounter done;
         Timer t;
         t.start();
-        lib_.create_bulk_detached(unit_count(),
-                                  [&body](std::size_t) { body(); }, done);
+        glt::BulkHandle batch = rt_->spawn_bulk(
+            unit_count(), [&body](std::size_t) { body(); }, kind_);
         const double create_ms = t.stop_ms();
         t.start();
-        lib_.wait_counter(done);
+        rt_->wait(batch);
         const double join_ms = t.stop_ms();
         return {create_ms, join_ms};
     }
@@ -548,137 +158,168 @@ class MthRunner final : public PatternRunner {
         split_range(n, threads(), [&](std::size_t, std::size_t lo, std::size_t hi) {
             chunks.emplace_back(lo, hi);
         });
-        core::EventCounter done;
-        lib_.create_bulk_detached(
+        glt::BulkHandle batch = rt_->spawn_bulk(
             chunks.size(),
             [&body, &chunks](std::size_t c) {
                 for (std::size_t i = chunks[c].first; i < chunks[c].second; ++i) {
                     body(i);
                 }
             },
-            done);
-        lib_.wait_counter(done);
+            kind_);
+        rt_->wait(batch);
     }
 
     void for_loop(std::size_t n, const ElemFn& body) override {
-        lib_.run([&] {
-            std::vector<mth::ThreadHandle> handles;
-            handles.reserve(threads());
+        in_root([&] {
+            std::vector<glt::UnitToken> tokens;
+            tokens.reserve(threads());
             split_range(n, threads(),
-                        [&](std::size_t, std::size_t lo, std::size_t hi) {
-                handles.push_back(lib_.create([&body, lo, hi] {
-                    for (std::size_t i = lo; i < hi; ++i) {
-                        body(i);
-                    }
-                }));
+                        [&](std::size_t c, std::size_t lo, std::size_t hi) {
+                tokens.push_back(create(
+                    [&body, lo, hi] {
+                        for (std::size_t i = lo; i < hi; ++i) {
+                            body(i);
+                        }
+                    },
+                    place(c)));
             });
-            for (auto& h : handles) {
-                h.join();
-            }
+            rt_->join_all(tokens);
         });
     }
 
     void task_single(std::size_t n, const ElemFn& body) override {
-        lib_.run([&] {
-            std::vector<mth::ThreadHandle> handles;
-            handles.reserve(n);
+        in_root([&] {
+            std::vector<glt::UnitToken> tokens;
+            tokens.reserve(n);
             for (std::size_t i = 0; i < n; ++i) {
-                handles.push_back(lib_.create([&body, i] { body(i); }));
+                tokens.push_back(create([&body, i] { body(i); }, place(i)));
             }
-            for (auto& h : handles) {
-                h.join();
-            }
+            rt_->join_all(tokens);
         });
     }
 
     void task_parallel(std::size_t n, const ElemFn& body) override {
-        lib_.run([&] {
-            std::vector<mth::ThreadHandle> outers;
+        // Two steps (§VIII-B.4): each outer unit creates its own tasks on
+        // the stream it runs on.
+        in_root([&] {
+            std::vector<glt::UnitToken> outers;
             outers.reserve(threads());
             split_range(n, threads(),
-                        [&](std::size_t, std::size_t lo, std::size_t hi) {
-                outers.push_back(lib_.create([this, &body, lo, hi] {
-                    std::vector<mth::ThreadHandle> inner;
-                    inner.reserve(hi - lo);
-                    for (std::size_t i = lo; i < hi; ++i) {
-                        inner.push_back(lib_.create([&body, i] { body(i); }));
-                    }
-                    for (auto& h : inner) {
-                        h.join();
-                    }
-                }));
+                        [&](std::size_t c, std::size_t lo, std::size_t hi) {
+                outers.push_back(rt_->ult_create(
+                    [this, &body, lo, hi] {
+                        std::vector<glt::UnitToken> inner;
+                        inner.reserve(hi - lo);
+                        const glt::Placement at = here();
+                        for (std::size_t i = lo; i < hi; ++i) {
+                            inner.push_back(create([&body, i] { body(i); }, at));
+                        }
+                        rt_->join_all(inner);
+                    },
+                    place(c)));
             });
-            for (auto& h : outers) {
-                h.join();
-            }
+            rt_->join_all(outers);
         });
     }
 
     void nested_for(std::size_t outer, std::size_t inner,
                     const Elem2Fn& body) override {
-        lib_.run([&] {
-            std::vector<mth::ThreadHandle> outers;
+        in_root([&] {
+            std::vector<glt::UnitToken> outers;
             outers.reserve(threads());
             split_range(outer, threads(),
-                        [&](std::size_t, std::size_t lo, std::size_t hi) {
-                outers.push_back(lib_.create([this, &body, lo, hi, inner] {
-                    for (std::size_t i = lo; i < hi; ++i) {
-                        std::vector<mth::ThreadHandle> units;
-                        units.reserve(threads());
-                        split_range(inner, threads(),
-                                    [&](std::size_t, std::size_t jlo,
-                                        std::size_t jhi) {
-                            units.push_back(lib_.create([&body, i, jlo, jhi] {
-                                for (std::size_t j = jlo; j < jhi; ++j) {
-                                    body(i, j);
-                                }
-                            }));
-                        });
-                        for (auto& h : units) {
-                            h.join();
+                        [&](std::size_t c, std::size_t lo, std::size_t hi) {
+                outers.push_back(rt_->ult_create(
+                    [this, &body, lo, hi, inner] {
+                        for (std::size_t i = lo; i < hi; ++i) {
+                            // Each outer iteration spawns `threads` units
+                            // dividing the inner loop (§VIII-A.3).
+                            std::vector<glt::UnitToken> units;
+                            units.reserve(threads());
+                            split_range(inner, threads(),
+                                        [&](std::size_t ic, std::size_t jlo,
+                                            std::size_t jhi) {
+                                units.push_back(create(
+                                    [&body, i, jlo, jhi] {
+                                        for (std::size_t j = jlo; j < jhi; ++j) {
+                                            body(i, j);
+                                        }
+                                    },
+                                    place(ic)));
+                            });
+                            rt_->join_all(units);
                         }
-                    }
-                }));
+                    },
+                    place(c)));
             });
-            for (auto& h : outers) {
-                h.join();
-            }
+            rt_->join_all(outers);
         });
     }
 
     void nested_task(std::size_t parents, std::size_t children,
                      const Elem2Fn& body) override {
-        lib_.run([&] {
-            std::vector<mth::ThreadHandle> prts;
-            prts.reserve(parents);
+        in_root([&] {
+            std::vector<glt::UnitToken> outers;
+            outers.reserve(parents);
             for (std::size_t p = 0; p < parents; ++p) {
-                prts.push_back(lib_.create([this, &body, p, children] {
-                    std::vector<mth::ThreadHandle> kids;
-                    kids.reserve(children);
-                    for (std::size_t c = 0; c < children; ++c) {
-                        kids.push_back(lib_.create([&body, p, c] { body(p, c); }));
-                    }
-                    for (auto& h : kids) {
-                        h.join();
-                    }
-                }));
+                outers.push_back(rt_->ult_create(
+                    [this, &body, p, children] {
+                        std::vector<glt::UnitToken> kids;
+                        kids.reserve(children);
+                        const glt::Placement at = here();
+                        for (std::size_t c = 0; c < children; ++c) {
+                            kids.push_back(
+                                create([&body, p, c] { body(p, c); }, at));
+                        }
+                        rt_->join_all(kids);
+                    },
+                    place(p)));
             }
-            for (auto& h : prts) {
-                h.join();
-            }
+            rt_->join_all(outers);
         });
     }
 
   private:
-    static mth::Config make_config(std::size_t threads, mth::Policy policy) {
-        mth::Config c;
-        c.num_workers = threads;
-        c.policy = policy;
-        return c;
+    /// Run `fn` here, or for a root variant inside one ULT: work-first
+    /// creation needs a creator continuation to displace. The root is a
+    /// batch of one because waiting on a batch drives the caller's stream
+    /// like mth::Library::run, where a join would run the root inline.
+    template <typename Fn>
+    void in_root(Fn&& fn) {
+        if (!root_) {
+            fn();
+            return;
+        }
+        glt::BulkHandle root = rt_->spawn_bulk(1, [&fn](std::size_t) { fn(); });
+        rt_->wait(root);
+    }
+
+    glt::UnitToken create(core::UniqueFunction fn, glt::Placement at) {
+        return kind_ == glt::UnitKind::kTasklet
+                   ? rt_->tasklet_create(std::move(fn), at)
+                   : rt_->ult_create(std::move(fn), at);
+    }
+
+    /// Round-robin dispatch of the i-th unit over the workers (any() where
+    /// the backend places work itself).
+    glt::Placement place(std::size_t i) const {
+        return hints_ ? glt::Placement::worker(i % threads_)
+                      : glt::Placement::any();
+    }
+
+    /// The worker the caller runs on (0 from outside the runtime).
+    glt::Placement here() const {
+        core::XStream* s = core::XStream::current();
+        return hints_ ? glt::Placement::worker(s != nullptr ? s->rank() : 0)
+                      : glt::Placement::any();
     }
 
     Variant variant_;
-    mth::Library lib_;
+    std::unique_ptr<glt::Runtime> rt_;
+    std::size_t threads_;
+    bool hints_;
+    glt::UnitKind kind_;
+    bool root_;
 };
 
 // --- Converse Threads ----------------------------------------------------------------
@@ -783,18 +424,13 @@ class CvtRunner final : public PatternRunner {
 
     void nested_for(std::size_t outer, std::size_t inner,
                     const Elem2Fn& body) override {
-        // outer chunk messages + threads inner messages per outer iteration.
+        // outer chunk messages + inner_units messages per outer iteration.
+        std::size_t inner_units = 0;
+        split_range(inner, threads(),
+                    [&](std::size_t, std::size_t, std::size_t) { ++inner_units; });
         std::size_t total = 0;
         split_range(outer, threads(), [&](std::size_t, std::size_t lo, std::size_t hi) {
-            total += 1;
-            for (std::size_t i = lo; i < hi; ++i) {
-                std::size_t inner_units = 0;
-                split_range(inner, threads(),
-                            [&](std::size_t, std::size_t, std::size_t) {
-                    ++inner_units;
-                });
-                total += inner_units;
-            }
+            total += 1 + (hi - lo) * inner_units;
         });
         lib_.msg_track_begin(total);
         split_range(outer, threads(), [&](std::size_t c, std::size_t lo, std::size_t hi) {
@@ -971,7 +607,6 @@ class GolRunner final : public PatternRunner {
     void nested_for(std::size_t outer, std::size_t inner,
                     const Elem2Fn& body) override {
         core::Channel<int> done(256);
-        std::atomic<std::size_t> sent{0};
         std::size_t expected = 0;
         split_range(outer, threads(), [&](std::size_t, std::size_t lo, std::size_t hi) {
             expected += 1;
@@ -994,7 +629,6 @@ class GolRunner final : public PatternRunner {
                 done.send(1);
             });
         });
-        (void)sent;
         for (std::size_t i = 0; i < expected; ++i) {
             done.recv();
         }
@@ -1105,7 +739,7 @@ class PthreadsRunner final : public PatternRunner {
         std::vector<std::thread> outers;
         outers.reserve(threads_);
         split_range(n, threads_, [&](std::size_t, std::size_t lo, std::size_t hi) {
-            outers.emplace_back([this, &body, lo, hi] {
+            outers.emplace_back([&body, lo, hi] {
                 std::vector<std::thread> inner;
                 inner.reserve(hi - lo);
                 for (std::size_t i = lo; i < hi; ++i) {
@@ -1119,7 +753,6 @@ class PthreadsRunner final : public PatternRunner {
         for (auto& u : outers) {
             u.join();
         }
-        (void)this;
     }
 
     void nested_for(std::size_t outer, std::size_t inner,
@@ -1308,31 +941,45 @@ class MompRunner final : public PatternRunner {
 
 std::unique_ptr<PatternRunner> make_runner(Variant variant,
                                            std::size_t threads) {
+    using glt::UnitKind;
+    // The glt-backed variants, one row each: the personality Config, the
+    // unit kind, and whether each pattern runs inside one root unit (only
+    // MassiveThreads: work-first creation needs a creator continuation).
+    const auto glt_row = [variant](const auto& config, UnitKind kind,
+                                   bool root) {
+        return std::make_unique<GltRunner>(
+            variant, glt::Runtime::create(config), kind, root);
+    };
+    const abt::Config abt_private{.num_xstreams = threads};
+    const abt::Config abt_shared{.num_xstreams = threads,
+                                 .pool_kind = abt::PoolKind::kShared};
     switch (variant) {
         case Variant::kPthreads:
             return std::make_unique<PthreadsRunner>(variant, threads);
         case Variant::kAbtUltPrivate:
-            return std::make_unique<AbtRunner>(variant, threads,
-                                               abt::PoolKind::kPrivate, false);
+            return glt_row(abt_private, UnitKind::kUlt, false);
         case Variant::kAbtUltShared:
-            return std::make_unique<AbtRunner>(variant, threads,
-                                               abt::PoolKind::kShared, false);
+            return glt_row(abt_shared, UnitKind::kUlt, false);
         case Variant::kAbtTaskletPrivate:
-            return std::make_unique<AbtRunner>(variant, threads,
-                                               abt::PoolKind::kPrivate, true);
+            return glt_row(abt_private, UnitKind::kTasklet, false);
         case Variant::kAbtTaskletShared:
-            return std::make_unique<AbtRunner>(variant, threads,
-                                               abt::PoolKind::kShared, true);
+            return glt_row(abt_shared, UnitKind::kTasklet, false);
         case Variant::kQthPerCpu:
-            return std::make_unique<QthRunner>(variant, threads, true);
+            return glt_row(qth::Config{.num_shepherds = threads,
+                                       .workers_per_shepherd = 1},
+                           UnitKind::kUlt, false);
         case Variant::kQthSingleShepherd:
-            return std::make_unique<QthRunner>(variant, threads, false);
+            return glt_row(qth::Config{.num_shepherds = 1,
+                                       .workers_per_shepherd = threads},
+                           UnitKind::kUlt, false);
         case Variant::kMthWorkFirst:
-            return std::make_unique<MthRunner>(variant, threads,
-                                               mth::Policy::kWorkFirst);
+            return glt_row(mth::Config{.num_workers = threads,
+                                       .policy = mth::Policy::kWorkFirst},
+                           UnitKind::kUlt, true);
         case Variant::kMthHelpFirst:
-            return std::make_unique<MthRunner>(variant, threads,
-                                               mth::Policy::kHelpFirst);
+            return glt_row(mth::Config{.num_workers = threads,
+                                       .policy = mth::Policy::kHelpFirst},
+                           UnitKind::kUlt, true);
         case Variant::kCvtMessages:
             return std::make_unique<CvtRunner>(variant, threads);
         case Variant::kGolShared:

@@ -4,9 +4,10 @@
 // One PatternRunner per evaluated library configuration (§IX's selections:
 // Argobots ULT/Tasklet × private/shared pools, Qthreads per-CPU shepherds
 // with fork_to vs one node shepherd, MassiveThreads work-first/help-first,
-// Converse Messages, Go, gcc/icc mini-OpenMP). Each runner implements the
-// five patterns; the fig*_ benches time them and the integration tests
-// validate their results.
+// Converse Messages, Go, gcc/icc mini-OpenMP). The Argobots, Qthreads and
+// MassiveThreads configurations share one runner over glt::Runtime; each
+// runner implements the five patterns; the fig*_ benches time them and the
+// integration tests validate their results.
 #pragma once
 
 #include <cstddef>

@@ -80,32 +80,29 @@ void Library::fork(Fn fn, aligned_t* ret) {
     fork_to(std::move(fn), ret, current_shepherd());
 }
 
-void Library::fork_to(Fn fn, aligned_t* ret, std::size_t shepherd) {
-    if (ret != nullptr) {
+core::Ult* Library::make_ult(Fn fn, aligned_t* ret) {
+    core::Ult* ult = nullptr;
+    if (ret == nullptr) {
+        ult = new core::Ult(std::move(fn));
+    } else {
         feb_.purge(ret);  // the return word is EMPTY until completion
-    }
-    auto* ult = new core::Ult([this, body = std::move(fn), ret]() mutable {
-        body();
-        if (ret != nullptr) {
+        // A body plus the word outgrows the closure's inline buffer: only a
+        // fork with a return word pays for the heap copy.
+        ult = new core::Ult([this, body = std::move(fn), ret]() mutable {
+            body();
             feb_.write_f(ret, 1);  // fills the word: readFF joiners proceed
-        }
-    });
+        });
+    }
     ult->detached = true;  // Qthreads reclaims its qthread_t internally
-    pools_[shepherd % pools_.size()]->push(ult);
+    return ult;
+}
+
+void Library::fork_to(Fn fn, aligned_t* ret, std::size_t shepherd) {
+    pools_[shepherd % pools_.size()]->push(make_ult(std::move(fn), ret));
 }
 
 void Library::fork_to_domain(Fn fn, aligned_t* ret, std::size_t domain) {
-    if (ret != nullptr) {
-        feb_.purge(ret);
-    }
-    auto* ult = new core::Ult([this, body = std::move(fn), ret]() mutable {
-        body();
-        if (ret != nullptr) {
-            feb_.write_f(ret, 1);
-        }
-    });
-    ult->detached = true;
-    domain_queue(domain)->push(ult);
+    domain_queue(domain)->push(make_ult(std::move(fn), ret));
 }
 
 void Library::fork_bulk(std::size_t n,

@@ -178,6 +178,9 @@ class Library {
   private:
     std::size_t current_shepherd() const;
     core::Pool* domain_queue(std::size_t domain);
+    /// A detached ULT running `fn`, which fills `ret` (when non-null) once
+    /// `fn` returns.
+    core::Ult* make_ult(Fn fn, aligned_t* ret);
 
     Config config_;
     FebTable feb_;

@@ -106,6 +106,31 @@ TEST_P(GltBackendTest, ListingFourPseudoCode) {
     EXPECT_EQ(ran.load(), kN);
 }
 
+TEST_P(GltBackendTest, DroppedTokenAndBulkHandleLeaveRunningUnitsSafe) {
+    // Dropping a token or a bulk handle before its units finish must not
+    // free what they still signal: the FEB word, the sinc or counter, the
+    // done flag or the channel. abt and mth handles join on drop, so the
+    // units finish on their own instead of waiting on the test.
+    std::atomic<int> finished{0};
+    auto rt = Runtime::create(GetParam(), 2);
+    auto unit = [&finished] {
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+        finished.fetch_add(1);
+    };
+    {
+        UnitToken t = rt->ult_create(unit, Placement::worker(1));
+        lwt::glt::BulkHandle h = rt->spawn_bulk(
+            4, [unit](std::size_t) { unit(); }, lwt::glt::UnitKind::kUlt,
+            Placement::worker(1));
+    }
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (finished.load() < 5 && std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    EXPECT_EQ(finished.load(), 5);
+}
+
 TEST_P(GltBackendTest, PlacementHintsAccepted) {
     auto rt = Runtime::create(GetParam(), 3);
     std::atomic<int> ran{0};
@@ -314,6 +339,22 @@ TEST(GltDomainPlacement, DomainSpawnsLandOnlyOnThatPackage) {
         EXPECT_EQ(per_rank[2].load() + per_rank[3].load(), 24);
     }
     ::unsetenv("LWT_TOPOLOGY");
+}
+
+TEST(GltPersonalityConfig, QthWorkerPlacementFollowsShepherdLayout) {
+    // Two shepherds of two workers: workers 0-1 drain shepherd 0's queue
+    // and 2-3 shepherd 1's, so a worker(i) unit runs beside worker i.
+    auto rt = Runtime::create(
+        lwt::qth::Config{.num_shepherds = 2, .workers_per_shepherd = 2});
+    ASSERT_EQ(rt->num_workers(), 4u);
+    for (std::size_t w = 0; w < 4; ++w) {
+        std::size_t ran_on = 99;
+        UnitToken t = rt->ult_create(
+            [&ran_on] { ran_on = lwt::core::XStream::current()->rank(); },
+            Placement::worker(w));
+        rt->join(t);
+        EXPECT_EQ(ran_on / 2, w / 2) << "worker(" << w << ") ran on " << ran_on;
+    }
 }
 
 // --- RuntimeOptions / init ------------------------------------------------------
