@@ -6,17 +6,22 @@
 #include <benchmark/benchmark.h>
 #include <pthread.h>
 #include <sched.h>
+#include <time.h>
 
 #include <atomic>
+#include <chrono>
 #include <memory>
+#include <optional>
 #include <thread>
 #include <vector>
 
+#include "../tests/idle_policy_pin.hpp"
 #include "abt/abt.hpp"
 #include "arch/fcontext.hpp"
 #include "arch/stack.hpp"
 #include "core/metrics.hpp"
 #include "core/pool.hpp"
+#include "core/runtime.hpp"
 #include "core/trace.hpp"
 #include "core/ult.hpp"
 #include "core/work_unit.hpp"
@@ -313,6 +318,104 @@ void BM_EventCounterSignalResumeLatencyPinned(benchmark::State& state) {
     signal_resume_round_trips(state, /*pin=*/true);
 }
 BENCHMARK(BM_EventCounterSignalResumeLatencyPinned)->UseRealTime();
+
+// --- the idle ladder's price per gap, and the join wake per backend ---------
+
+using Clock = std::chrono::steady_clock;
+
+double us_between(Clock::time_point a, Clock::time_point b) {
+    return std::chrono::duration<double, std::micro>(b - a).count();
+}
+
+/// CPU time of the calling OS thread, in microseconds.
+double thread_cpu_us() {
+    timespec ts{};
+    clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+    return static_cast<double>(ts.tv_sec) * 1e6 +
+           static_cast<double>(ts.tv_nsec) / 1e3;
+}
+
+/// A two-stream abt runtime under the park policy (LWT_IDLE_POLICY held off
+/// its boot). Each iteration the main thread waits out the gap, pushes one
+/// tasklet to stream 1's private pool and joins it. Counters: push to the
+/// tasklet's first instruction, and stream 1's thread CPU per gap, read
+/// inside the tasklet: its spinning, yielding and parking between tasklets.
+void BM_IdleGapWake(benchmark::State& state) {
+    const auto gap = std::chrono::microseconds(state.range(0));
+    std::optional<abt::Library> lib;
+    {
+        test::IdlePolicyEnvPin pin;
+        core::set_default_idle_policy(sync::IdlePolicy::kPark);
+        lib.emplace(abt::Config{.num_xstreams = 2});
+        core::set_default_idle_policy(std::nullopt);
+    }
+    Clock::time_point started{};
+    double stream1_cpu_us = 0;
+    auto wake_on_stream1 = [&] {
+        abt::UnitHandle h = lib->task_create(
+            [&] {
+                started = Clock::now();
+                stream1_cpu_us = thread_cpu_us();
+            },
+            /*pool_idx=*/1);
+        h.free();
+    };
+    wake_on_stream1();  // the first CPU reading
+    double wake_us = 0;
+    double idle_cpu_us = 0;
+    for (auto _ : state) {
+        const Clock::time_point until = Clock::now() + gap;
+        while (Clock::now() < until) {
+            arch::cpu_relax();
+        }
+        const double cpu_before = stream1_cpu_us;
+        const Clock::time_point pushed = Clock::now();
+        wake_on_stream1();
+        wake_us += us_between(pushed, started);
+        idle_cpu_us += stream1_cpu_us - cpu_before;
+    }
+    state.counters["wake_us"] =
+        benchmark::Counter(wake_us, benchmark::Counter::kAvgIterations);
+    state.counters["stream1_cpu_us"] =
+        benchmark::Counter(idle_cpu_us, benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_IdleGapWake)
+    ->ArgName("gap_us")
+    ->Arg(10)
+    ->Arg(50)
+    ->Arg(150)
+    ->Arg(300)
+    ->Arg(1000)
+    ->UseRealTime();
+
+/// glt over `backend` with 2 workers: one unit on worker 1 spins 50 us and
+/// stamps its last instruction; the manual time is that stamp to `join`
+/// returning on the main thread. abt and cvt run their main thread as an
+/// attached stream that waits on the idle ladder; qth and gol's is a plain
+/// thread on a bare parker.
+void BM_GltJoinWake(benchmark::State& state, glt::Backend backend) {
+    auto rt = glt::Runtime::create(backend, 2);
+    Clock::time_point last{};
+    for (auto _ : state) {
+        glt::UnitToken t = rt->ult_create(
+            [&last] {
+                const Clock::time_point until =
+                    Clock::now() + std::chrono::microseconds(50);
+                while (Clock::now() < until) {
+                    arch::cpu_relax();
+                }
+                last = Clock::now();
+            },
+            glt::Placement::worker(1));
+        rt->join(t);
+        state.SetIterationTime(us_between(last, Clock::now()) / 1e6);
+    }
+}
+BENCHMARK_CAPTURE(BM_GltJoinWake, abt, glt::Backend::kAbt)->UseManualTime();
+BENCHMARK_CAPTURE(BM_GltJoinWake, qth, glt::Backend::kQth)->UseManualTime();
+BENCHMARK_CAPTURE(BM_GltJoinWake, mth, glt::Backend::kMth)->UseManualTime();
+BENCHMARK_CAPTURE(BM_GltJoinWake, cvt, glt::Backend::kCvt)->UseManualTime();
+BENCHMARK_CAPTURE(BM_GltJoinWake, gol, glt::Backend::kGol)->UseManualTime();
 
 void BM_FebWriteFReadFF(benchmark::State& state) {
     qth::FebTable table;

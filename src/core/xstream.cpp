@@ -18,7 +18,7 @@ thread_local XStream* tl_current_xstream = nullptr;
 }  // namespace
 
 XStream::XStream(unsigned rank, std::unique_ptr<Scheduler> scheduler)
-    : rank_(rank) {
+    : rank_(rank), base_(scheduler.get()), top_(scheduler.get()) {
     assert(scheduler != nullptr);
     scheduler->bind_stats(&counters_);
     sched_stack_.push_back(std::move(scheduler));
@@ -38,15 +38,19 @@ XStream::~XStream() {
 
 XStream* XStream::current() noexcept { return tl_current_xstream; }
 
-Scheduler& XStream::scheduler() noexcept {
-    std::lock_guard guard(sched_lock_);
-    return *sched_stack_.back();
-}
-
 void XStream::push_scheduler(std::unique_ptr<Scheduler> scheduler) {
     std::lock_guard guard(sched_lock_);
     scheduler->bind_stats(&counters_);
     sched_stack_.push_back(std::move(scheduler));
+    top_.store(sched_stack_.back().get(), std::memory_order_release);
+}
+
+void XStream::pop_finished_schedulers() {
+    std::lock_guard guard(sched_lock_);
+    while (sched_stack_.size() > 1 && sched_stack_.back()->finished()) {
+        sched_stack_.pop_back();
+    }
+    top_.store(sched_stack_.back().get(), std::memory_order_release);
 }
 
 void XStream::start() {
@@ -116,7 +120,7 @@ void XStream::loop() {
     // Drain semantics: exit only when stopping *and* out of work, a hint
     // included.
     drive(
-        sync::IdleBackoff(idle_config_, parking_lot_),
+        sync::IdleBackoff(idle_config_, parking_lot_, &spin_window_),
         [this] {
             return stop_requested() && next_hint_ == nullptr &&
                    !scheduler().has_work();
@@ -129,7 +133,7 @@ void XStream::loop() {
 void XStream::run_until_notified(const sync::ThreadParker& parker) {
     sync::IdleConfig config = idle_config_;
     config.policy = sync::IdlePolicy::kPark;
-    drive(sync::IdleBackoff(config, parker.lot()),
+    drive(sync::IdleBackoff(config, parker.lot(), &spin_window_),
           [&parker] { return parker.notified(); });
 }
 
@@ -148,13 +152,9 @@ WorkUnit* XStream::next_unit() {
     // RMW: one relaxed store is the whole fig2 cost of the feature.
     progress_epoch_.store(progress_epoch_.load(std::memory_order_relaxed) + 1,
                           std::memory_order_relaxed);
-    // Pop the scheduler stack while the top scheduler is done (never pops
-    // the base scheduler).
-    {
-        std::lock_guard guard(sched_lock_);
-        while (sched_stack_.size() > 1 && sched_stack_.back()->finished()) {
-            sched_stack_.pop_back();
-        }
+    // A stream with no pushed scheduler, the common case, skips the lock.
+    if (top_.load(std::memory_order_acquire) != base_) {
+        pop_finished_schedulers();
     }
     WorkUnit* unit = std::exchange(next_hint_, nullptr);
     return unit != nullptr ? unit : scheduler().next();

@@ -8,6 +8,9 @@
 // docs/idle_loop.md): bounded spin -> exponential backoff -> park on the
 // runtime's ParkingLot until a Pool::push wakes the stream. A thread
 // attached to the stream waits on the same ladder (run_until_notified).
+// Both park-capable ladders spin for at most the stream's SpinWindow,
+// which grows when the stream's idle episodes end just after it and
+// shrinks when two in a row last longer than the whole ladder.
 // While the I/O reactor has waiters, idle streams are its poller: one
 // spins polling it, and the park rung blocks in its epoll seat when free
 // (core/reactor.hpp). Every steal probe and idle step is counted in
@@ -135,7 +138,10 @@ class XStream {
     [[nodiscard]] WorkUnit* next_hint() const noexcept { return next_hint_; }
 
     /// Scheduler at the top of the stack (base scheduler if none pushed).
-    [[nodiscard]] Scheduler& scheduler() noexcept;
+    /// Lock-free: one acquire load of the published top.
+    [[nodiscard]] Scheduler& scheduler() noexcept {
+        return *top_.load(std::memory_order_acquire);
+    }
 
     [[nodiscard]] unsigned rank() const noexcept { return rank_; }
     [[nodiscard]] bool stop_requested() const noexcept {
@@ -273,11 +279,14 @@ class XStream {
                     return io.sit(lot, ticket, timeout);
                 }));
         }
+        idle.reset();  // the wait is over: its episode counts too
     }
     /// Push a pending next hint to its home pool, or to this stream's main
     /// pool for a work-first child that never had one. A hinted unit sits
     /// in no pool, so nothing else would ever run it.
     void requeue_hint() noexcept;
+    /// Pop the pushed schedulers that are finished (never the base).
+    void pop_finished_schedulers();
     void count_idle_step(sync::IdleBackoff::Step step) noexcept;
     void finish_unit(WorkUnit* unit);
 
@@ -291,11 +300,18 @@ class XStream {
 
     sync::IdleConfig idle_config_{};
     sync::ParkingLot* parking_lot_ = nullptr;
+    /// How long the park-capable ladders spin; driving thread only.
+    sync::SpinWindow spin_window_;
     arch::StreamPlacement placement_{};
     SchedCounters counters_;
 
+    /// Guards the shape of sched_stack_; scheduler() reads `top_` without
+    /// it, and the driving thread takes it only while a pushed scheduler
+    /// sits above `base_`.
     mutable sync::Spinlock sched_lock_;
     std::vector<std::unique_ptr<Scheduler>> sched_stack_;
+    Scheduler* const base_;
+    std::atomic<Scheduler*> top_;  ///< sched_stack_.back(), stored locked
     std::function<void()> on_start_;
 
     std::thread thread_;

@@ -7,9 +7,13 @@
 // the three selectable policies, so benchmarks can ablate them (spin vs
 // backoff vs park — see bench/ablation_sched.cpp and docs/idle_loop.md).
 // A caller may offer the park rung a seat to block in instead of the
-// lot's epoch (XStream offers the I/O reactor's epoll seat).
+// lot's epoch (XStream offers the I/O reactor's epoll seat), and a
+// SpinWindow that cuts the spin and yield rungs short: a ladder that can
+// park parks once its idle episode has lasted the window, or its steps
+// run out, whichever comes first.
 #pragma once
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstring>
@@ -68,6 +72,49 @@ inline const char* idle_policy_name(IdlePolicy p) noexcept {
     return "?";
 }
 
+/// How long an idle episode spins before it parks, learned from how long
+/// the episodes last (after the halt-polling rule of KVM;
+/// docs/idle_loop.md). An episode that ends within the window keeps it;
+/// one that ends after it but within kMax doubles it, up to kMax; the
+/// second episode in a row that outlasts kMax halves it, down to kMin.
+/// Not thread-safe: one per driving thread, shared by the ladders that
+/// thread builds one after another.
+class SpinWindow {
+  public:
+    using Clock = std::chrono::steady_clock;
+    /// About the spin rung (64 sweeps of the pools): the least a window
+    /// lets a stream sweep before it parks.
+    static constexpr Clock::duration kMin = std::chrono::microseconds(4);
+    /// About the whole spin and yield ladder (7,231 pauses plus 16 yields:
+    /// 158-186 us of CPU per idle gap on the 4-vCPU reference host), so no
+    /// window spins longer than the ladder did without one. Also the
+    /// start value.
+    static constexpr Clock::duration kMax = std::chrono::microseconds(150);
+
+    [[nodiscard]] Clock::duration width() const noexcept { return width_; }
+
+    /// An idle episode that could have parked ended after `t`.
+    void update(Clock::duration t) noexcept {
+        if (t > kMax) {
+            // A lone long spell among short ones (a worker waiting out the
+            // end of a fork-join round) is not the stream's pattern:
+            // halving on it would park the short spells that follow.
+            if (std::exchange(long_before_, true)) {
+                width_ = std::max(width_ / 2, kMin);
+            }
+            return;
+        }
+        long_before_ = false;
+        if (t > width_) {
+            width_ = std::min(2 * width_, kMax);
+        }
+    }
+
+  private:
+    Clock::duration width_ = kMax;
+    bool long_before_ = false;  ///< the last episode outlasted kMax
+};
+
 /// Per-consumer escalation state. Not thread-safe; one instance per loop.
 class IdleBackoff {
   public:
@@ -80,12 +127,21 @@ class IdleBackoff {
         kParkTimeout,   ///< parked, woke on the safety-net timeout
     };
 
-    /// `lot` may be nullptr; kPark then degrades to kBackoff.
-    explicit IdleBackoff(IdleConfig config, ParkingLot* lot = nullptr) noexcept
-        : config_(config), lot_(lot) {}
+    /// `lot` may be nullptr; kPark then degrades to kBackoff. `window`, if
+    /// given, bounds the spin and yield rungs of a ladder that can park and
+    /// learns from the episodes it times; other ladders ignore it.
+    explicit IdleBackoff(IdleConfig config, ParkingLot* lot = nullptr,
+                         SpinWindow* window = nullptr) noexcept
+        : config_(config), lot_(lot), window_(can_park() ? window : nullptr) {}
 
-    /// Found work: drop back to the cheap end of the ladder.
+    /// Found work, or the wait is over: close the idle episode (the one
+    /// clock read outside the idle steps, and only after an idle step) and
+    /// drop back to the cheap end of the ladder.
     void reset() noexcept {
+        if (episode_start_ != SpinWindow::Clock::time_point{}) {
+            window_->update(SpinWindow::Clock::now() - episode_start_);
+            episode_start_ = {};
+        }
         spins_ = 0;
         yields_ = 0;
     }
@@ -98,11 +154,13 @@ class IdleBackoff {
     }
 
     /// Jump to the park rung, skipping spin and backoff; a no-op for a
-    /// ladder that cannot park.
+    /// ladder that cannot park. The episode then says nothing about how
+    /// long to spin, so it leaves the window alone.
     void skip_to_park() noexcept {
         if (can_park()) {
             spins_ = config_.spin_limit;
             yields_ = config_.yield_limit;
+            episode_start_ = {};
         }
     }
 
@@ -134,6 +192,7 @@ class IdleBackoff {
         if (spins_ < config_.spin_limit) {
             ++spins_;
             arch::cpu_relax();
+            time_episode();
             return Step::kSpun;
         }
         if (!can_park() || yields_ < config_.yield_limit) {
@@ -147,6 +206,7 @@ class IdleBackoff {
                 ++yields_;
             }
             std::this_thread::yield();
+            time_episode();
             return Step::kYielded;
         }
         const std::uint32_t ticket = lot_->prepare_park();
@@ -171,8 +231,27 @@ class IdleBackoff {
         return config_.policy == IdlePolicy::kPark && lot_ != nullptr;
     }
 
+    /// After a spin or yield step of a ladder with a window: stamp the
+    /// episode's start on its first step, and once it has lasted the window
+    /// walk to the park rung, so parks_next() turns true one step before
+    /// the park (XStream hands the reactor's spinner token on there).
+    void time_episode() noexcept {
+        if (window_ == nullptr) {
+            return;
+        }
+        const SpinWindow::Clock::time_point now = SpinWindow::Clock::now();
+        if (episode_start_ == SpinWindow::Clock::time_point{}) {
+            episode_start_ = now;
+        } else if (now - episode_start_ >= window_->width()) {
+            spins_ = config_.spin_limit;
+            yields_ = config_.yield_limit;
+        }
+    }
+
     IdleConfig config_;
     ParkingLot* lot_;
+    SpinWindow* window_;  ///< nullptr unless the ladder can park
+    SpinWindow::Clock::time_point episode_start_{};  ///< {} = not timing
     unsigned spins_ = 0;
     unsigned yields_ = 0;
 };

@@ -376,6 +376,222 @@ TEST(IdleBackoff, ParkWithoutLotDegradesToBackoff) {
     }
 }
 
+// --- spin window ---------------------------------------------------------------
+
+TEST(SpinWindow, LadderParksOnceTheEpisodeHasLastedTheWindow) {
+    using lwt::sync::IdleBackoff;
+    using lwt::sync::SpinWindow;
+    using Clock = SpinWindow::Clock;
+    using Step = IdleBackoff::Step;
+    lwt::sync::ParkingLot lot;
+    lwt::sync::IdleConfig config;
+    config.policy = lwt::sync::IdlePolicy::kPark;
+    config.spin_limit = 1u << 30;  // the window, not the steps, ends the spin
+    config.yield_limit = 0;
+    config.park_timeout = std::chrono::microseconds(100);
+    SpinWindow window;
+    // A first episode longer than kMax: the ladder's, the second in a row,
+    // will halve the window when it closes.
+    window.update(SpinWindow::kMax + std::chrono::microseconds(1));
+    const Clock::duration w = window.width();
+    IdleBackoff idle(config, &lot, &window);
+    auto no_work = [] { return false; };
+    const Clock::time_point t0 = Clock::now();
+    ASSERT_EQ(idle.step(no_work), Step::kSpun);  // opens the episode
+    const Clock::time_point t1 = Clock::now();
+    // Steps begun once the window has surely elapsed since the episode
+    // opened: the first of them latches the park rung, the next parks.
+    unsigned late_steps = 0;
+    Clock::time_point park_begin;
+    for (;;) {
+        const bool parks = idle.parks_next();
+        const Clock::time_point begin = Clock::now();
+        ASSERT_LT(begin - t0, std::chrono::seconds(10)) << "never parked";
+        const Step step = idle.step(no_work);
+        if (step != Step::kSpun) {
+            EXPECT_EQ(step, Step::kParkTimeout);
+            EXPECT_TRUE(parks) << "parks_next() must turn true a step early";
+            park_begin = begin;
+            break;
+        }
+        EXPECT_FALSE(parks);
+        late_steps += begin - t1 >= w ? 1 : 0;
+    }
+    EXPECT_GE(park_begin - t0, w) << "parked before the window elapsed";
+    EXPECT_LE(late_steps, 1u) << "spun on after the window elapsed";
+    // The episode outlasted kMax (window + park), the second such in a
+    // row: closing it halves w.
+    idle.reset();
+    EXPECT_EQ(window.width(), w / 2);
+
+    // Steps that run out before the window park first, as without one
+    // (one spin step opens the episode, so no check can latch before the
+    // yield).
+    config.spin_limit = 1;
+    config.yield_limit = 1;
+    SpinWindow fresh;
+    IdleBackoff short_ladder(config, &lot, &fresh);
+    EXPECT_EQ(short_ladder.step(no_work), Step::kSpun);
+    EXPECT_EQ(short_ladder.step(no_work), Step::kYielded);
+    EXPECT_TRUE(short_ladder.parks_next());
+    EXPECT_EQ(short_ladder.step(no_work), Step::kParkTimeout);
+}
+
+TEST(SpinWindow, KeepsDoublesOrHalvesWithinItsBounds) {
+    using lwt::sync::SpinWindow;
+    using std::chrono::microseconds;
+    const SpinWindow::Clock::duration long_episode =
+        SpinWindow::kMax + microseconds(1);
+    SpinWindow window;
+    EXPECT_EQ(window.width(), SpinWindow::kMax);
+    // A lone episode that outlasts kMax keeps the window; the second in a
+    // row halves it...
+    window.update(long_episode);
+    EXPECT_EQ(window.width(), SpinWindow::kMax);
+    window.update(long_episode);
+    const SpinWindow::Clock::duration half = SpinWindow::kMax / 2;
+    EXPECT_EQ(window.width(), half);
+    // ...one that ends within it keeps it and ends the run of long ones...
+    window.update(half);
+    window.update(microseconds(1));
+    EXPECT_EQ(window.width(), half);
+    window.update(long_episode);
+    EXPECT_EQ(window.width(), half);
+    // ...and it never shrinks below kMin.
+    for (int i = 0; i < 20; ++i) {
+        window.update(std::chrono::milliseconds(10));
+        EXPECT_GE(window.width(), SpinWindow::kMin);
+    }
+    EXPECT_EQ(window.width(), SpinWindow::kMin);
+    // An episode that ends after the window but within kMax doubles it
+    // (and ends the run of long ones)...
+    window.update(SpinWindow::kMin + microseconds(1));
+    EXPECT_EQ(window.width(), 2 * SpinWindow::kMin);
+    window.update(long_episode);
+    EXPECT_EQ(window.width(), 2 * SpinWindow::kMin);
+    window.update(SpinWindow::kMax);
+    EXPECT_EQ(window.width(), 4 * SpinWindow::kMin);
+    // ...and it never grows beyond kMax.
+    for (int i = 0; i < 20; ++i) {
+        window.update(SpinWindow::kMax);
+        EXPECT_LE(window.width(), SpinWindow::kMax);
+    }
+    EXPECT_EQ(window.width(), SpinWindow::kMax);
+}
+
+TEST(SpinWindow, SkipToParkEpisodeLeavesTheWindowAlone) {
+    using lwt::sync::IdleBackoff;
+    using lwt::sync::SpinWindow;
+    using Step = IdleBackoff::Step;
+    lwt::sync::ParkingLot lot;
+    lwt::sync::IdleConfig config;
+    config.policy = lwt::sync::IdlePolicy::kPark;
+    config.spin_limit = 4;
+    config.yield_limit = 2;
+    config.park_timeout = std::chrono::microseconds(200);  // > kMax
+    SpinWindow window;
+    // One episode longer than kMax: a second in a row would halve w.
+    window.update(SpinWindow::kMax + std::chrono::microseconds(1));
+    const SpinWindow::Clock::duration w = window.width();
+    auto no_work = [] { return false; };
+    IdleBackoff idle(config, &lot, &window);
+    EXPECT_EQ(idle.step(no_work), Step::kSpun);  // opens the episode
+    idle.skip_to_park();
+    EXPECT_EQ(idle.step(no_work), Step::kParkTimeout);
+    idle.reset();
+    EXPECT_EQ(window.width(), w);
+    // The same episode walked up the ladder halves the window: the
+    // skipped one did not count, not even as the end of a run of long
+    // episodes.
+    Step step = Step::kSpun;
+    while (step == Step::kSpun || step == Step::kYielded) {
+        step = idle.step(no_work);
+    }
+    EXPECT_EQ(step, Step::kParkTimeout);
+    idle.reset();
+    EXPECT_EQ(window.width(), w / 2);
+}
+
+/// Two streams over one pool each, parking (LWT_IDLE_POLICY held off the
+/// boot: the tests assert on kPark). The spin rung is 1,024 steps, longer
+/// than kMin on any host, so a window shrunk to kMin ends every episode
+/// inside it and no yield is left, while a ladder without a window walks
+/// on to its 16 yields.
+std::unique_ptr<Runtime> boot_two_parking_streams(
+    std::array<DequePool, 2>& pools) {
+    lwt::sync::IdleConfig idle;
+    idle.policy = lwt::sync::IdlePolicy::kPark;
+    idle.spin_limit = 1024;
+    lwt::test::IdlePolicyEnvPin pin;
+    return std::make_unique<Runtime>(2, [&pools](unsigned rank) {
+        return std::make_unique<Scheduler>(std::vector<Pool*>{&pools[rank]});
+    }, idle);
+}
+
+TEST(SpinWindow, IdleStreamStopsYieldingThroughLongGaps) {
+    // Gaps of 2 ms between pushes outlast kMax, so from the second on each
+    // halves stream 1's window (to kMin by the seventh), and it parks
+    // without yielding instead of walking the ladder.
+    constexpr int kGaps = 10;
+    constexpr int kLast = 3;
+    std::array<DequePool, 2> pools;
+    std::atomic<int> ran{0};
+    std::vector<SchedStats> after_gap;
+    {
+        const std::unique_ptr<Runtime> rt = boot_two_parking_streams(pools);
+        after_gap.push_back(rt->stream(1).sched_stats());
+        for (int gap = 0; gap < kGaps; ++gap) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(2));
+            auto* t = new Tasklet([&ran] { ran.fetch_add(1); });
+            t->detached = true;
+            pools[1].push(t);
+            rt->primary().run_until([&] { return ran.load() == gap + 1; });
+            after_gap.push_back(rt->stream(1).sched_stats());
+        }
+    }
+    // The early gaps may not reach the park on a loaded host: the plain
+    // ladder's 16 yields can outlast a gap there.
+    for (int gap = kGaps - kLast; gap < kGaps; ++gap) {
+        EXPECT_GE(after_gap[gap + 1].parks, after_gap[gap].parks + 1)
+            << "stream 1 did not park in gap " << gap;
+    }
+    const std::uint64_t late_yields =
+        after_gap[kGaps].idle_yields - after_gap[kGaps - kLast].idle_yields;
+    EXPECT_EQ(late_yields, 0u)
+        << "stream 1 still walks its yield rung before parking";
+}
+
+TEST(SpinWindow, AttachedWaitStopsYieldingThroughLongWaits) {
+    // The same for a thread attached to stream 0 that waits 2 ms for a
+    // notify: the wait's episodes shrink stream 0's window.
+    constexpr int kWaits = 10;
+    constexpr int kLast = 3;
+    std::array<DequePool, 2> pools;
+    std::vector<SchedStats> after_wait;
+    {
+        const std::unique_ptr<Runtime> rt = boot_two_parking_streams(pools);
+        after_wait.push_back(rt->primary().sched_stats());
+        for (int wait = 0; wait < kWaits; ++wait) {
+            lwt::sync::ThreadParker parker(&rt->parking_lot());
+            std::thread notifier([&parker] {
+                std::this_thread::sleep_for(std::chrono::milliseconds(2));
+                parker.notify();
+            });
+            rt->primary().run_until_notified(parker);
+            notifier.join();
+            after_wait.push_back(rt->primary().sched_stats());
+        }
+    }
+    for (int wait = kWaits - kLast; wait < kWaits; ++wait) {
+        EXPECT_GE(after_wait[wait + 1].parks, after_wait[wait].parks + 1)
+            << "the attached thread did not park in wait " << wait;
+    }
+    const std::uint64_t late_yields =
+        after_wait[kWaits].idle_yields - after_wait[kWaits - kLast].idle_yields;
+    EXPECT_EQ(late_yields, 0u)
+        << "the attached wait still walks its yield rung before parking";
+}
+
 TEST(IdlePolicy, ParsesFromStrings) {
     using lwt::sync::IdlePolicy;
     using lwt::sync::idle_policy_from_string;
@@ -463,6 +679,53 @@ TEST(XStreamParking, IdleStreamsParkAndWakeOnPush) {
         EXPECT_GT(stats.parks, 0u);  // somebody actually slept
         EXPECT_EQ(done.load(), kUnits);
     }
+}
+
+// --- stacked schedulers come and go on a running stream ---------------------
+
+TEST(XStreamSchedulerStack, PushedSchedulersComeAndGoOnARunningStream) {
+    // The stream reads its top scheduler without the stack lock while
+    // another thread pushes schedulers that the stream pops once drained.
+    class DrainScheduler : public Scheduler {
+      public:
+        explicit DrainScheduler(Pool* p) : Scheduler({p}) {}
+        [[nodiscard]] bool finished() const override {
+            return pools_.front()->empty();
+        }
+    };
+    constexpr int kRounds = 200;
+    constexpr int kPerRound = 4;
+    std::atomic<int> ran{0};
+    auto counted = [&ran] {
+        auto* t = new Tasklet([&ran] { ran.fetch_add(1); });
+        t->detached = true;
+        return t;
+    };
+    DequePool base_pool;
+    std::vector<std::unique_ptr<DequePool>> pushed;  // outlive the stream
+    XStream stream(0,
+                   std::make_unique<Scheduler>(std::vector<Pool*>{&base_pool}));
+    stream.start();
+    std::thread pusher([&] {
+        for (int round = 0; round < kRounds; ++round) {
+            auto pool = std::make_unique<DequePool>();
+            for (int i = 0; i < kPerRound; ++i) {
+                pool->push(counted());
+            }
+            stream.push_scheduler(std::make_unique<DrainScheduler>(pool.get()));
+            pushed.push_back(std::move(pool));
+            base_pool.push(counted());
+        }
+    });
+    pusher.join();
+    constexpr int kTotal = kRounds * (kPerRound + 1);
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (ran.load() < kTotal && std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::yield();
+    }
+    stream.stop_and_join();
+    EXPECT_EQ(ran.load(), kTotal);
 }
 
 // --- contention stress: no lost, no duplicated units -------------------------
