@@ -109,6 +109,84 @@ struct TicketBlock {
 };
 thread_local TicketBlock tl_tickets;
 
+using PeerSet = std::vector<core::DequePool*>;
+
+/// kPrivate stream scheduler: the stream's own pools in order (its private
+/// pool, then its domain's shared pool), then the oldest unpinned unit
+/// queued in a peer's private pool. The probe starts at the next rank, so
+/// thieves spread over the peers, and passes a peer whose unpinned count
+/// reads 0 with one load, uncounted; a probe that finds the count nonzero
+/// counts as a steal attempt, flat (package tier) like an untiered
+/// core::StealingScheduler.
+class PrivateScheduler final : public core::Scheduler {
+  public:
+    PrivateScheduler(std::vector<core::Pool*> pools, std::size_t rank,
+                     const std::atomic<const PeerSet*>& peers)
+        : Scheduler(std::move(pools)), rank_(rank), peers_(peers) {}
+
+    core::WorkUnit* next() override {
+        if (core::WorkUnit* unit = Scheduler::next()) {
+            return unit;
+        }
+        return take_from_peer();
+    }
+
+    /// A peer's unpinned unit is work for this stream too, so the idle
+    /// ladder never parks beside one: the push that queued it counted it
+    /// before notifying the lot.
+    [[nodiscard]] bool has_work() const override {
+        if (Scheduler::has_work()) {
+            return true;
+        }
+        for (const core::DequePool* peer :
+             *peers_.load(std::memory_order_acquire)) {
+            if (peer != main_pool() && peer->unpinned_hint() != 0) {
+                return true;
+            }
+        }
+        return false;
+    }
+
+  private:
+    core::WorkUnit* take_from_peer() {
+        // The set holds every stream's pool, ours at rank_, so k = 1 ..
+        // n - 1 visits each peer once.
+        const PeerSet& peers = *peers_.load(std::memory_order_acquire);
+        const std::size_t n = peers.size();
+        for (std::size_t k = 1; k < n; ++k) {
+            core::DequePool* peer = peers[(rank_ + k) % n];
+            if (peer->unpinned_hint() == 0) {
+                continue;
+            }
+            core::WorkUnit* unit = peer->take_unpinned();
+            count_probe(unit != nullptr);
+            if (unit != nullptr) {
+                return unit;
+            }
+        }
+        return nullptr;
+    }
+
+    void count_probe(bool hit) noexcept {
+        if (stats_ == nullptr) {
+            return;
+        }
+        constexpr auto kTier =
+            static_cast<std::size_t>(arch::StealTier::kPackage);
+        core::SchedCounters::bump(stats_->steal_attempts);
+        core::SchedCounters::bump(stats_->tier_attempts[kTier]);
+        if (hit) {
+            core::SchedCounters::bump(stats_->steal_hits);
+            core::SchedCounters::bump(stats_->tier_hits[kTier]);
+        } else {
+            core::SchedCounters::bump(stats_->steal_empty);
+        }
+    }
+
+    const std::size_t rank_;
+    const std::atomic<const PeerSet*>& peers_;
+};
+
 }  // namespace
 
 namespace detail {
@@ -164,6 +242,7 @@ Library::Library(Config config) : config_(config) {
                 pools_.push_back(std::make_unique<core::DequePool>(
                     core::DequePool::PopOrder::kFifo));
             }
+            publish_peers();
             // Per-domain overflow pools behind the private pools: where
             // domain-targeted (and glt Placement::domain) spawns land.
             for (std::size_t d = 0; d < locality.num_domains(); ++d) {
@@ -181,48 +260,58 @@ Library::Library(Config config) : config_(config) {
     runtime_ = std::make_unique<core::Runtime>(
         n,
         [this, &dom_of](unsigned rank) {
-            return make_scheduler(config_.pool_kind == PoolKind::kPrivate
-                                      ? pools_[rank].get()
-                                      : nullptr,
-                                  dom_of[rank]);
+            return make_scheduler(rank, dom_of[rank]);
         },
         std::move(locality), core::Runtime::Primary::kAdoptCaller);
     introspect_.emplace();
 }
 
 std::unique_ptr<core::Scheduler> Library::make_scheduler(
-    core::Pool* own, std::size_t domain) const {
-    std::vector<core::Pool*> view;
+    std::size_t rank, std::size_t domain) const {
     switch (config_.pool_kind) {
         case PoolKind::kShared:
-            view = {pools_.front().get()};
-            break;
+            return std::make_unique<core::Scheduler>(
+                std::vector<core::Pool*>{pools_.front().get()});
         case PoolKind::kDomainShared:
-            view = {pools_[domain].get()};
-            break;
+            return std::make_unique<core::Scheduler>(
+                std::vector<core::Pool*>{pools_[domain].get()});
         case PoolKind::kPrivate:
-            view = {own, domain_pools_[domain].get()};
             break;
     }
-    return std::make_unique<core::Scheduler>(std::move(view));
+    return std::make_unique<PrivateScheduler>(
+        std::vector<core::Pool*>{pools_[rank].get(),
+                                 domain_pools_[domain].get()},
+        rank, peers_);
+}
+
+void Library::publish_peers() {
+    PeerSet& peers = peer_sets_.emplace_back();
+    peers.reserve(pools_.size());
+    for (const auto& p : pools_) {
+        peers.push_back(static_cast<core::DequePool*>(p.get()));
+    }
+    peers_.store(&peers, std::memory_order_release);
 }
 
 std::size_t Library::xstream_create() {
     std::lock_guard guard(pools_lock_);
-    core::Pool* own = nullptr;
+    // Ranks are dense and pools_lock_ serialises creation: the new stream
+    // takes the next one, and under kPrivate pools_[rank] is its pool.
+    const std::size_t rank = runtime_->num_streams();
     if (config_.pool_kind == PoolKind::kPrivate) {
         pools_.push_back(
             std::make_unique<core::DequePool>(core::DequePool::PopOrder::kFifo));
-        own = pools_.back().get();
+        publish_peers();  // before the stream runs: it probes the new set
     }
     // Dynamic streams have no placement of their own: they join the first
     // populated domain, so they scan every pool that all the streams of a
     // one-domain map share (Runtime::add_stream needs that).
-    const std::size_t rank = runtime_->add_stream(
-        make_scheduler(own, populated_domains_.front()));
+    const std::size_t added = runtime_->add_stream(
+        make_scheduler(rank, populated_domains_.front()));
+    assert(added == rank);
     // pools_ may have grown: invalidate every thread's cached PoolView.
     pool_gen_.store(next_pool_gen(), std::memory_order_release);
-    return rank;
+    return added;
 }
 
 const detail::PoolView& Library::pool_view() {
@@ -320,6 +409,39 @@ core::WorkUnit* Library::make_unit(UnitKind kind, core::UniqueFunction fn,
     unit->detached = detached;
     pick_target(pool_idx)->push(unit);
     return unit;
+}
+
+core::WorkUnit* Library::make_unpinned(UnitKind kind,
+                                       core::UniqueFunction fn) {
+    core::WorkUnit* unit = build_unit(kind, std::move(fn));
+    core::Pool* own = nullptr;
+    if (config_.pool_kind == PoolKind::kPrivate) {
+        if (core::XStream* stream = core::XStream::current()) {
+            // One of our streams iff the pool at its rank is the one its
+            // scheduler serves first: pools of another library, or a
+            // pushed scheduler with pools of its own, never match.
+            const detail::PoolView& v = pool_view();
+            if (stream->rank() < v.all.size() &&
+                v.all[stream->rank()] == stream->scheduler().main_pool()) {
+                own = v.all[stream->rank()];
+            }
+        }
+    }
+    if (own == nullptr) {
+        pick_target(-1)->push(unit);
+        return unit;
+    }
+    unit->unpinned = true;
+    own->push(unit);
+    return unit;
+}
+
+UnitHandle Library::thread_create_unpinned(core::UniqueFunction fn) {
+    return UnitHandle(make_unpinned(UnitKind::kUlt, std::move(fn)));
+}
+
+UnitHandle Library::task_create_unpinned(core::UniqueFunction fn) {
+    return UnitHandle(make_unpinned(UnitKind::kTasklet, std::move(fn)));
 }
 
 UnitHandle Library::thread_create(core::UniqueFunction fn, int pool_idx) {

@@ -12,6 +12,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -30,7 +31,16 @@ namespace lwt::abt {
 
 /// Pool topology, the paper's key Argobots configuration axis (§VIII-B.4).
 enum class PoolKind {
-    kPrivate,  ///< one pool per execution stream; creator dispatches round-robin
+    /// One FIFO pool per execution stream. The native create with no pool
+    /// index (thread_create(fn), which lwomp uses to spread its teams)
+    /// dispatches round-robin over the streams' pools, and the unit runs
+    /// where it lands. An *unpinned* create (thread_create_unpinned,
+    /// behind glt's Placement::any()) from one of the library's streams
+    /// stays in that stream's pool instead, and a stream whose own pools
+    /// are empty takes the oldest unpinned unit from a peer's pool before
+    /// it idles: work stealing, as Argobots' ABT_SCHED_RANDWS scheduler
+    /// does, restricted to units nobody placed.
+    kPrivate,
     kShared,   ///< one lock-free MPMC pool shared by every stream
     /// One MPMC pool per locality domain (package), shared by the streams
     /// placed there — the middle ground the paper's shared/private axis
@@ -140,6 +150,14 @@ class Library {
     /// Create a stackless tasklet (ABT_task_create).
     UnitHandle task_create(core::UniqueFunction fn, int pool_idx = -1);
 
+    /// Unpinned creation (glt::Placement::any()): from a stream of this
+    /// library under kPrivate, the unit goes into that stream's own pool,
+    /// and a peer stream with nothing else to run may take it until it
+    /// first leaves the pool (docs/join_path.md). From a plain thread, or
+    /// under a shared pool kind, this is thread_create(fn) / task_create(fn).
+    UnitHandle thread_create_unpinned(core::UniqueFunction fn);
+    UnitHandle task_create_unpinned(core::UniqueFunction fn);
+
     /// Domain-targeted creation: the unit goes to locality domain
     /// `domain`'s shared pool, so it runs on a stream of that package and
     /// nowhere else. Domains with no streams fall back to the first
@@ -217,12 +235,17 @@ class Library {
   private:
     friend class UnitHandle;
 
-    /// A stream's scheduler: its private pool `own` (kPrivate; null
-    /// otherwise), then the pool its locality domain `domain` shares.
-    std::unique_ptr<core::Scheduler> make_scheduler(core::Pool* own,
+    /// Stream `rank`'s scheduler: its private pool (kPrivate), then the
+    /// pool its locality domain `domain` shares, then (kPrivate) the
+    /// unpinned units of its peers' private pools.
+    std::unique_ptr<core::Scheduler> make_scheduler(std::size_t rank,
                                                     std::size_t domain) const;
     core::WorkUnit* make_unit(UnitKind kind, core::UniqueFunction fn,
                               bool detached, int pool_idx);
+    core::WorkUnit* make_unpinned(UnitKind kind, core::UniqueFunction fn);
+    /// Publish the private pools as the peer set every kPrivate scheduler
+    /// probes. Under pools_lock_ (or in the constructor).
+    void publish_peers();
     core::WorkUnit* build_unit(UnitKind kind, core::UniqueFunction fn);
     /// Lock-free spawn-path dispatch: resolve the target pool from the
     /// thread-cached PoolView, round-robining via batched tickets.
@@ -247,6 +270,12 @@ class Library {
     /// its per-domain pools in pools_ itself; kShared needs none.)
     std::vector<std::unique_ptr<core::Pool>> domain_pools_;
     std::vector<std::size_t> populated_domains_;  // domains with >= 1 stream
+    /// kPrivate: every private pool, index == stream rank, as immutable
+    /// snapshots; xstream_create appends one and repoints peers_. Old
+    /// snapshots stay until the library dies (a scheduler may still read
+    /// one), and a deque never moves its elements.
+    std::deque<std::vector<core::DequePool*>> peer_sets_;
+    std::atomic<const std::vector<core::DequePool*>*> peers_{nullptr};
     // After the pools (destroyed before them): its streams drain them.
     std::unique_ptr<core::Runtime> runtime_;
     std::atomic<std::size_t> rr_next_{0};

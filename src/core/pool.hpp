@@ -7,16 +7,19 @@
 // flag (see WorkUnit).
 #pragma once
 
+#include <atomic>
 #include <cstddef>
+#include <deque>
 #include <memory>
+#include <mutex>
 #include <span>
 
 #include "core/work_unit.hpp"
 #include "queue/chase_lev_deque.hpp"
 #include "queue/global_queue.hpp"
-#include "queue/locked_deque.hpp"
 #include "queue/mpmc_queue.hpp"
 #include "sync/parking_lot.hpp"
+#include "sync/spinlock.hpp"
 
 namespace lwt::core {
 
@@ -205,6 +208,14 @@ class MpmcPool final : public Pool {
 /// Spinlock-protected deque with a configurable consumer end. This is the
 /// "one private queue per stream" building block: any thread may push
 /// (round-robin dispatch), the owner pops, thieves use steal().
+///
+/// A unit pushed with its `unpinned` flag set is also counted: an idle
+/// peer stream may take the oldest such unit (take_unpinned), and reads
+/// the count without the lock first (unpinned_hint), so probing a pool
+/// that holds none costs one load. Every unit leaves unpinned: pop,
+/// steal, remove and take_unpinned clear the flag under the lock. The
+/// pool keeps its own locked deque, not a queue::LockedDeque, because the
+/// count must change under the same lock as the items.
 class DequePool final : public Pool {
   public:
     /// kFifo: owner pops oldest (Converse/Qthreads order).
@@ -213,37 +224,52 @@ class DequePool final : public Pool {
 
     explicit DequePool(PopOrder order = PopOrder::kFifo) : order_(order) {}
 
-    WorkUnit* pop() override {
-        auto out = order_ == PopOrder::kLifo ? deque_.pop_back()
-                                             : deque_.pop_front();
-        return out.value_or(nullptr);
-    }
+    WorkUnit* pop() override { return take_end(order_ == PopOrder::kLifo); }
     /// Thieves take the end opposite the owner's.
     WorkUnit* steal() override {
-        auto out = order_ == PopOrder::kLifo ? deque_.pop_front()
-                                             : deque_.pop_back();
-        return out.value_or(nullptr);
+        return take_end(order_ != PopOrder::kLifo);
     }
+    /// The scan starts at the back, where the unit yield_to and
+    /// join-stealing want (usually the one pushed last) sits.
     bool remove(WorkUnit* unit) override;
+    /// The oldest unpinned unit, taken out of the pool; nullptr if none.
+    WorkUnit* take_unpinned();
+    /// Unpinned units queued here. A hint read without the lock, ordered
+    /// against parking like size_hint(): a push counts before it notifies.
+    [[nodiscard]] std::size_t unpinned_hint() const noexcept {
+        return unpinned_.load(std::memory_order_relaxed);
+    }
     [[nodiscard]] std::size_t size_hint() const override {
-        return deque_.size();
+        std::lock_guard guard(lock_);
+        return items_.size();
     }
 
   protected:
-    void do_push(WorkUnit* unit) override {
-        on_push(unit);
-        deque_.push_back(unit);
-    }
-    void do_push_bulk(std::span<WorkUnit* const> units) override {
-        for (WorkUnit* unit : units) {
-            on_push(unit);
-        }
-        deque_.push_back_bulk(units);
-    }
+    void do_push(WorkUnit* unit) override;
+    void do_push_bulk(std::span<WorkUnit* const> units) override;
 
   private:
+    /// Pop the back or front unit; nullptr when empty.
+    WorkUnit* take_end(bool back);
+    /// Under lock_, for a unit just taken out of items_: clear its flag.
+    void unpin(WorkUnit* unit) noexcept;
+    /// Under lock_, the count's only writer: plain stores, no RMW.
+    void count_unpinned(std::size_t added) noexcept {
+        unpinned_.store(unpinned_.load(std::memory_order_relaxed) + added,
+                        std::memory_order_relaxed);
+    }
+    void uncount_unpinned() noexcept {
+        unpinned_.store(unpinned_.load(std::memory_order_relaxed) - 1,
+                        std::memory_order_relaxed);
+    }
+
     PopOrder order_;
-    queue::LockedDeque<WorkUnit*> deque_;
+    mutable sync::Spinlock lock_;
+    std::deque<WorkUnit*> items_;
+    /// Units in items_ with `unpinned` set; written under lock_. On a line
+    /// of its own: idle peers read it on every probe, and beside lock_ and
+    /// items_ each read would take the owner's hot line away from it.
+    alignas(arch::kCacheLine) std::atomic<std::size_t> unpinned_{0};
 };
 
 /// Chase-Lev work-stealing pool. push/pop are OWNER-ONLY (the stream the

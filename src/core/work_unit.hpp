@@ -74,6 +74,13 @@ struct WorkUnit {
     std::atomic<Pool*> home_pool{nullptr};
     /// When true the stream deletes the unit after it terminates.
     bool detached = false;
+    /// Set by a creator that placed the unit nowhere in particular
+    /// (glt Placement::any() on an abt stream) just before it pushes the
+    /// unit into a DequePool, whose idle peers may then take it
+    /// (DequePool::take_unpinned). The pool clears it, under its lock,
+    /// when the unit first leaves it, so yields and wakes requeue it
+    /// pinned. Sits in WorkUnit's existing padding.
+    bool unpinned = false;
     UniqueFunction fn;
 
     // Metrics timestamps (raw TSC; 0 = unset / metrics disabled). The

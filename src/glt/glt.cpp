@@ -103,19 +103,33 @@ class AbtGlt final : public BatchJoin<AbtGlt> {
         return lib_.locality().streams_in_domain(d);
     }
 
+    /// any() creates unpinned: from a stream of a private-pool library the
+    /// unit stays on that stream and idle peers may take it.
     UnitToken ult_create(core::UniqueFunction fn, Placement where) override {
-        return UnitToken(
-            where.kind() == Placement::Kind::kDomain
-                ? lib_.thread_create_domain(std::move(fn), where.index())
-                : lib_.thread_create(std::move(fn), to_pool(where)));
+        switch (where.kind()) {
+            case Placement::Kind::kAny:
+                return UnitToken(lib_.thread_create_unpinned(std::move(fn)));
+            case Placement::Kind::kDomain:
+                return UnitToken(
+                    lib_.thread_create_domain(std::move(fn), where.index()));
+            case Placement::Kind::kWorker:
+                break;
+        }
+        return UnitToken(lib_.thread_create(std::move(fn), to_pool(where)));
     }
 
     UnitToken tasklet_create(core::UniqueFunction fn,
                              Placement where) override {
-        return UnitToken(
-            where.kind() == Placement::Kind::kDomain
-                ? lib_.task_create_domain(std::move(fn), where.index())
-                : lib_.task_create(std::move(fn), to_pool(where)));
+        switch (where.kind()) {
+            case Placement::Kind::kAny:
+                return UnitToken(lib_.task_create_unpinned(std::move(fn)));
+            case Placement::Kind::kDomain:
+                return UnitToken(
+                    lib_.task_create_domain(std::move(fn), where.index()));
+            case Placement::Kind::kWorker:
+                break;
+        }
+        return UnitToken(lib_.task_create(std::move(fn), to_pool(where)));
     }
 
     BulkHandle spawn_bulk(std::size_t n, BulkBody fn, UnitKind kind,
@@ -153,9 +167,9 @@ class AbtGlt final : public BatchJoin<AbtGlt> {
     }
 
   private:
-    /// any() -> -1 (library round-robin); worker(i) -> the pool stream i
-    /// takes its work from: its private pool, the shared pool, or its
-    /// domain's pool.
+    /// any() -> -1 (library round-robin: spawn_bulk); worker(i) -> the
+    /// pool stream i takes its work from: its private pool, the shared
+    /// pool, or its domain's pool.
     int to_pool(Placement where) const {
         if (where.kind() != Placement::Kind::kWorker) {
             return -1;

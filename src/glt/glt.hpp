@@ -102,12 +102,25 @@ using Future = core::Future<T>;
 /// Typed placement hint for creation calls — replaces the v1 raw
 /// `int where` (whose -1/index encoding could not say "this package").
 ///
-///   Placement::any()       backend picks (round-robin where natural)
+///   Placement::any()       no placement; the backend picks (below)
 ///   Placement::worker(i)   a specific worker/shepherd/PE's queue
 ///   Placement::domain(d)   any worker of locality domain (package) d —
 ///                          lands in the backend's per-package shared pool
 ///                          where it has one (abt, qth), or on the
 ///                          domain's workers (cvt)
+///
+/// What any() does per backend (the default of every create):
+///   abt  private pools: from one of the runtime's workers, the unit stays
+///        in that worker's pool *unpinned*, and a worker whose own pools
+///        are empty takes the oldest unpinned unit of a peer before it
+///        idles; it is pinned from its first dispatch on. From a plain
+///        thread, round-robin over the workers' pools. Shared pool kinds:
+///        round-robin over the pools the workers drain (spawn_bulk too).
+///   qth  round-robin over the shepherds;
+///   cvt  round-robin over the PEs;
+///   mth  the creation policy (work-first/help-first) plus random work
+///        stealing, as for every mth create;
+///   gol  the one global queue.
 ///
 /// Backends without placement_hints ignore the hint entirely (mth, gol);
 /// capabilities().locality_domains says whether domain() is meaningful.

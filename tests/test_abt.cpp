@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
 #include <memory>
 #include <optional>
 #include <thread>
@@ -266,6 +267,200 @@ TEST(Abt, NoStackReuseStillWorks) {
         h.free();
     }
     EXPECT_EQ(ran.load(), 10);
+}
+
+// --- unpinned creates (glt Placement::any()) ----------------------------------
+
+/// Sleep-poll until `pred()` holds, without driving the caller's stream;
+/// false after `limit`.
+template <typename Pred>
+bool wait_without_driving(Pred&& pred, std::chrono::milliseconds limit) {
+    const auto deadline = std::chrono::steady_clock::now() + limit;
+    while (!pred()) {
+        if (std::chrono::steady_clock::now() >= deadline) {
+            return false;
+        }
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+    return true;
+}
+
+TEST(AbtUnpinned, IdlePeerRunsUnitsTheCreatorNeverDrives) {
+    // Stream 0 is this thread. Its unpinned creates stay in its own pool,
+    // which it does not drive here: every unit must still run, on the idle
+    // stream 1. A round-robin create would strand half of them.
+    Library lib(cfg(2));
+    constexpr int kUnits = 32;
+    std::atomic<int> ran{0};
+    std::atomic<int> on_peer{0};
+    std::vector<UnitHandle> handles;
+    for (int i = 0; i < kUnits; ++i) {
+        auto body = [&] {
+            on_peer.fetch_add(Library::self_xstream_rank() == 1 ? 1 : 0);
+            ran.fetch_add(1);
+        };
+        handles.push_back(i % 2 == 0 ? lib.thread_create_unpinned(body)
+                                     : lib.task_create_unpinned(body));
+    }
+    EXPECT_TRUE(wait_without_driving([&] { return ran.load() == kUnits; },
+                                     std::chrono::seconds(10)));
+    EXPECT_EQ(on_peer.load(), kUnits);
+    EXPECT_GE(lib.sched_stats().steal_hits,
+              static_cast<std::uint64_t>(kUnits));
+    for (UnitHandle& h : handles) {
+        h.free();
+    }
+}
+
+TEST(AbtUnpinned, PlainThreadCreatesRoundRobin) {
+    // A thread that is no stream of the library keeps round-robin: half the
+    // units land in pool 0, which nobody drives until the main thread joins
+    // them, and stream 1 takes none of those (they are not unpinned).
+    Library lib(cfg(2));
+    std::atomic<int> per_rank[2] = {};
+    std::vector<UnitHandle> handles;
+    std::thread creator([&] {
+        for (int i = 0; i < 16; ++i) {
+            handles.push_back(lib.thread_create_unpinned([&] {
+                per_rank[Library::self_xstream_rank()].fetch_add(1);
+            }));
+        }
+    });
+    creator.join();
+    EXPECT_TRUE(wait_without_driving([&] { return per_rank[1].load() == 8; },
+                                     std::chrono::seconds(10)));
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    EXPECT_EQ(per_rank[0].load(), 0);
+    EXPECT_EQ(per_rank[1].load(), 8);
+    for (UnitHandle& h : handles) {
+        h.free();
+    }
+    EXPECT_EQ(per_rank[0].load(), 8);
+    EXPECT_EQ(lib.sched_stats().steal_attempts, 0u);
+}
+
+TEST(AbtUnpinned, PlacedUnitsAreNeverTaken) {
+    // Units placed by pool index or by domain stay where they were put:
+    // stream 1 idles beside them and takes none, so they wait for this
+    // thread (stream 0). Two packages, one stream each, so domain 0's
+    // shared pool is stream 0's alone.
+    ::setenv("LWT_TOPOLOGY", "2x1x1", 1);
+    Library lib(cfg(2));
+    ::unsetenv("LWT_TOPOLOGY");
+    ASSERT_EQ(lib.num_domains(), 2u);
+    ASSERT_EQ(lib.locality().placement(0).domain, 0u);
+    std::atomic<int> per_rank[2] = {};
+    auto body = [&] { per_rank[Library::self_xstream_rank()].fetch_add(1); };
+    std::vector<UnitHandle> handles;
+    for (int i = 0; i < 8; ++i) {
+        handles.push_back(lib.thread_create(body, 0));
+        handles.push_back(lib.task_create(body, 0));
+        handles.push_back(lib.thread_create_domain(body, 0));
+        handles.push_back(lib.task_create_domain(body, 0));
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    EXPECT_EQ(per_rank[1].load(), 0);
+    for (UnitHandle& h : handles) {
+        h.free();
+    }
+    EXPECT_EQ(per_rank[0].load(), 32);
+    EXPECT_EQ(per_rank[1].load(), 0);
+    EXPECT_EQ(lib.sched_stats().steal_attempts, 0u);
+}
+
+TEST(AbtUnpinned, StartedUnitResumesWhereItStarted) {
+    // An unpinned ULT is pinned from its first dispatch on: after a yield,
+    // or a block and its wake, it requeues on the stream that started it,
+    // and stays there while that stream runs a 20 ms unit queued ahead of
+    // it and the other stream idles.
+    Library lib(cfg(2));
+    for (const bool block : {false, true}) {
+        SCOPED_TRACE(block ? "block" : "yield");
+        int started = -1;
+        int resumed = -2;
+        UnitHandle outer = lib.thread_create(
+            [&] {
+                UnitHandle unit = lib.thread_create_unpinned([&] {
+                    started = Library::self_xstream_rank();
+                    lwt::abt::Event woken;
+                    UnitHandle hog = lib.thread_create(
+                        [&] {
+                            if (block) {
+                                woken.set();
+                            }
+                            const auto until = std::chrono::steady_clock::now() +
+                                               std::chrono::milliseconds(20);
+                            while (std::chrono::steady_clock::now() < until) {
+                            }
+                        },
+                        started);
+                    if (block) {
+                        woken.wait();
+                    } else {
+                        Library::yield();
+                    }
+                    resumed = Library::self_xstream_rank();
+                    hog.free();
+                });
+                unit.free();
+            },
+            /*pool_idx=*/1);
+        outer.free();
+        EXPECT_GE(started, 0);
+        EXPECT_EQ(resumed, started);
+    }
+}
+
+TEST(AbtUnpinned, DynamicStreamTakesUnpinnedWork) {
+    // A stream added at run time is a peer: it takes the unpinned units
+    // this thread (stream 0) creates and never drives.
+    Library lib(cfg(1));
+    ASSERT_EQ(lib.xstream_create(), 1u);
+    constexpr int kUnits = 16;
+    std::atomic<int> on_new{0};
+    std::vector<UnitHandle> handles;
+    for (int i = 0; i < kUnits; ++i) {
+        handles.push_back(lib.task_create_unpinned([&] {
+            on_new.fetch_add(Library::self_xstream_rank() == 1 ? 1 : 0);
+        }));
+    }
+    EXPECT_TRUE(wait_without_driving([&] { return on_new.load() == kUnits; },
+                                     std::chrono::seconds(10)));
+    for (UnitHandle& h : handles) {
+        h.free();
+    }
+}
+
+TEST(AbtUnpinned, DynamicStreamsUnpinnedWorkCanBeTaken) {
+    // A ULT on a stream added at run time creates unpinned units, then
+    // holds its stream until they all ran: a peer must take every one.
+    Library lib(cfg(1));
+    ASSERT_EQ(lib.xstream_create(), 1u);
+    ASSERT_EQ(lib.xstream_create(), 2u);
+    constexpr int kUnits = 16;
+    std::atomic<int> ran{0};
+    std::atomic<int> on_creator{0};
+    bool all_ran = false;
+    UnitHandle outer = lib.thread_create(
+        [&] {
+            std::vector<UnitHandle> units;
+            for (int i = 0; i < kUnits; ++i) {
+                units.push_back(lib.task_create_unpinned([&] {
+                    on_creator.fetch_add(
+                        Library::self_xstream_rank() == 2 ? 1 : 0);
+                    ran.fetch_add(1);
+                }));
+            }
+            all_ran = wait_without_driving(
+                [&] { return ran.load() == kUnits; }, std::chrono::seconds(10));
+            for (UnitHandle& u : units) {
+                u.free();
+            }
+        },
+        /*pool_idx=*/2);
+    outer.free();
+    EXPECT_TRUE(all_ran);
+    EXPECT_EQ(on_creator.load(), 0);
 }
 
 }  // namespace

@@ -341,6 +341,113 @@ TEST(GltDomainPlacement, DomainSpawnsLandOnlyOnThatPackage) {
     ::unsetenv("LWT_TOPOLOGY");
 }
 
+// --- abt: any() stays on the creating stream; idle peers take it -------------------
+
+/// Sleep-poll until `pred()` holds, without driving the caller's stream;
+/// false after `limit`.
+template <typename Pred>
+bool wait_without_driving(Pred&& pred, std::chrono::milliseconds limit) {
+    const auto deadline = std::chrono::steady_clock::now() + limit;
+    while (!pred()) {
+        if (std::chrono::steady_clock::now() >= deadline) {
+            return false;
+        }
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+    return true;
+}
+
+int worker_rank() {
+    lwt::core::XStream* s = lwt::core::XStream::current();
+    return s != nullptr ? static_cast<int>(s->rank()) : -1;
+}
+
+TEST(GltAbtAny, IdlePeerRunsEveryUnitTheCreatorNeverDrives) {
+    // The main thread is worker 0. Its any() units stay in its own pool,
+    // which it does not drive before the deadline: the idle worker 1 must
+    // take and run all of them (a round-robin create strands half), and
+    // each take is a steal hit in sched_stats().
+    auto rt = Runtime::create(Backend::kAbt, 2);
+    constexpr int kUnits = 32;
+    std::atomic<int> ran{0};
+    std::atomic<int> on_peer{0};
+    std::vector<UnitToken> tokens;
+    for (int i = 0; i < kUnits; ++i) {
+        auto body = [&] {
+            on_peer.fetch_add(worker_rank() == 1 ? 1 : 0);
+            ran.fetch_add(1);
+        };
+        tokens.push_back(i % 2 == 0 ? rt->ult_create(body, Placement::any())
+                                    : rt->tasklet_create(body, Placement::any()));
+    }
+    EXPECT_TRUE(wait_without_driving([&] { return ran.load() == kUnits; },
+                                     std::chrono::seconds(10)))
+        << ran.load() << " of " << kUnits << " ran";
+    rt->join_all(tokens);
+    EXPECT_EQ(on_peer.load(), kUnits);
+    const lwt::core::SchedStats s = rt->sched_stats();
+    EXPECT_GT(s.steal_hits, 0u);
+    EXPECT_GE(s.steal_hits, static_cast<std::uint64_t>(kUnits));
+    // Every unit is gone from the pools, so no further hit can land; an
+    // empty probe may still be in flight (attempt counted first).
+    EXPECT_LE(s.steal_hits + s.steal_empty, s.steal_attempts);
+    EXPECT_EQ(s.tier_hits[1], s.steal_hits);
+}
+
+TEST(GltAbtAny, WorkerPlacedUnitsAreNeverTaken) {
+    // worker(i) pins: units for worker 0 wait for the main thread while
+    // worker 1 idles, and a worker(i)-only run reports no steal probe.
+    auto rt = Runtime::create(Backend::kAbt, 2);
+    std::atomic<int> per_rank[2] = {};
+    auto body = [&] { per_rank[worker_rank()].fetch_add(1); };
+    std::vector<UnitToken> tokens;
+    for (int i = 0; i < 16; ++i) {
+        tokens.push_back(rt->ult_create(body, Placement::worker(i % 2)));
+        tokens.push_back(rt->tasklet_create(body, Placement::worker(i % 2)));
+    }
+    EXPECT_TRUE(wait_without_driving([&] { return per_rank[1].load() == 16; },
+                                     std::chrono::seconds(10)));
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    EXPECT_EQ(per_rank[0].load(), 0);
+    rt->join_all(tokens);
+    EXPECT_EQ(per_rank[0].load(), 16);
+    EXPECT_EQ(per_rank[1].load(), 16);
+    const lwt::core::SchedStats s = rt->sched_stats();
+    EXPECT_EQ(s.steal_attempts, 0u);
+    EXPECT_EQ(s.steal_hits, 0u);
+}
+
+long any_tree(Runtime& rt, int depth, long node) {
+    if (depth == 0) {
+        return node;
+    }
+    long left = 0;
+    UnitToken child = rt.ult_create(
+        [&] { left = any_tree(rt, depth - 1, 2 * node); }, Placement::any());
+    const long right = any_tree(rt, depth - 1, 2 * node + 1);
+    rt.join(child);
+    return left + right;
+}
+
+TEST(GltAbtAny, ForkJoinTreesSumWhileIdleWorkersTake) {
+    // Fork-join trees of any() ULTs (the perfbench tree shape) from a root
+    // ULT: children created on one worker and taken by another, joiners on
+    // both. Leaves are worth their node index.
+    constexpr int kDepth = 8;
+    constexpr long kFirstLeaf = 1L << kDepth;
+    constexpr long kSum = (kFirstLeaf + 2 * kFirstLeaf - 1) * kFirstLeaf / 2;
+    auto rt = Runtime::create(Backend::kAbt, 3);
+    int wrong = 0;
+    for (int tree = 0; tree < 50; ++tree) {
+        long sum = 0;
+        UnitToken root = rt->ult_create(
+            [&] { sum = any_tree(*rt, kDepth, 1); }, Placement::any());
+        rt->join(root);
+        wrong += sum != kSum ? 1 : 0;
+    }
+    EXPECT_EQ(wrong, 0);
+}
+
 TEST(GltPersonalityConfig, QthWorkerPlacementFollowsShepherdLayout) {
     // Two shepherds of two workers: workers 0-1 drain shepherd 0's queue
     // and 2-3 shepherd 1's, so a worker(i) unit runs beside worker i.

@@ -13,6 +13,7 @@
 #include <thread>
 #include <vector>
 
+#include "abt/abt.hpp"
 #include "arch/cpu.hpp"
 #include "core/pool.hpp"
 #include "core/runtime.hpp"
@@ -780,6 +781,81 @@ TEST(StealStress, ManyThievesOneProducerNoLostOrDuplicatedWork) {
     for (std::size_t i = 0; i < kUnits; ++i) {
         EXPECT_EQ(executions[i].load(std::memory_order_relaxed), 1u)
             << "unit " << i << " lost or duplicated";
+    }
+}
+
+// --- unpinned units: DequePool bookkeeping and the abt peer probe --------------
+
+Tasklet* unit_with(bool unpinned) {
+    auto* t = new Tasklet([] {});
+    t->unpinned = unpinned;
+    return t;
+}
+
+TEST(UnpinnedPool, TakesTheOldestUnpinnedAndUnpinsEveryUnitThatLeaves) {
+    DequePool pool;
+    Tasklet* pinned = unit_with(false);
+    Tasklet* first = unit_with(true);
+    Tasklet* second = unit_with(true);
+    Tasklet* third = unit_with(true);
+    pool.push(pinned);
+    pool.push(first);
+    WorkUnit* batch[] = {second, third};
+    pool.push_bulk(batch);
+    EXPECT_EQ(pool.unpinned_hint(), 3u);
+    EXPECT_EQ(pool.take_unpinned(), first);  // oldest unpinned, not pinned
+    EXPECT_FALSE(first->unpinned);
+    EXPECT_EQ(pool.unpinned_hint(), 2u);
+    EXPECT_TRUE(pool.remove(third));  // a join-steal unpins too
+    EXPECT_FALSE(third->unpinned);
+    EXPECT_EQ(pool.unpinned_hint(), 1u);
+    EXPECT_EQ(pool.pop(), pinned);
+    EXPECT_EQ(pool.pop(), second);  // and so does the owner's pop
+    EXPECT_FALSE(second->unpinned);
+    EXPECT_EQ(pool.unpinned_hint(), 0u);
+    EXPECT_EQ(pool.take_unpinned(), nullptr);
+    // Requeued (a yield, a wake), a unit that left the pool stays pinned.
+    pool.push(second);
+    EXPECT_EQ(pool.unpinned_hint(), 0u);
+    EXPECT_EQ(pool.take_unpinned(), nullptr);
+    EXPECT_EQ(pool.steal(), second);
+    for (Tasklet* t : {pinned, first, second, third}) {
+        delete t;
+    }
+}
+
+TEST(UnpinnedSteal, JoinersRaceThievesForUnpinnedTasklets) {
+    // This thread is stream 0: it creates unpinned tasklets into its own
+    // pool and joins them newest first, so each join's remove races
+    // streams 1 and 2 taking the oldest. Whoever wins, each tasklet runs
+    // exactly once. Tasklets only, so TSan follows every handoff.
+    constexpr int kRounds = 200;
+    constexpr int kUnits = 48;
+    std::vector<std::atomic<int>> runs(kUnits);
+    std::atomic<long> sum{0};
+    {
+        lwt::abt::Config c;
+        c.num_xstreams = 3;
+        lwt::abt::Library lib(c);
+        std::vector<lwt::abt::UnitHandle> handles;
+        for (int round = 0; round < kRounds; ++round) {
+            for (int i = 0; i < kUnits; ++i) {
+                handles.push_back(lib.task_create_unpinned([&runs, &sum, i] {
+                    runs[i].fetch_add(1, std::memory_order_relaxed);
+                    sum.fetch_add(i, std::memory_order_relaxed);
+                }));
+            }
+            for (auto it = handles.rbegin(); it != handles.rend(); ++it) {
+                it->free();
+            }
+            handles.clear();
+        }
+        const SchedStats s = lib.sched_stats();
+        EXPECT_LE(s.steal_hits + s.steal_empty, s.steal_attempts);
+    }
+    EXPECT_EQ(sum.load(), static_cast<long>(kRounds) * kUnits * (kUnits - 1) / 2);
+    for (int i = 0; i < kUnits; ++i) {
+        EXPECT_EQ(runs[i].load(), kRounds) << "unit " << i;
     }
 }
 
