@@ -31,7 +31,6 @@
 #include "mth/mth.hpp"
 #include "queue/chase_lev_deque.hpp"
 #include "queue/global_queue.hpp"
-#include "queue/locked_deque.hpp"
 #include "queue/mpmc_queue.hpp"
 #include "qth/feb.hpp"
 #include "sync/spinlock.hpp"
@@ -208,14 +207,18 @@ void BM_ChaseLevPushPop(benchmark::State& state) {
 }
 BENCHMARK(BM_ChaseLevPushPop);
 
-void BM_LockedDequePushPop(benchmark::State& state) {
-    queue::LockedDeque<void*> d;
+// The pool the private-queue and MassiveThreads-style runtimes run: one
+// push and one pop of a Tasklet, with no waker attached (no parking-lot
+// notify).
+void BM_DequePoolPushPop(benchmark::State& state) {
+    core::DequePool pool;
+    core::Tasklet unit([] {});
     for (auto _ : state) {
-        d.push_back(nullptr);
-        benchmark::DoNotOptimize(d.pop_back());
+        pool.push(&unit);
+        benchmark::DoNotOptimize(pool.pop());
     }
 }
-BENCHMARK(BM_LockedDequePushPop);
+BENCHMARK(BM_DequePoolPushPop);
 
 void BM_GlobalQueuePushPop(benchmark::State& state) {
     queue::GlobalQueue<void*> q;

@@ -159,28 +159,16 @@ class PrivateScheduler final : public core::Scheduler {
                 continue;
             }
             core::WorkUnit* unit = peer->take_unpinned();
-            count_probe(unit != nullptr);
+            if (stats_ != nullptr) {
+                stats_->count_probe(
+                    static_cast<std::size_t>(arch::StealTier::kPackage),
+                    unit != nullptr);
+            }
             if (unit != nullptr) {
                 return unit;
             }
         }
         return nullptr;
-    }
-
-    void count_probe(bool hit) noexcept {
-        if (stats_ == nullptr) {
-            return;
-        }
-        constexpr auto kTier =
-            static_cast<std::size_t>(arch::StealTier::kPackage);
-        core::SchedCounters::bump(stats_->steal_attempts);
-        core::SchedCounters::bump(stats_->tier_attempts[kTier]);
-        if (hit) {
-            core::SchedCounters::bump(stats_->steal_hits);
-            core::SchedCounters::bump(stats_->tier_hits[kTier]);
-        } else {
-            core::SchedCounters::bump(stats_->steal_empty);
-        }
     }
 
     const std::size_t rank_;

@@ -56,8 +56,10 @@ extern "C" transfer_t lwt_jump_fcontext(fcontext_t to, void* data) {
     to_rec->in = transfer_t{from, data};
     lwt::arch::tl_current = to_rec;
     swapcontext(&from->uctx, &to_rec->uctx);
-    // Resumed (possibly on a different OS thread): re-establish ourselves.
-    lwt::arch::tl_current = from;
+    // Resumed, possibly on another OS thread. The resuming side already set
+    // its own thread's tl_current to `from`; touching the thread-local here
+    // could write through an address computed on the old thread before the
+    // switch (PIC code keeps __tls_get_addr's result across the call).
     return from->in;
 }
 

@@ -1,10 +1,12 @@
 // pool.hpp — work-unit containers with pluggable access topology.
 //
-// The paper's Table I separates runtimes by exactly this choice: one global
-// shared queue (Go, gcc tasks), one private queue per stream (Qthreads,
-// MassiveThreads, Converse), or fully configurable (Argobots, Pthreads).
-// Pools store raw WorkUnit pointers; ownership follows the unit's `detached`
-// flag (see WorkUnit).
+// The paper's Table I separates runtimes by exactly this choice, and each
+// topology is one pool here: one shared queue (Go, gcc tasks:
+// SharedFifoPool; Argobots' shared pools: MpmcPool), one private queue per
+// stream (Argobots, Qthreads, Converse: DequePool FIFO), or per-worker
+// deques under mutex-protected random stealing (MassiveThreads: DequePool
+// LIFO under StealingScheduler). Pools store raw WorkUnit pointers;
+// ownership follows the unit's `detached` flag (see WorkUnit).
 #pragma once
 
 #include <atomic>
@@ -15,17 +17,12 @@
 #include <span>
 
 #include "core/work_unit.hpp"
-#include "queue/chase_lev_deque.hpp"
 #include "queue/global_queue.hpp"
 #include "queue/mpmc_queue.hpp"
 #include "sync/parking_lot.hpp"
 #include "sync/spinlock.hpp"
 
 namespace lwt::core {
-
-/// Outcome of one steal probe (re-exported from the queue layer so
-/// schedulers need not name lwt::queue).
-using StealOutcome = queue::StealOutcome;
 
 /// Abstract work-unit container as seen by schedulers.
 class Pool {
@@ -60,17 +57,6 @@ class Pool {
     /// do not support stealing return nullptr.
     virtual WorkUnit* steal() { return nullptr; }
 
-    /// Steal with an outcome report for telemetry. Pools whose steal end
-    /// can lose a race (WsPool's Chase-Lev CAS) override this to
-    /// distinguish kLost from kEmpty; for the rest a null result means
-    /// empty.
-    virtual WorkUnit* steal(StealOutcome& outcome) {
-        WorkUnit* unit = steal();
-        outcome = unit != nullptr ? StealOutcome::kSuccess
-                                  : StealOutcome::kEmpty;
-        return unit;
-    }
-
     /// Remove a specific ready unit (needed by yield_to). Returns false if
     /// the unit is not present or the pool cannot remove by identity.
     virtual bool remove(WorkUnit* unit) {
@@ -86,14 +72,6 @@ class Pool {
 
     /// Emptiness check, derived from size_hint().
     [[nodiscard]] bool empty() const { return size_hint() == 0; }
-
-    /// Whether push() is safe from an arbitrary thread. False only for
-    /// owner-only producers (WsPool's Chase-Lev bottom). Cross-thread
-    /// injectors — the obs introspection server picking a pool to seed its
-    /// acceptor ULT into — must skip pools that return false.
-    [[nodiscard]] virtual bool cross_push_safe() const noexcept {
-        return true;
-    }
 
     /// How push() wakes parked consumers. kAll broadcasts (safe default);
     /// kOne wakes a single stream — correct only when EVERY stream that
@@ -205,17 +183,16 @@ class MpmcPool final : public Pool {
     queue::MpmcQueue<WorkUnit*> queue_;
 };
 
-/// Spinlock-protected deque with a configurable consumer end. This is the
-/// "one private queue per stream" building block: any thread may push
-/// (round-robin dispatch), the owner pops, thieves use steal().
+/// Spinlock-protected deque with a configurable consumer end: the private
+/// queue per stream (kFifo) and, under StealingScheduler, MassiveThreads'
+/// mutex-protected per-worker deque (kLifo). Any thread may push
+/// (round-robin dispatch, wakes), the owner pops, thieves use steal().
 ///
 /// A unit pushed with its `unpinned` flag set is also counted: an idle
 /// peer stream may take the oldest such unit (take_unpinned), and reads
 /// the count without the lock first (unpinned_hint), so probing a pool
 /// that holds none costs one load. Every unit leaves unpinned: pop,
-/// steal, remove and take_unpinned clear the flag under the lock. The
-/// pool keeps its own locked deque, not a queue::LockedDeque, because the
-/// count must change under the same lock as the items.
+/// steal, remove and take_unpinned clear the flag under the lock.
 class DequePool final : public Pool {
   public:
     /// kFifo: owner pops oldest (Converse/Qthreads order).
@@ -270,46 +247,6 @@ class DequePool final : public Pool {
     /// of its own: idle peers read it on every probe, and beside lock_ and
     /// items_ each read would take the owner's hot line away from it.
     alignas(arch::kCacheLine) std::atomic<std::size_t> unpinned_{0};
-};
-
-/// Chase-Lev work-stealing pool. push/pop are OWNER-ONLY (the stream the
-/// pool belongs to); any other stream may steal(). Used by the
-/// MassiveThreads-like and icc-OpenMP-like backends.
-class WsPool final : public Pool {
-  public:
-    explicit WsPool(std::size_t initial_capacity = 1024)
-        : deque_(initial_capacity) {}
-
-    WorkUnit* pop() override { return deque_.pop_bottom().value_or(nullptr); }
-    WorkUnit* steal() override { return deque_.steal_top().value_or(nullptr); }
-    WorkUnit* steal(StealOutcome& outcome) override {
-        WorkUnit* unit = nullptr;
-        outcome = deque_.steal_top(unit);
-        return outcome == StealOutcome::kSuccess ? unit : nullptr;
-    }
-    [[nodiscard]] std::size_t size_hint() const override {
-        return deque_.size_approx();
-    }
-    [[nodiscard]] bool cross_push_safe() const noexcept override {
-        return false;  // Chase-Lev push_bottom is owner-only
-    }
-
-  protected:
-    void do_push(WorkUnit* unit) override {
-        on_push(unit);
-        deque_.push_bottom(unit);
-    }
-    /// Owner-only, like do_push: one grow-to-fit pass, then a single
-    /// release publish of `bottom_` covering the whole batch.
-    void do_push_bulk(std::span<WorkUnit* const> units) override {
-        for (WorkUnit* unit : units) {
-            on_push(unit);
-        }
-        deque_.push_bottom_bulk(units.data(), units.size());
-    }
-
-  private:
-    queue::ChaseLevDeque<WorkUnit*> deque_;
 };
 
 }  // namespace lwt::core

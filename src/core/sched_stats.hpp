@@ -101,6 +101,19 @@ struct alignas(arch::kCacheLine) SchedCounters {
         c.fetch_add(1, std::memory_order_relaxed);
     }
 
+    /// One steal probe at steal-distance tier `tier` that found a unit
+    /// (`hit`) or an empty victim.
+    void count_probe(std::size_t tier, bool hit) noexcept {
+        bump(steal_attempts);
+        bump(tier_attempts[tier]);
+        if (hit) {
+            bump(steal_hits);
+            bump(tier_hits[tier]);
+        } else {
+            bump(steal_empty);
+        }
+    }
+
     [[nodiscard]] SchedStats snapshot() const noexcept {
         SchedStats s;
         s.steal_attempts = steal_attempts.load(std::memory_order_relaxed);

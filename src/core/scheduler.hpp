@@ -80,33 +80,6 @@ class Scheduler {
     SchedCounters* stats_ = nullptr;
 };
 
-/// Work-stealing scheduler: drain the home pool, then steal (MassiveThreads'
-/// random work stealing; also used by the icc-OpenMP-like task path).
-///
-/// The steal sweep makes `probes` random probes and then, if configured,
-/// falls back to one linear scan over every victim, so a single next() call
-/// finds work whenever any victim holds some — the stream's idle loop only
-/// has to provide backoff, not retry-for-coverage. The home pool is
-/// filtered out of the victim list at construction, so callers may pass
-/// all pools uniformly (and a probe can never be wasted on the home pool —
-/// the pre-fix code returned nullptr on that roll, burning the whole idle
-/// iteration).
-///
-/// Victims can be *tiered* by locality (arch::LocalityMap::victim_tiers):
-/// a sweep exhausts SMT siblings (linear — the tier is tiny), then
-/// same-package victims (probes + linear), then remote packages (probes +
-/// linear), so a thief only crosses the socket when its own package is
-/// provably dry. Per-tier attempts/hits land in SchedCounters next to the
-/// flat totals. The untiered constructor puts every victim in the package
-/// tier, which reproduces the flat sweep exactly.
-/// Steal-sweep shape for StealingScheduler.
-struct StealConfig {
-    /// Random probes per sweep (per tier) before the linear fallback.
-    unsigned probes = 4;
-    /// Scan every victim (from a random start) once the probes miss.
-    bool linear_fallback = true;
-};
-
 /// Victim pools bucketed by steal distance (nearest first). Indexed by
 /// arch::StealTier; built from arch::LocalityMap::victim_tiers.
 struct VictimTiers {
@@ -115,22 +88,41 @@ struct VictimTiers {
     std::vector<Pool*> remote;   ///< different package
 };
 
+/// Work-stealing scheduler: drain the home pool, then steal (MassiveThreads'
+/// random work stealing over per-worker deques).
+///
+/// The steal sweep makes kProbes random probes and then one linear scan over
+/// every victim from a random start, so a single next() call finds work
+/// whenever any victim holds some — the stream's idle loop only has to
+/// provide backoff, not retry-for-coverage. The home pool is filtered out
+/// of the victim list at construction, so callers may pass all pools
+/// uniformly and no probe is wasted on the home pool.
+///
+/// Victims can be *tiered* by locality (arch::LocalityMap::victim_tiers):
+/// a sweep exhausts SMT siblings (linear — the tier is tiny), then
+/// same-package victims (probes + linear), then remote packages (probes +
+/// linear), so a thief only crosses the socket when its own package is
+/// provably dry. Per-tier attempts/hits land in SchedCounters next to the
+/// flat totals. The untiered constructor puts every victim in the package
+/// tier, which reproduces the flat sweep exactly.
 class StealingScheduler : public Scheduler {
   public:
+    /// Random probes per tier before the linear scan.
+    static constexpr unsigned kProbes = 4;
+
     /// Flat form: `home` is this stream's own pool; `victims` are the other
     /// streams' pools (may include `home`; it is removed). All victims land
     /// in the package tier — one locality class, exactly the old sweep.
     StealingScheduler(Pool* home, std::vector<Pool*> victims,
-                      unsigned seed = 0x9e3779b9u, StealConfig config = {})
-        : StealingScheduler(home,
-                            VictimTiers{{}, std::move(victims), {}},
-                            seed, config) {}
+                      unsigned seed = 0x9e3779b9u)
+        : StealingScheduler(home, VictimTiers{{}, std::move(victims), {}},
+                            seed) {}
 
     /// Tiered form: victims bucketed by steal distance. Null pools and the
     /// home pool are filtered from every tier.
     StealingScheduler(Pool* home, VictimTiers tiers,
-                      unsigned seed = 0x9e3779b9u, StealConfig config = {})
-        : Scheduler({home}), config_(config), rng_(seed) {
+                      unsigned seed = 0x9e3779b9u)
+        : Scheduler({home}), rng_(seed) {
         auto filter = [home](std::vector<Pool*>& v) {
             std::size_t out = 0;
             for (Pool* p : v) {
@@ -172,21 +164,13 @@ class StealingScheduler : public Scheduler {
             if (n == 0) {
                 continue;
             }
-            for (unsigned p = 0; p < config_.probes; ++p) {
-                Pool* victim = tier[rng_() % n];
-                if (victim == pools_.front()) {
-                    // Unreachable after the constructor filter, but a probe
-                    // that lands home must reroll, never end the sweep.
-                    continue;
-                }
-                if (WorkUnit* unit = probe(victim, t)) {
+            for (unsigned p = 0; p < kProbes; ++p) {
+                if (WorkUnit* unit = probe(tier[rng_() % n], t)) {
                     return unit;
                 }
             }
-            if (config_.linear_fallback) {
-                if (WorkUnit* unit = sweep_linear(tier, rng_() % n, t)) {
-                    return unit;
-                }
+            if (WorkUnit* unit = sweep_linear(tier, rng_() % n, t)) {
+                return unit;
             }
         }
         return nullptr;
@@ -227,20 +211,13 @@ class StealingScheduler : public Scheduler {
         std::size_t t) const noexcept {
         return tiers_[t];
     }
-    [[nodiscard]] const StealConfig& steal_config() const noexcept {
-        return config_;
-    }
 
   private:
     WorkUnit* sweep_linear(const std::vector<Pool*>& tier, std::size_t start,
                            std::size_t t) {
         const std::size_t n = tier.size();
         for (std::size_t k = 0; k < n; ++k) {
-            Pool* victim = tier[(start + k) % n];
-            if (victim == pools_.front()) {
-                continue;
-            }
-            if (WorkUnit* unit = probe(victim, t)) {
+            if (WorkUnit* unit = probe(tier[(start + k) % n], t)) {
                 return unit;
             }
         }
@@ -248,54 +225,16 @@ class StealingScheduler : public Scheduler {
     }
 
     WorkUnit* probe(Pool* victim, std::size_t tier) {
-        StealOutcome outcome;
-        WorkUnit* unit = victim->steal(outcome);
+        WorkUnit* unit = victim->steal();
         if (stats_ != nullptr) {
-            SchedCounters::bump(stats_->steal_attempts);
-            SchedCounters::bump(stats_->tier_attempts[tier]);
-            switch (outcome) {
-                case StealOutcome::kSuccess:
-                    SchedCounters::bump(stats_->steal_hits);
-                    SchedCounters::bump(stats_->tier_hits[tier]);
-                    break;
-                case StealOutcome::kEmpty:
-                    SchedCounters::bump(stats_->steal_empty);
-                    break;
-                case StealOutcome::kLost:
-                    SchedCounters::bump(stats_->steal_lost);
-                    break;
-            }
+            stats_->count_probe(tier, unit != nullptr);
         }
         return unit;
     }
 
-    StealConfig config_;
     std::array<std::vector<Pool*>, kStealTiers> tiers_;
     std::vector<Pool*> victims_;  // flattened tiers, nearest first
     std::minstd_rand rng_;
-};
-
-/// Round-robin scheduler: rotates the scan's starting pool after every
-/// dequeue, so same-priority pools share the stream fairly instead of the
-/// front pool starving the rest. Demonstrates the "plug-in scheduler" row
-/// of Table I; also exercised by the custom-scheduler example.
-class RoundRobinScheduler : public Scheduler {
-  public:
-    using Scheduler::Scheduler;
-
-    WorkUnit* next() override {
-        const std::size_t n = pools_.size();
-        for (std::size_t k = 0; k < n; ++k) {
-            if (WorkUnit* unit = pools_[(start_ + k) % n]->pop()) {
-                start_ = (start_ + k + 1) % n;
-                return unit;
-            }
-        }
-        return nullptr;
-    }
-
-  private:
-    std::size_t start_ = 0;
 };
 
 }  // namespace lwt::core

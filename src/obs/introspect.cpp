@@ -368,13 +368,12 @@ bool IntrospectServer::start() {
     }
     // The acceptor must live in a pool some live stream drains; prefer
     // streams with a dedicated thread (a manually-driven stream may never
-    // be driven again). Owner-only pools are skipped: this first push
-    // comes from the calling thread, not the pool's owner.
+    // be driven again).
     core::Pool* host = nullptr;
     bool host_dedicated = false;
     core::StreamDirectory::instance().for_each([&](core::XStream& s) {
         core::Pool* main = s.scheduler().main_pool();
-        if (main == nullptr || !main->cross_push_safe()) {
+        if (main == nullptr) {
             return;
         }
         if (host == nullptr || (s.has_dedicated_thread() && !host_dedicated)) {
@@ -385,7 +384,7 @@ bool IntrospectServer::start() {
     if (host == nullptr) {
         std::fprintf(stderr,
                      "lwt: introspection endpoint needs a live execution "
-                     "stream with a shareable pool; not started\n");
+                     "stream; not started\n");
         return false;
     }
     auto listener = io::Listener::listen(port_);

@@ -4,8 +4,8 @@
 //
 // The owner pushes and pops at the bottom (LIFO — good locality for
 // recursive task graphs); thieves steal from the top (FIFO — steals the
-// oldest, typically largest, piece of work). This is the engine behind the
-// MassiveThreads-like and icc-OpenMP-like work-stealing paths.
+// oldest, typically largest, piece of work). momp's icc flavour runs one
+// per team thread (momp/task_pool.hpp).
 #pragma once
 
 #include <atomic>

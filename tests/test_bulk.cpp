@@ -1,8 +1,8 @@
 // Tests for the bulk create/join fast path: Pool::push_bulk's single
 // notify per batch (asserted via parking-lot epochs), the GLT v2
 // spawn_bulk/wait API across every backend, momp's bulk task submission
-// and taskloop, the descriptor/stack caches, and a stress racing
-// push_bulk against concurrent stealers.
+// and taskloop, the descriptor/stack caches, and a stress of concurrent
+// bulk pushes into a shared pool.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -84,11 +84,6 @@ TEST(PushBulk, MpmcPoolNotifiesOnce) {
 
 TEST(PushBulk, DequePoolNotifiesOnce) {
     lwt::core::DequePool pool;
-    expect_single_notify_per_batch(pool);
-}
-
-TEST(PushBulk, WsPoolNotifiesOnce) {
-    lwt::core::WsPool pool(16);  // smaller than the batch: forces growth
     expect_single_notify_per_batch(pool);
 }
 
@@ -306,61 +301,9 @@ TEST(StackCache, BatchRefillAndDrainRoundTrip) {
     EXPECT_GT(shared.cached(), 0u);
 }
 
-// --- stress: push_bulk racing concurrent stealers --------------------------------
+// --- stress: concurrent bulk pushes ------------------------------------------
 
-// TSan lane: the owner publishes whole batches into a Chase-Lev pool with
-// one release store while thieves hammer steal_top and the owner
-// interleaves pops. Every unit must be consumed exactly once.
-TEST(BulkStress, WsPoolPushBulkVsStealers) {
-    lwt::core::WsPool pool(64);
-    constexpr std::size_t kBatches = 200;
-    constexpr std::size_t kBatch = 64;
-    std::atomic<bool> stop{false};
-    std::atomic<std::size_t> consumed{0};
-
-    std::vector<std::thread> thieves;
-    for (int t = 0; t < 3; ++t) {
-        thieves.emplace_back([&] {
-            while (!stop.load(std::memory_order_acquire)) {
-                if (lwt::core::WorkUnit* u = pool.steal()) {
-                    delete u;
-                    consumed.fetch_add(1, std::memory_order_relaxed);
-                }
-            }
-        });
-    }
-
-    // This thread is the deque owner: bulk pushes interleaved with pops.
-    for (std::size_t b = 0; b < kBatches; ++b) {
-        std::vector<lwt::core::WorkUnit*> batch;
-        batch.reserve(kBatch);
-        for (std::size_t i = 0; i < kBatch; ++i) {
-            batch.push_back(new lwt::core::Tasklet([] {}));
-        }
-        pool.push_bulk(batch);
-        if (lwt::core::WorkUnit* u = pool.pop()) {
-            delete u;
-            consumed.fetch_add(1, std::memory_order_relaxed);
-        }
-    }
-    while (lwt::core::WorkUnit* u = pool.pop()) {
-        delete u;
-        consumed.fetch_add(1, std::memory_order_relaxed);
-    }
-    // Thieves may hold in-flight steals; wait for the count to converge.
-    while (consumed.load(std::memory_order_acquire) < kBatches * kBatch) {
-        std::this_thread::yield();
-    }
-    stop.store(true, std::memory_order_release);
-    for (auto& t : thieves) {
-        t.join();
-    }
-    EXPECT_EQ(consumed.load(), kBatches * kBatch);
-    EXPECT_EQ(pool.size_hint(), 0u);
-}
-
-// Shared-pool variant: many producers bulk-push into one MPMC pool while
-// consumers drain it.
+// Many producers bulk-push into one MPMC pool while consumers drain it.
 TEST(BulkStress, MpmcPoolConcurrentBulkPushes) {
     lwt::core::MpmcPool pool(1 << 12);
     constexpr std::size_t kProducers = 3;

@@ -129,20 +129,36 @@ TEST(Ult, MigratesBetweenOsThreads) {
     // ULT cannot reliably ask "which thread am I on" itself).
     std::atomic<int> host{0};
     int first = 0, second = 0;
-    Ult ult([&] {
-        first = host.load();
-        Ult::current()->yield();
-        second = host.load();
-    });
-    host.store(1);
-    EXPECT_EQ(ult.resume_on_this_thread(), YieldStatus::kYielded);
-    std::thread other([&] {
-        host.store(2);
-        EXPECT_EQ(ult.resume_on_this_thread(), YieldStatus::kFinished);
-    });
-    other.join();
+    {
+        Ult ult([&] {
+            first = host.load();
+            Ult::current()->yield();
+            second = host.load();
+        });
+        host.store(1);
+        EXPECT_EQ(ult.resume_on_this_thread(), YieldStatus::kYielded);
+        std::thread other([&] {
+            host.store(2);
+            EXPECT_EQ(ult.resume_on_this_thread(), YieldStatus::kFinished);
+        });
+        other.join();
+    }
     EXPECT_EQ(first, 1);
     EXPECT_EQ(second, 2);
+    // The migrated ULT is gone. This thread's next switches must save into
+    // its own context record: a switch that wrote its thread-local after
+    // resuming on `other` would leave this thread pointing at the dead
+    // ULT's record (the ucontext backend's `tl_current`).
+    int steps = 0;
+    Ult local([&] {
+        ++steps;
+        Ult::current()->yield();
+        ++steps;
+    });
+    EXPECT_EQ(local.resume_on_this_thread(), YieldStatus::kYielded);
+    EXPECT_EQ(steps, 1);
+    EXPECT_EQ(local.resume_on_this_thread(), YieldStatus::kFinished);
+    EXPECT_EQ(steps, 2);
 }
 
 TEST(Ult, ReusesPooledStack) {
@@ -219,16 +235,6 @@ TEST(Pools, DequePoolLifoOrder) {
     EXPECT_EQ(pool.steal(), a.get());  // thief takes the oldest
 }
 
-TEST(Pools, WsPoolOwnerLifoThiefFifo) {
-    WsPool pool;
-    auto a = make_noop_tasklet();
-    auto b = make_noop_tasklet();
-    pool.push(a.get());
-    pool.push(b.get());
-    EXPECT_EQ(pool.steal(), a.get());
-    EXPECT_EQ(pool.pop(), b.get());
-}
-
 TEST(Pools, PushMarksUnitsReady) {
     SharedFifoPool pool;
     auto t = make_noop_tasklet();
@@ -276,20 +282,6 @@ TEST(Scheduler, StealingSchedulerFallsBackToVictims) {
         got = sched.next();
     }
     EXPECT_EQ(got, a.get());
-}
-
-TEST(Scheduler, RoundRobinRotatesAcrossPools) {
-    DequePool p0, p1;
-    auto a = make_noop_tasklet();
-    auto b = make_noop_tasklet();
-    auto c = make_noop_tasklet();
-    p0.push(a.get());
-    p0.push(c.get());
-    p1.push(b.get());
-    RoundRobinScheduler sched({&p0, &p1});
-    EXPECT_EQ(sched.next(), a.get());
-    EXPECT_EQ(sched.next(), b.get());  // rotated to p1
-    EXPECT_EQ(sched.next(), c.get());
 }
 
 // --- XStream ----------------------------------------------------------------------

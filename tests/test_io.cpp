@@ -16,7 +16,9 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <deque>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -36,7 +38,7 @@
 #include "gol/gol.hpp"
 #include "idle_policy_pin.hpp"
 #include "io/io.hpp"
-#include "queue/locked_deque.hpp"
+#include "sync/spinlock.hpp"
 
 #if defined(__SANITIZE_THREAD__)
 #define LWT_TSAN 1
@@ -303,10 +305,17 @@ std::uint64_t counter(const char* name) {
 class CountingPool final : public lwt::core::Pool {
   public:
     lwt::core::WorkUnit* pop() override {
-        return deque_.pop_front().value_or(nullptr);
+        std::lock_guard guard(lock_);
+        if (items_.empty()) {
+            return nullptr;
+        }
+        lwt::core::WorkUnit* unit = items_.front();
+        items_.pop_front();
+        return unit;
     }
     [[nodiscard]] std::size_t size_hint() const override {
-        return deque_.size();
+        std::lock_guard guard(lock_);
+        return items_.size();
     }
     [[nodiscard]] int pushes() const noexcept { return pushes_.load(); }
 
@@ -314,11 +323,13 @@ class CountingPool final : public lwt::core::Pool {
     void do_push(lwt::core::WorkUnit* unit) override {
         pushes_.fetch_add(1);
         on_push(unit);
-        deque_.push_back(unit);
+        std::lock_guard guard(lock_);
+        items_.push_back(unit);
     }
 
   private:
-    lwt::queue::LockedDeque<lwt::core::WorkUnit*> deque_;
+    mutable lwt::sync::Spinlock lock_;
+    std::deque<lwt::core::WorkUnit*> items_;
     std::atomic<int> pushes_{0};
 };
 

@@ -1,5 +1,5 @@
-// Tests for the work-unit containers: MPMC queue, Chase-Lev deque, locked
-// deque, global queue.
+// Tests for the work-unit containers: MPMC queue, Chase-Lev deque, global
+// queue.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -11,14 +11,12 @@
 
 #include "queue/chase_lev_deque.hpp"
 #include "queue/global_queue.hpp"
-#include "queue/locked_deque.hpp"
 #include "queue/mpmc_queue.hpp"
 
 namespace {
 
 using lwt::queue::ChaseLevDeque;
 using lwt::queue::GlobalQueue;
-using lwt::queue::LockedDeque;
 using lwt::queue::MpmcQueue;
 
 // --- MPMC queue ----------------------------------------------------------------
@@ -192,62 +190,61 @@ TEST(ChaseLev, OwnerAndThievesConserveItems) {
     EXPECT_EQ(owner_sum + stolen_sum.load(), expect);
 }
 
-// --- locked deque ------------------------------------------------------------------
+// The owner publishes whole batches with push_bottom_bulk (one release
+// store of `bottom` per batch, growing the ring as it goes) while thieves
+// hammer steal_top and the owner interleaves pops: momp's taskloop path.
+// Every item must be taken exactly once. tools/tsan.sh runs this suite.
+TEST(ChaseLev, PushBulkVsStealersConservesItems) {
+    ChaseLevDeque<int> d(64);
+    constexpr int kBatches = 200;
+    constexpr int kBatch = 64;
+    constexpr int kItems = kBatches * kBatch;
+    std::atomic<bool> stop{false};
+    std::atomic<int> taken{0};
+    std::atomic<std::int64_t> stolen_sum{0};
 
-TEST(LockedDeque, BothEndsBehave) {
-    LockedDeque<int> d;
-    d.push_back(1);
-    d.push_back(2);
-    d.push_front(0);
-    EXPECT_EQ(d.size(), 3u);
-    EXPECT_EQ(d.pop_front().value_or(-1), 0);
-    EXPECT_EQ(d.pop_back().value_or(-1), 2);
-    EXPECT_EQ(d.pop_back().value_or(-1), 1);
-    EXPECT_TRUE(d.empty());
-}
-
-TEST(LockedDeque, RemoveSpecificElement) {
-    LockedDeque<int> d;
-    d.push_back(1);
-    d.push_back(2);
-    d.push_back(3);
-    EXPECT_TRUE(d.remove(2));
-    EXPECT_FALSE(d.remove(2));
-    EXPECT_EQ(d.pop_front().value_or(-1), 1);
-    EXPECT_EQ(d.pop_front().value_or(-1), 3);
-}
-
-TEST(LockedDeque, ConcurrentMixedEndsConserveItems) {
-    LockedDeque<int> d;
-    constexpr int kItems = 50000;
-    std::atomic<std::int64_t> sum{0};
-    std::atomic<int> got{0};
-    std::thread thief([&] {
-        while (got.load() < kItems) {
-            if (auto v = d.pop_front()) {
-                sum.fetch_add(*v);
-                got.fetch_add(1);
-            } else {
-                std::this_thread::yield();
+    std::vector<std::thread> thieves;
+    for (int t = 0; t < 3; ++t) {
+        thieves.emplace_back([&] {
+            while (!stop.load(std::memory_order_acquire)) {
+                if (auto v = d.steal_top()) {
+                    stolen_sum.fetch_add(*v, std::memory_order_relaxed);
+                    taken.fetch_add(1, std::memory_order_relaxed);
+                }
             }
-        }
-    });
-    std::thread owner_pop([&] {
-        while (got.load() < kItems) {
-            if (auto v = d.pop_back()) {
-                sum.fetch_add(*v);
-                got.fetch_add(1);
-            } else {
-                std::this_thread::yield();
-            }
-        }
-    });
-    for (int i = 1; i <= kItems; ++i) {
-        d.push_back(i);
+        });
     }
-    thief.join();
-    owner_pop.join();
-    EXPECT_EQ(sum.load(), static_cast<std::int64_t>(kItems) * (kItems + 1) / 2);
+
+    // This thread is the deque owner: bulk pushes interleaved with pops.
+    std::int64_t owner_sum = 0;
+    std::vector<int> batch(kBatch);
+    int next = 1;
+    for (int b = 0; b < kBatches; ++b) {
+        for (int& v : batch) {
+            v = next++;
+        }
+        d.push_bottom_bulk(batch.data(), batch.size());
+        if (auto v = d.pop_bottom()) {
+            owner_sum += *v;
+            taken.fetch_add(1, std::memory_order_relaxed);
+        }
+    }
+    while (auto v = d.pop_bottom()) {
+        owner_sum += *v;
+        taken.fetch_add(1, std::memory_order_relaxed);
+    }
+    // Thieves may hold in-flight steals; wait for the count to converge.
+    while (taken.load(std::memory_order_acquire) < kItems) {
+        std::this_thread::yield();
+    }
+    stop.store(true, std::memory_order_release);
+    for (auto& t : thieves) {
+        t.join();
+    }
+    EXPECT_EQ(taken.load(), kItems);
+    EXPECT_EQ(owner_sum + stolen_sum.load(),
+              static_cast<std::int64_t>(kItems) * (kItems + 1) / 2);
+    EXPECT_EQ(d.size_approx(), 0u);
 }
 
 // --- global queue ------------------------------------------------------------------

@@ -1,4 +1,4 @@
-// Tests for the idle/steal path: the home-pool reroll fix, victim-list
+// Tests for the idle/steal path: the home-pool probe fix, victim-list
 // filtering, multi-probe sweeps, steal telemetry, parking, and a
 // contention stress test (K thief streams draining one producer pool with
 // no lost or duplicated units). Tasklet-only on purpose: this file is the
@@ -734,10 +734,12 @@ TEST(XStreamSchedulerStack, PushedSchedulersComeAndGoOnARunningStream) {
 TEST(StealStress, ManyThievesOneProducerNoLostOrDuplicatedWork) {
     constexpr std::size_t kStreams = 4;
     constexpr std::size_t kUnits = 20'000;
-    std::vector<std::unique_ptr<WsPool>> pools;
+    // Per-worker LIFO deques under random stealing: what mth builds.
+    std::vector<std::unique_ptr<DequePool>> pools;
     std::vector<Pool*> raw;
     for (std::size_t i = 0; i < kStreams; ++i) {
-        pools.push_back(std::make_unique<WsPool>(64));  // force growth too
+        pools.push_back(
+            std::make_unique<DequePool>(DequePool::PopOrder::kLifo));
         raw.push_back(pools.back().get());
     }
     lwt::sync::IdleConfig idle;

@@ -13,7 +13,8 @@
 #   (test_join, test_sync_ult and test_alloc self-gate their ULT-switching
 #   cases behind LWT_TSAN, leaving the parker/FEB-waiter-list/channel-
 #   rendezvous/reactor timer-claim races for TSan to chew on; test_queue
-#   races the MPMC ring's atomic_ref sequence arithmetic.)
+#   races the MPMC ring's atomic_ref sequence arithmetic and the Chase-Lev
+#   deque's owner pushes, bulk publishes and pops against stealers.)
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
