@@ -155,6 +155,23 @@ void BM_AbtGltCreateJoin(benchmark::State& state) {
 }
 BENCHMARK(BM_AbtGltCreateJoin);
 
+// perfbench tree's cycle: a ULT creates an any() child and joins it while
+// the child is still queued, so the join runs the child from the joining
+// ULT's own stack. The root ULT runs inline on the calling thread (stream
+// 0), so the timed loop runs on the thread the benchmark times.
+void BM_AbtGltCreateJoinFromUlt(benchmark::State& state) {
+    auto rt = glt::Runtime::create(glt::Backend::kAbt, 1);
+    glt::UnitToken root = rt->ult_create([&rt, &state] {
+        for (auto _ : state) {
+            glt::UnitToken t = rt->ult_create([] {});
+            benchmark::DoNotOptimize(t);
+            rt->join(t);
+        }
+    });
+    rt->join(root);
+}
+BENCHMARK(BM_AbtGltCreateJoinFromUlt);
+
 void BM_MthNativeCreateJoin(benchmark::State& state) {
     mth::Library lib(
         mth::Config{.num_workers = 1, .policy = mth::Policy::kHelpFirst});

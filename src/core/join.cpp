@@ -142,22 +142,15 @@ void wake_joiner(Ult* joiner, XStream* stream) noexcept {
     Ult::wake(joiner);
 }
 
-/// What try_join_steal did with the join target.
-enum class JoinSteal : std::uint8_t {
-    kMissed,  ///< not claimable from this stream; wait for it instead
-    kRan,     ///< claimed and dispatched; it may have yielded or blocked
-    kJoined,  ///< join complete; the caller must not touch the unit again
-};
-
 /// Work-first join stealing: if `unit` is still kReady and its pool can
 /// remove() by identity, pull it and run it on `stream`, the caller's own
-/// stream — inline for tasklets and native callers. A ULT joining a ULT
-/// hands the stream to the child as its next unit and blocks in the
-/// child's joiner slot (kJoined once resumed); if another joiner holds the
-/// slot it yields behind the child instead (the yield_to shape, kRan).
-JoinSteal try_join_steal(WorkUnit* unit, XStream* stream) {
+/// stream, from the caller's own stack — exactly as progress() would run
+/// it. A ULT child runs on top of a ULT joiner as a call: it returns here
+/// when it finishes, yields or blocks, and run_unit requeues or parks it as
+/// the scheduler would. Returns whether it ran the unit.
+bool try_join_steal(WorkUnit* unit, XStream* stream) {
     if (unit->state.load(std::memory_order_acquire) != State::kReady) {
-        return JoinSteal::kMissed;
+        return false;
     }
     // The home_pool read races with a concurrent dispatch (relaxed by
     // design), but remove() verifies identity under the pool's own
@@ -168,28 +161,10 @@ JoinSteal try_join_steal(WorkUnit* unit, XStream* stream) {
         // Placement guard: a unit queued where this stream could never
         // dispatch from (another stream's private pool) must run there —
         // stealing it would silently migrate explicitly-placed work.
-        return JoinSteal::kMissed;
+        return false;
     }
-    // The unit is ours: it sits in no pool and no scheduler can see it.
-    Ult* self = Ult::current();
-    if (unit->kind == Kind::kUlt && self != nullptr) {
-        // ULT joining a ULT: hand the stream to the child and block in its
-        // slot. The child cannot terminate before we are registered — it
-        // runs only once we suspend — and its termination on this stream
-        // resumes us right behind it (wake_joiner).
-        stream->set_next_hint(unit);
-        if (block_as_joiner(self, unit) == kJoinerNone) {
-            return JoinSteal::kJoined;
-        }
-        // A second joiner holds the slot: go back to our home pool behind
-        // the child (the yield_to shape) and poll again from there.
-        self->suspend(YieldStatus::kYielded);
-        return JoinSteal::kRan;
-    }
-    // Tasklet target, or a native-thread joiner driving its stream: run
-    // the child inline on this stack, exactly as progress() would.
     stream->run_unit(unit);
-    return JoinSteal::kRan;
+    return true;
 }
 
 }  // namespace
@@ -254,23 +229,13 @@ void join_unit(WorkUnit* unit) {
             return;
         }
         // Work-first: while the child is still queued, run it ourselves
-        // instead of sleeping on it.
-        const JoinSteal steal =
-            may_steal ? try_join_steal(unit, stream) : JoinSteal::kMissed;
-        if (steal == JoinSteal::kJoined) {
-            return;  // resumed behind the child: no unit access past here
-        }
-        if (steal == JoinSteal::kRan) {
-            // A ULT joiner keeps re-stealing: after a tasklet it ran
-            // inline, or as a second joiner that yielded behind a ULT
-            // child (the myth_join loop). A native joiner runs the child
-            // inline at most ONCE: if it yielded instead of terminating,
-            // the parked wait below drains the stream's pools in order —
-            // re-stealing here would run the child out of turn, jumping
-            // yield_to hints and queue order.
-            if (Ult::current() == nullptr) {
-                may_steal = false;
-            }
+        // instead of sleeping on it — but at most ONCE. A child that
+        // yielded instead of terminating went back to its pool, and the
+        // wait below lets the stream run it in turn: re-stealing it here
+        // would run it out of turn, jumping yield_to hints and queue
+        // order, and starve whatever it yields to.
+        if (may_steal && try_join_steal(unit, stream)) {
+            may_steal = false;
             continue;
         }
         if (Ult* self = Ult::current()) {

@@ -5,10 +5,11 @@
 // parks (OS thread); the terminating stream exchanges the slot and issues
 // exactly ONE wakeup. Before suspending, the joiner first tries to *steal*
 // the join target: if the unit is still kReady in a removable pool it runs
-// the child itself (work-first, the Cilk/MassiveThreads discipline),
-// saving the full queue round-trip Figures 3/8 measure. A ULT joiner whose
-// child terminates on the joiner's own stream resumes right behind it, as
-// that stream's next unit, instead of at the tail of its pool.
+// the child itself, once, from its own stack, as a call (work-first, the
+// Cilk/MassiveThreads discipline), saving the full queue round-trip
+// Figures 3/8 measure. A ULT joiner that did block, and whose child
+// terminates on the joiner's own stream, resumes right behind it, as that
+// stream's next unit, instead of at the tail of its pool.
 #pragma once
 
 #include <cstdint>

@@ -1,9 +1,13 @@
 // ult.hpp — the stackful user-level thread and its switch protocol.
 //
-// Invariant: every suspension returns control to the scheduler context of
-// the stream that resumed the ULT (the worker's native stack). Only
-// schedulers resume ULTs; `yield_to` is expressed as a scheduler hint, which
-// keeps the protocol single-entry/single-exit and race-free.
+// Invariant: every suspension returns control to the context that resumed
+// the ULT, on the same OS thread. That is the stream's scheduler context
+// (the worker's native stack), or a joiner that runs its still-queued child
+// as a call from its own stack (a ULT or a native thread, core/join.cpp).
+// In the runtime, either resume goes through XStream::run_unit, which
+// requeues or parks the ULT by the status it suspended with. `yield_to` is
+// expressed as a scheduler hint, which keeps the protocol
+// single-entry/single-exit and race-free.
 #pragma once
 
 #include <cstdint>
@@ -14,7 +18,7 @@
 
 namespace lwt::core {
 
-/// Message a suspending ULT sends to the scheduler that resumed it,
+/// Message a suspending ULT sends to the context that resumed it,
 /// encoded in the transfer data pointer of the context switch back.
 enum class YieldStatus : std::uintptr_t {
     kFinished = 1,  ///< entry function completed
@@ -62,7 +66,8 @@ class Ult final : public WorkUnit {
     static Ult* current() noexcept;
 
     /// From inside the ULT only: suspend with the given status. Returns
-    /// when some scheduler resumes us (possibly on another OS thread).
+    /// when some scheduler or joiner resumes us (possibly on another OS
+    /// thread).
     void suspend(YieldStatus status);
 
     /// From inside the ULT only: cooperative yield back to the scheduler.

@@ -225,8 +225,12 @@ void XStream::run_unit(WorkUnit* unit) {
     executed_.fetch_add(1, std::memory_order_relaxed);
     // Runaway-unit stamp for the watchdog: dispatch TSC while a unit is
     // on-CPU, 0 otherwise. Unarmed (the default) this is one relaxed load.
+    // A join-steal runs a unit from inside the running one: the stolen
+    // unit's end hands the stamp back to the outer unit, not to idle.
     const bool watchdog = watchdog_armed();
+    std::uint64_t outer_start = 0;
     if (watchdog) {
+        outer_start = exec_start_tsc_.load(std::memory_order_relaxed);
         exec_start_tsc_.store(arch::rdtsc(), std::memory_order_relaxed);
     }
     Tracer::instance().record(TraceEvent::kStart, unit);
@@ -256,7 +260,7 @@ void XStream::run_unit(WorkUnit* unit) {
         }
         finish_unit(unit);
         if (watchdog) {
-            exec_start_tsc_.store(0, std::memory_order_relaxed);
+            exec_start_tsc_.store(outer_start, std::memory_order_relaxed);
         }
         return;
     }
@@ -299,7 +303,7 @@ void XStream::run_unit(WorkUnit* unit) {
         }
     }
     if (watchdog) {
-        exec_start_tsc_.store(0, std::memory_order_relaxed);
+        exec_start_tsc_.store(outer_start, std::memory_order_relaxed);
     }
 }
 

@@ -126,7 +126,7 @@ class XStream {
     /// (yield_to support). The unit must already be out of every pool. The
     /// slot never drops a unit: a hint still pending goes back to a pool
     /// first. (A native joiner can return with one pending and then run a
-    /// ULT inline whose own join-steal plants the next.)
+    /// ULT inline whose own yield_to plants the next.)
     void set_next_hint(WorkUnit* unit) noexcept {
         if (next_hint_ != nullptr) {
             requeue_hint();
@@ -196,9 +196,12 @@ class XStream {
     }
     void reset_sched_stats() noexcept { counters_.reset(); }
 
-    /// Execute one specific unit on the calling thread immediately.
-    /// Exposed for personalities with run-inline semantics (work-first
-    /// creation, inlined task cutoffs).
+    /// Execute one specific unit on the calling thread immediately, from
+    /// the caller's own context: a ULT resumed here returns to the caller
+    /// when it finishes, yields or blocks, and is requeued or parked as the
+    /// scheduler would. Exposed for personalities with run-inline
+    /// semantics (work-first creation, inlined task cutoffs) and for the
+    /// join-steal, which calls it from inside a running unit.
     void run_unit(WorkUnit* unit);
 
   private:

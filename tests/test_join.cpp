@@ -16,6 +16,7 @@
 #include <atomic>
 #include <chrono>
 #include <climits>
+#include <functional>
 #include <memory>
 #include <new>
 #include <thread>
@@ -26,6 +27,7 @@
 #include "core/metrics.hpp"
 #include "core/pool.hpp"
 #include "core/runtime.hpp"
+#include "core/stream_dir.hpp"
 #include "core/sync_ult.hpp"
 #include "core/ult.hpp"
 #include "core/xstream.hpp"
@@ -348,10 +350,10 @@ TEST(JoinCore, EventCounterReusesAcrossRounds) {
 #if !defined(LWT_TSAN)
 
 TEST(JoinCore, UltJoinerResumesRightAfterStolenChild) {
-    // Parent ULT joins a still-queued sibling: the join must hand the
-    // stream straight to the joinee, running it ahead of units queued
-    // before it, and the parent must resume as soon as the joinee exits —
-    // not from the back of the FIFO.
+    // Parent ULT joins a still-queued sibling: the join must run the
+    // joinee as a call, from the parent's own stack, ahead of units queued
+    // before it, and the parent must continue as soon as the joinee exits
+    // — not from the back of the FIFO.
     lwt::core::DequePool pool;  // FIFO: b would run before c normally
     lwt::core::XStream stream(0, std::make_unique<lwt::core::Scheduler>(
                                      std::vector<lwt::core::Pool*>{&pool}));
@@ -454,29 +456,35 @@ TEST(JoinCore, WokenJoinerRunsRightAfterChildOnItsStream) {
 
 TEST(JoinCore, DetachRequeuesPendingHint) {
     // A drive loop can return with a unit still planted as the stream's
-    // next hint (here the child a ULT joiner stole). Detaching must put it
-    // back in its pool, or nothing would ever run it.
+    // next hint (here the child its parent yield_to'd). Detaching must put
+    // it back in its pool, or nothing would ever run it.
     lwt::core::DequePool pool;
     lwt::core::XStream stream(0, std::make_unique<lwt::core::Scheduler>(
                                      std::vector<lwt::core::Pool*>{&pool}));
     stream.attach_caller();
-    bool joining = false;
+    bool yielding = false;
     bool joined = false;
     auto* child = new lwt::core::Ult([] {});
     auto* parent = new lwt::core::Ult([&] {
-        joining = true;
+        yielding = true;
+        (void)lwt::core::yield_to(child);
         lwt::core::join_unit(child);
         joined = true;
     });
     parent->detached = true;
     pool.push(parent);
     pool.push(child);
-    stream.run_until([&] { return joining; });  // returns with child hinted
+    stream.run_until([&] { return yielding; });  // returns with child hinted
+    ASSERT_EQ(stream.next_hint(), child);
     stream.detach_caller();
-    ASSERT_EQ(pool.size_hint(), 1u);
-    lwt::core::WorkUnit* queued = pool.pop();
-    EXPECT_EQ(queued, child);
-    pool.push(queued);
+    // The yielded parent, then the requeued child.
+    ASSERT_EQ(pool.size_hint(), 2u);
+    lwt::core::WorkUnit* first = pool.pop();
+    lwt::core::WorkUnit* second = pool.pop();
+    EXPECT_EQ(first, parent);
+    EXPECT_EQ(second, child);
+    pool.push(first);
+    pool.push(second);
     stream.attach_caller();
     stream.run_until([&] { return joined; });
     EXPECT_TRUE(child->join_done());
@@ -485,34 +493,37 @@ TEST(JoinCore, DetachRequeuesPendingHint) {
 }
 
 TEST(JoinCore, NewHintRequeuesPendingHint) {
-    // The main thread's join can leave a hint pending (here the child a ULT
-    // joiner stole, as in DetachRequeuesPendingHint). Its next join runs a
-    // queued ULT inline, and that ULT's own join-steal plants a new hint.
+    // The main thread's drive can leave a hint pending (here the child a
+    // ULT yield_to'd, as in DetachRequeuesPendingHint). Its next join runs
+    // a queued ULT inline, and that ULT's own yield_to plants a new hint.
     // The pending one must go back to its pool: a hinted unit sits in no
     // pool, so dropping it would strand it and its joiner for good.
     lwt::core::DequePool pool;
     lwt::core::XStream stream(0, std::make_unique<lwt::core::Scheduler>(
                                      std::vector<lwt::core::Pool*>{&pool}));
     stream.attach_caller();
-    bool joining = false;
+    bool yielding = false;
     bool first_joined = false;
     auto* first_child = new lwt::core::Ult([] {});
     auto* first = new lwt::core::Ult([&] {
-        joining = true;
+        yielding = true;
+        (void)lwt::core::yield_to(first_child);
         lwt::core::join_unit(first_child);
         first_joined = true;
     });
     first->detached = true;
     pool.push(first);
     pool.push(first_child);
-    stream.run_until([&] { return joining; });  // returns with child hinted
+    stream.run_until([&] { return yielding; });  // returns with child hinted
     EXPECT_EQ(stream.next_hint(), first_child);
     auto* second_child = new lwt::core::Ult([] {});
-    auto* second =
-        new lwt::core::Ult([&] { lwt::core::join_unit(second_child); });
+    auto* second = new lwt::core::Ult([&] {
+        (void)lwt::core::yield_to(second_child);
+        lwt::core::join_unit(second_child);
+    });
     pool.push(second);
     pool.push(second_child);
-    lwt::core::join_unit(second);  // runs `second` inline; it steals its child
+    lwt::core::join_unit(second);  // runs `second` inline; it hints its child
     for (int i = 0; i < 16 && !first_joined; ++i) {
         (void)stream.progress();
     }
@@ -522,6 +533,166 @@ TEST(JoinCore, NewHintRequeuesPendingHint) {
     delete first_child;
     delete second;
     delete second_child;
+}
+
+TEST(JoinCore, StolenChildThatYieldsLetsQueuedSiblingRun) {
+    // The joiner runs its queued child at most once. A child that yields
+    // goes back to the pool behind its sibling, and the joiner waits in the
+    // slot, so the stream runs the sibling next. A joiner that re-stole the
+    // child after every yield would never let the sibling run: the child
+    // would give up after its bounded yields without seeing the flag.
+    lwt::core::DequePool pool;  // FIFO: the sibling is queued behind
+    lwt::core::XStream stream(0, std::make_unique<lwt::core::Scheduler>(
+                                     std::vector<lwt::core::Pool*>{&pool}));
+    stream.attach_caller();
+    bool flag = false;
+    bool saw_flag = false;
+    bool joined = false;
+    auto* child = new lwt::core::Ult([&] {
+        for (int i = 0; i < 1000 && !flag; ++i) {
+            lwt::core::Ult::current()->yield();
+        }
+        saw_flag = flag;
+    });
+    auto* sibling = new lwt::core::Tasklet([&] { flag = true; });
+    sibling->detached = true;
+    auto* parent = new lwt::core::Ult([&] {
+        lwt::core::join_unit(child);
+        joined = true;
+    });
+    parent->detached = true;
+    pool.push(parent);
+    pool.push(child);
+    pool.push(sibling);
+    stream.run_until([&] { return joined; });
+    EXPECT_TRUE(saw_flag) << "the joiner kept running its yielding child";
+    delete child;
+    stream.detach_caller();
+}
+
+TEST(JoinCore, StolenChildRunsAsItselfInsideTheJoin) {
+    // The joiner runs its queued child from its own context: inside the
+    // child, Ult::current() is the child while the joiner is still running
+    // (it never blocked), and after the join it is the joiner again.
+    lwt::core::DequePool pool;
+    lwt::core::XStream stream(0, std::make_unique<lwt::core::Scheduler>(
+                                     std::vector<lwt::core::Pool*>{&pool}));
+    stream.attach_caller();
+    lwt::core::Ult* in_child = nullptr;
+    lwt::core::Ult* after_join = nullptr;
+    lwt::core::State joiner_state = lwt::core::State::kReady;
+    bool joined = false;
+    lwt::core::Ult* parent = nullptr;
+    auto* child = new lwt::core::Ult([&] {
+        in_child = lwt::core::Ult::current();
+        joiner_state = parent->state.load();
+    });
+    parent = new lwt::core::Ult([&] {
+        lwt::core::join_unit(child);
+        after_join = lwt::core::Ult::current();
+        joined = true;
+    });
+    pool.push(parent);
+    pool.push(child);
+    stream.run_until([&] { return joined; });
+    EXPECT_EQ(in_child, child);
+    EXPECT_EQ(joiner_state, lwt::core::State::kRunning);
+    EXPECT_EQ(after_join, parent);
+    EXPECT_EQ(lwt::core::Ult::current(), nullptr);
+    lwt::core::join_unit(parent);
+    delete parent;
+    delete child;
+    stream.detach_caller();
+}
+
+TEST(JoinCore, DeepChainOfStolenChildrenUnwindsInnermostFirst) {
+    // 64 ULTs, each joining its own queued child, so each runs the next
+    // from its own stack. The deepest blocks on a counter that another
+    // stream signals once it has blocked: every joiner above it then gets
+    // control back and blocks in its child's slot, and the signal unwinds
+    // the chain innermost first, each joiner resumed by its child's end.
+    constexpr int kDepth = 64;
+    lwt::core::DequePool mine;
+    lwt::core::DequePool theirs;
+    lwt::core::XStream me(0, std::make_unique<lwt::core::Scheduler>(
+                                 std::vector<lwt::core::Pool*>{&mine}));
+    auto other = make_stream(1, theirs);
+    other->start();
+    me.attach_caller();
+    lwt::core::EventCounter gate(1);
+    std::atomic<lwt::core::Ult*> deepest{nullptr};
+    std::vector<int> order;
+    std::function<void(int)> level = [&](int depth) {
+        if (depth == kDepth) {
+            deepest.store(lwt::core::Ult::current());
+            gate.wait();
+        } else {
+            auto* child = new lwt::core::Ult([&, depth] { level(depth + 1); });
+            mine.push(child);
+            lwt::core::join_unit(child);
+            delete child;
+        }
+        order.push_back(depth);
+    };
+    auto* root = new lwt::core::Ult([&] { level(1); });
+    root->detached = true;
+    auto* signaller = new lwt::core::Tasklet([&] {
+        lwt::core::Ult* ult = nullptr;
+        while ((ult = deepest.load()) == nullptr ||
+               ult->state.load() != lwt::core::State::kBlocked) {
+            std::this_thread::yield();
+        }
+        gate.signal();
+    });
+    signaller->detached = true;
+    mine.push(root);
+    theirs.push(signaller);
+    me.run_until(
+        [&] { return order.size() == static_cast<std::size_t>(kDepth); });
+    std::vector<int> expect;
+    for (int depth = kDepth; depth >= 1; --depth) {
+        expect.push_back(depth);
+    }
+    EXPECT_EQ(order, expect);
+    me.detach_caller();
+    other->stop_and_join();
+}
+
+TEST(JoinCore, JoinStealKeepsTheJoinersWatchdogStamp) {
+    // A join-steal runs the child inside the joiner's own dispatch: when
+    // the child ends, the stall watchdog's stamp must be the joiner's
+    // dispatch time again, not 0 (no unit on the CPU) or the child's.
+    lwt::core::set_watchdog_armed(true);
+    lwt::core::DequePool pool;
+    lwt::core::XStream stream(0, std::make_unique<lwt::core::Scheduler>(
+                                     std::vector<lwt::core::Pool*>{&pool}));
+    stream.attach_caller();
+    for (const bool ult_child : {false, true}) {
+        lwt::core::WorkUnit* child =
+            ult_child ? static_cast<lwt::core::WorkUnit*>(
+                            new lwt::core::Ult([] {}))
+                      : new lwt::core::Tasklet([] {});
+        std::uint64_t before = 0;
+        std::uint64_t after = 0;
+        bool joined = false;
+        auto* parent = new lwt::core::Ult([&] {
+            before = stream.exec_start_tsc();
+            lwt::core::join_unit(child);
+            after = stream.exec_start_tsc();
+            joined = true;
+        });
+        parent->detached = true;
+        pool.push(parent);
+        pool.push(child);
+        stream.run_until([&] { return joined; });
+        EXPECT_NE(before, 0u) << "ult child: " << ult_child;
+        EXPECT_EQ(after, before) << "ult child: " << ult_child;
+        EXPECT_TRUE(child->join_done());
+        delete child;
+    }
+    EXPECT_EQ(stream.exec_start_tsc(), 0u);
+    stream.detach_caller();
+    lwt::core::set_watchdog_armed(false);
 }
 
 TEST(JoinCore, SecondUltJoinerReturnsAfterPublish) {
