@@ -1,8 +1,8 @@
 // ablation_abt — ablation over the Argobots-like backend's design axes
-// that DESIGN.md calls out: work-unit kind (ULT vs tasklet), pool topology
-// (private per stream vs one shared), and stack reuse (pooled vs fresh
-// mmap per ULT). The task-single pattern (Figure 5's workload) is held
-// fixed while one axis varies at a time.
+// that DESIGN.md calls out: work-unit kind (ULT vs tasklet) and pool
+// topology (private per stream vs one shared). The task-single pattern
+// (Figure 5's workload) is held fixed while one axis varies at a time.
+// Pooled against fresh stacks is micro_ops' BM_UltCreateDestroy* pair.
 //
 // LWTBENCH_N overrides the task count (default 1,000).
 #include <cstdio>
@@ -50,15 +50,12 @@ int main() {
     private_pools.pool_kind = lwt::abt::PoolKind::kPrivate;
     lwt::abt::Config shared_pool;
     shared_pool.pool_kind = lwt::abt::PoolKind::kShared;
-    lwt::abt::Config no_stack_reuse = private_pools;
-    no_stack_reuse.reuse_stacks = false;
 
     const AblationPoint points[] = {
         {"ULT private pools (baseline)", private_pools, false},
         {"Tasklet private pools", private_pools, true},
         {"ULT shared pool", shared_pool, false},
         {"Tasklet shared pool", shared_pool, true},
-        {"ULT private, fresh stacks", no_stack_reuse, false},
     };
 
     std::printf("# Ablation: Argobots-like design axes, task-single with "

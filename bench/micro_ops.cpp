@@ -89,7 +89,9 @@ BENCHMARK(BM_TaskletCreateDestroy);
 
 void BM_UltCreateDestroyFreshStack(benchmark::State& state) {
     for (auto _ : state) {
-        auto* u = new core::Ult([] {});
+        // A stack of its own: mapped here, unmapped by the delete.
+        auto* u = new core::Ult(
+            [] {}, arch::Stack::allocate(arch::default_stack_size()));
         benchmark::DoNotOptimize(u);
         delete u;
     }

@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "arch/audit.hpp"
-#include "arch/stack.hpp"
 #include "core/join.hpp"
 #include "core/ult.hpp"
 #include "core/xstream.hpp"
@@ -186,10 +185,6 @@ struct PoolView {
     const void* owner = nullptr;
     std::uint64_t gen = 0;
     std::vector<core::Pool*> all;  // index-aligned with Library::pools_
-    /// all[i] may be targeted explicitly (kDomainShared: only pools some
-    /// stream actually drains).
-    std::vector<std::uint8_t> selectable;
-    std::vector<core::Pool*> dispatch;  // round-robin targets
 };
 
 namespace {
@@ -205,9 +200,8 @@ Library::Library(Config config) : config_(config) {
     const std::size_t n = core::Runtime::resolve_stream_count(
         config_.num_xstreams, "LWT_NUM_STREAMS");
     config_.num_xstreams = n;
-    const arch::BindPolicy bind = arch::resolve_bind_policy(config_.bind);
-    arch::LocalityMap locality(arch::Topology::from_env_or_discover(), bind,
-                               n);
+    arch::LocalityMap locality(arch::Topology::from_env_or_discover(),
+                               arch::resolve_bind_policy(), n);
     for (std::size_t d = 0; d < locality.num_domains(); ++d) {
         if (!locality.streams_in_domain(d).empty()) {
             populated_domains_.push_back(d);
@@ -216,14 +210,6 @@ Library::Library(Config config) : config_(config) {
     switch (config_.pool_kind) {
         case PoolKind::kShared:
             pools_.push_back(std::make_unique<core::MpmcPool>());
-            break;
-        case PoolKind::kDomainShared:
-            // The domain pools ARE the dispatch pools: pool index == dense
-            // domain index. Unpopulated domains still get a pool (index
-            // stability) but pool_view/domain_pool never select them.
-            for (std::size_t d = 0; d < locality.num_domains(); ++d) {
-                pools_.push_back(std::make_unique<core::MpmcPool>());
-            }
             break;
         case PoolKind::kPrivate:
             for (std::size_t i = 0; i < n; ++i) {
@@ -256,15 +242,9 @@ Library::Library(Config config) : config_(config) {
 
 std::unique_ptr<core::Scheduler> Library::make_scheduler(
     std::size_t rank, std::size_t domain) const {
-    switch (config_.pool_kind) {
-        case PoolKind::kShared:
-            return std::make_unique<core::Scheduler>(
-                std::vector<core::Pool*>{pools_.front().get()});
-        case PoolKind::kDomainShared:
-            return std::make_unique<core::Scheduler>(
-                std::vector<core::Pool*>{pools_[domain].get()});
-        case PoolKind::kPrivate:
-            break;
+    if (config_.pool_kind == PoolKind::kShared) {
+        return std::make_unique<core::Scheduler>(
+            std::vector<core::Pool*>{pools_.front().get()});
     }
     return std::make_unique<PrivateScheduler>(
         std::vector<core::Pool*>{pools_[rank].get(),
@@ -313,22 +293,9 @@ const detail::PoolView& Library::pool_view() {
     }
     std::lock_guard guard(pools_lock_);
     v.all.clear();
-    v.selectable.clear();
-    v.dispatch.clear();
     v.all.reserve(pools_.size());
     for (const auto& p : pools_) {
         v.all.push_back(p.get());
-    }
-    v.selectable.assign(pools_.size(), 1);
-    if (config_.pool_kind == PoolKind::kDomainShared) {
-        v.selectable.assign(pools_.size(), 0);
-        v.dispatch.reserve(populated_domains_.size());
-        for (std::size_t d : populated_domains_) {
-            v.selectable[d] = 1;
-            v.dispatch.push_back(pools_[d].get());
-        }
-    } else {
-        v.dispatch = v.all;
     }
     v.owner = this;
     // Re-read under the lock: a concurrent xstream_create between the
@@ -354,11 +321,10 @@ std::size_t Library::next_ticket() {
 
 core::Pool* Library::pick_target(int pool_idx) {
     const detail::PoolView& v = pool_view();
-    if (pool_idx >= 0 && static_cast<std::size_t>(pool_idx) < v.all.size() &&
-        v.selectable[static_cast<std::size_t>(pool_idx)] != 0) {
+    if (pool_idx >= 0 && static_cast<std::size_t>(pool_idx) < v.all.size()) {
         return v.all[static_cast<std::size_t>(pool_idx)];
     }
-    return v.dispatch[next_ticket() % v.dispatch.size()];
+    return v.all[next_ticket() % v.all.size()];
 }
 
 core::Pool* Library::domain_pool(std::size_t domain) {
@@ -367,28 +333,20 @@ core::Pool* Library::domain_pool(std::size_t domain) {
     if (d >= map.num_domains() || map.streams_in_domain(d).empty()) {
         d = populated_domains_.empty() ? 0 : populated_domains_.front();
     }
-    switch (config_.pool_kind) {
-        case PoolKind::kShared:
-            return pools_.front().get();  // one pool: every domain is it
-        case PoolKind::kDomainShared:
-            return pools_[d].get();
-        case PoolKind::kPrivate:
-            return domain_pools_[d].get();
+    if (config_.pool_kind == PoolKind::kShared) {
+        return pools_.front().get();  // one pool: every domain is it
     }
-    return pools_.front().get();
+    return domain_pools_[d].get();
 }
 
 core::WorkUnit* Library::build_unit(UnitKind kind, core::UniqueFunction fn) {
     if (kind == UnitKind::kTasklet) {
         return new core::Tasklet(std::move(fn));
     }
-    if (config_.reuse_stacks) {
-        // Default ctor: stack from the process-wide pooled source, recycled
-        // by ~Ult. Descriptor itself comes from the slab magazines.
-        return new core::Ult(std::move(fn));
-    }
-    // Ablation axis: a fresh mmap per create, unmapped at destruction.
-    return new core::Ult(std::move(fn), arch::default_stack_size());
+    // Stack from the process-wide pooled source, recycled by the stream
+    // that finishes the ULT. Descriptor itself comes from the slab
+    // magazines.
+    return new core::Ult(std::move(fn));
 }
 
 core::WorkUnit* Library::make_unit(UnitKind kind, core::UniqueFunction fn,
@@ -477,11 +435,10 @@ std::vector<UnitHandle> Library::create_bulk(
     const detail::PoolView& view = pool_view();
     std::vector<core::Pool*> targets;
     if (pool_idx >= 0 &&
-        static_cast<std::size_t>(pool_idx) < view.all.size() &&
-        view.selectable[static_cast<std::size_t>(pool_idx)] != 0) {
+        static_cast<std::size_t>(pool_idx) < view.all.size()) {
         targets.push_back(view.all[static_cast<std::size_t>(pool_idx)]);
     } else {
-        targets = view.dispatch;
+        targets = view.all;
     }
     const std::size_t npools = targets.size();
     auto* blk = new BulkBlock{body, {n}};

@@ -42,10 +42,6 @@ enum class PoolKind {
     /// does, restricted to units nobody placed.
     kPrivate,
     kShared,   ///< one lock-free MPMC pool shared by every stream
-    /// One MPMC pool per locality domain (package), shared by the streams
-    /// placed there — the middle ground the paper's shared/private axis
-    /// skips: producers and consumers stay on one socket.
-    kDomainShared,
 };
 
 /// Work-unit type (§III-E): ULTs yield/suspend; tasklets are cheaper but
@@ -55,19 +51,14 @@ enum class UnitKind {
     kTasklet,
 };
 
+/// ULT stacks always come from the process-wide default stack source
+/// (Argobots pools its stacks too), and stream pinning from LWT_BIND or
+/// glt::RuntimeOptions::bind (arch::resolve_bind_policy).
 struct Config {
     /// Number of execution streams; 0 resolves via LWT_NUM_STREAMS env var,
     /// then the hardware thread count.
     std::size_t num_xstreams = 0;
     PoolKind pool_kind = PoolKind::kPrivate;
-    /// Reuse ULT stacks through the process-wide default stack source
-    /// (Argobots uses memory pools for stacks; turning this off makes
-    /// every create pay an mmap — the ablation axis).
-    bool reuse_stacks = true;
-    /// Stream pinning (LWT_BIND overrides). The same topology — including
-    /// the LWT_TOPOLOGY fixture override — drives the locality-domain
-    /// grouping behind kDomainShared and the domain-targeted spawns.
-    arch::BindPolicy bind = arch::BindPolicy::kNone;
 };
 
 class Library;
@@ -235,9 +226,9 @@ class Library {
   private:
     friend class UnitHandle;
 
-    /// Stream `rank`'s scheduler: its private pool (kPrivate), then the
-    /// pool its locality domain `domain` shares, then (kPrivate) the
-    /// unpinned units of its peers' private pools.
+    /// Stream `rank`'s scheduler: the shared pool (kShared), or its
+    /// private pool, then its locality domain `domain`'s overflow pool,
+    /// then the unpinned units of its peers' private pools (kPrivate).
     std::unique_ptr<core::Scheduler> make_scheduler(std::size_t rank,
                                                     std::size_t domain) const;
     core::WorkUnit* make_unit(UnitKind kind, core::UniqueFunction fn,
@@ -258,16 +249,15 @@ class Library {
     /// of 16, so the shared fetch_add is paid once per chunk instead of
     /// once per spawn.
     std::size_t next_ticket();
-    /// The shared pool feeding locality domain `domain` (with fallback to
-    /// a populated domain when that one has no streams).
+    /// The pool feeding locality domain `domain` (with fallback to a
+    /// populated domain when that one has no streams).
     core::Pool* domain_pool(std::size_t domain);
 
     Config config_;
     std::vector<std::unique_ptr<core::Pool>> pools_;
     /// kPrivate only: one shared MPMC *overflow* pool per locality domain,
     /// scanned by each of the domain's streams after its private pool —
-    /// the landing zone for domain-targeted spawns. (kDomainShared puts
-    /// its per-domain pools in pools_ itself; kShared needs none.)
+    /// the landing zone for domain-targeted spawns. (kShared needs none.)
     std::vector<std::unique_ptr<core::Pool>> domain_pools_;
     std::vector<std::size_t> populated_domains_;  // domains with >= 1 stream
     /// kPrivate: every private pool, index == stream rank, as immutable

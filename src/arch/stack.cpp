@@ -157,8 +157,7 @@ void StackPool::recycle_bulk(std::vector<Stack>& stacks) {
 }
 
 std::size_t default_stack_size() noexcept {
-    // Read once: getenv walks the whole environment, and the per-create
-    // mmap path (Ult(fn, default_stack_size())) asks on every spawn.
+    // Read once: getenv walks the whole environment.
     static const std::size_t size = [] {
         if (const char* env = std::getenv("LWT_STACKSIZE")) {
             const long v = std::atol(env);

@@ -73,13 +73,13 @@ void set_default_bind_policy(std::optional<BindPolicy> policy) {
     d.bind = policy;
 }
 
-BindPolicy resolve_bind_policy(BindPolicy config_fallback) {
+BindPolicy resolve_bind_policy() {
     if (const char* env = std::getenv("LWT_BIND")) {
-        return bind_policy_from_string(env, config_fallback);
+        return bind_policy_from_string(env, BindPolicy::kNone);
     }
     ArchDefaults& d = arch_defaults();
     std::lock_guard g(d.mutex);
-    return d.bind.value_or(config_fallback);
+    return d.bind.value_or(BindPolicy::kNone);
 }
 
 BindPolicy bind_policy_from_string(const char* name,

@@ -41,7 +41,7 @@ enum class BindPolicy {
 // Each knob resolves in the same order everywhere: environment variable if
 // set (a run can always be re-tuned without a rebuild), else the
 // programmatic default installed here (glt::init(RuntimeOptions)), else
-// the built-in/config fallback. Setters take effect for runtimes booted
+// the built-in default. Setters take effect for runtimes booted
 // *after* the call; empty / nullopt clears the default.
 
 /// Default topology fixture spec consulted by Topology::from_env_or_discover
@@ -52,9 +52,9 @@ void set_default_topology_spec(std::string spec);
 /// LWT_BIND is unset.
 void set_default_bind_policy(std::optional<BindPolicy> policy);
 
-/// LWT_BIND if set, else the programmatic default, else `config_fallback`.
-/// What every personality boot calls in place of reading LWT_BIND itself.
-[[nodiscard]] BindPolicy resolve_bind_policy(BindPolicy config_fallback);
+/// LWT_BIND if set, else the programmatic default, else kNone. What every
+/// personality boot calls in place of reading LWT_BIND itself.
+[[nodiscard]] BindPolicy resolve_bind_policy();
 
 /// One locality domain: a package (socket) and the CPUs it owns. The
 /// granularity Qthreads' shepherd binding and our per-package overflow

@@ -208,41 +208,4 @@ void Metrics::reset() {
     }
 }
 
-QueueDepthSampler::~QueueDepthSampler() { stop(); }
-
-void QueueDepthSampler::add_source(std::string name, Source src) {
-    entries_.push_back(
-        {&MetricsRegistry::instance().gauge(name), std::move(src)});
-}
-
-void QueueDepthSampler::start(std::chrono::microseconds interval) {
-    if (thread_.joinable() || entries_.empty()) {
-        return;
-    }
-    stop_ = false;
-    thread_ = std::thread([this, interval] {
-        std::unique_lock lock(mutex_);
-        while (!stop_) {
-            lock.unlock();
-            for (Entry& e : entries_) {
-                e.gauge->set(static_cast<std::int64_t>(e.src()));
-            }
-            lock.lock();
-            cv_.wait_for(lock, interval, [this] { return stop_; });
-        }
-    });
-}
-
-void QueueDepthSampler::stop() {
-    if (!thread_.joinable()) {
-        return;
-    }
-    {
-        std::lock_guard g(mutex_);
-        stop_ = true;
-    }
-    cv_.notify_all();
-    thread_.join();
-}
-
 }  // namespace lwt::core

@@ -5,9 +5,9 @@
 // scheduler counters (sched_stats.hpp): where those record *events*, this
 // layer aggregates *distributions* — per-unit queue dwell (create->start),
 // execution time (dispatch->suspend/finish), and block->wake latency — plus
-// arbitrary named counters and gauges (e.g. per-pool queue depth sampled by
-// QueueDepthSampler). All hot-path writes are relaxed atomics; snapshots
-// are plain structs that merge with operator+= exactly like SchedStats.
+// arbitrary named counters and gauges. All hot-path writes are relaxed
+// atomics; snapshots are plain structs that merge with operator+= exactly
+// like SchedStats.
 //
 // Disabled (the default), every hook costs one relaxed atomic load: the
 // call sites guard on Metrics::instance().enabled() before touching a
@@ -18,16 +18,12 @@
 #include <array>
 #include <atomic>
 #include <bit>
-#include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <vector>
 
 #include "core/sched_stats.hpp"
@@ -292,43 +288,6 @@ class Metrics {
     std::atomic<bool> enabled_{false};
     mutable sync::Spinlock lock_;
     std::vector<std::unique_ptr<ThreadSlot>> slots_;
-};
-
-/// Optional background thread sampling queue depths (or any size source)
-/// into registry gauges at a fixed interval. Runtime starts one when
-/// LWT_METRICS_SAMPLE_US is set; tests drive it directly.
-class QueueDepthSampler {
-  public:
-    using Source = std::function<std::size_t()>;
-
-    QueueDepthSampler() = default;
-    ~QueueDepthSampler();
-    QueueDepthSampler(const QueueDepthSampler&) = delete;
-    QueueDepthSampler& operator=(const QueueDepthSampler&) = delete;
-
-    /// Register `src` under gauge `name`. Call before start().
-    void add_source(std::string name, Source src);
-
-    /// Launch the sampler thread. No-op if already running or no sources.
-    void start(std::chrono::microseconds interval);
-
-    /// Stop and join the sampler thread. Safe to call repeatedly.
-    void stop();
-
-    [[nodiscard]] bool running() const noexcept {
-        return thread_.joinable();
-    }
-
-  private:
-    struct Entry {
-        Gauge* gauge;
-        Source src;
-    };
-    std::vector<Entry> entries_;
-    std::mutex mutex_;  // guards stop_ for the cv handshake
-    std::condition_variable cv_;
-    bool stop_ = false;
-    std::thread thread_;
 };
 
 }  // namespace lwt::core

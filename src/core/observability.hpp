@@ -12,8 +12,6 @@
 //   LWT_METRICS=1           record unit-latency histograms; print the
 //                           per-stream table to stderr at shutdown
 //   LWT_METRICS=out.json    same, plus a machine-readable JSON dump
-//   LWT_METRICS_SAMPLE_US=N sample pool queue depths every N us into
-//                           gauges (core::Runtime starts the sampler)
 //
 // Runtimes nest (glt -> personality -> core::Runtime); the refcount makes
 // the flush fire exactly once per quiescent period, after the outermost

@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cstdlib>
-#include <string>
 
 #include "arch/cpu.hpp"
 #include "core/unit_cache.hpp"
@@ -93,23 +91,9 @@ Runtime::Runtime(std::size_t num_streams, const SchedulerFactory& factory,
     for (std::size_t i = first; i < num_streams; ++i) {
         streams_[i]->start();
     }
-    // Optional queue-depth sampling (LWT_METRICS_SAMPLE_US=N): one gauge
-    // per wired pool, updated every N microseconds by a background thread.
-    if (const char* env = std::getenv("LWT_METRICS_SAMPLE_US")) {
-        const long us = std::atol(env);
-        if (us > 0) {
-            for (std::size_t i = 0; i < wired_pools_.size(); ++i) {
-                Pool* pool = wired_pools_[i];
-                sampler_.add_source("pool" + std::to_string(i) + ".depth",
-                                    [pool] { return pool->size_hint(); });
-            }
-            sampler_.start(std::chrono::microseconds(us));
-        }
-    }
 }
 
 Runtime::~Runtime() {
-    sampler_.stop();  // before the pools' queues quiesce/detach
     // Detach first: a unit still hinted on an adopted primary goes back to
     // its pool, where the draining streams below can run it. (A primary
     // with a thread of its own is not attached here: a no-op.)

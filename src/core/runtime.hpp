@@ -163,7 +163,6 @@ class Runtime {
     mutable sync::Spinlock streams_lock_;
     std::vector<std::unique_ptr<XStream>> streams_;
     std::vector<Pool*> wired_pools_;
-    QueueDepthSampler sampler_;
 };
 
 }  // namespace lwt::core

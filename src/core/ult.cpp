@@ -39,11 +39,10 @@ void record_wake(Ult* ult) noexcept {
 
 }  // namespace
 
-Ult::Ult(UniqueFunction f, std::size_t stack_bytes)
+Ult::Ult(UniqueFunction f)
     : WorkUnit(Kind::kUlt, std::move(f)),
-      stack_(stack_bytes != 0 ? arch::Stack::allocate(stack_bytes)
-                              : arch::acquire_default_stack()),
-      pooled_default_(stack_bytes == 0) {
+      stack_(arch::acquire_default_stack()),
+      pooled_default_(true) {
     init_context();
 }
 

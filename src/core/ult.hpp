@@ -29,18 +29,17 @@ enum class YieldStatus : std::uintptr_t {
 /// Stackful, yieldable, suspendable, migratable work unit.
 class Ult final : public WorkUnit {
   public:
-    /// Create a ULT. With `stack_bytes == 0` the stack comes from the
-    /// process-wide default stack source (arch::acquire_default_stack) —
-    /// every personality's plain spawn path reuses stacks instead of paying
-    /// an mmap per create. The stream that runs the ULT to completion hands
-    /// that stack back to its own cache (release_stack), so a finished ULT
-    /// awaiting its joiner holds none; destruction recycles only the stack
-    /// of a ULT that never finished. An explicit size maps a fresh stack
-    /// that unmaps on destruction.
-    explicit Ult(UniqueFunction f, std::size_t stack_bytes = 0);
+    /// Create a ULT on a stack from the process-wide default stack source
+    /// (arch::acquire_default_stack) — every personality's spawn path
+    /// reuses stacks instead of paying an mmap per create. The stream that
+    /// runs the ULT to completion hands that stack back to its own cache
+    /// (release_stack), so a finished ULT awaiting its joiner holds none;
+    /// destruction recycles only the stack of a ULT that never finished.
+    explicit Ult(UniqueFunction f);
 
-    /// Create a ULT reusing a caller-pooled stack (the caller recycles it;
-    /// see StackPool).
+    /// Create a ULT on a caller-supplied stack: a caller-pooled one (the
+    /// caller recycles it through take_stack; see StackPool), or a fresh
+    /// arch::Stack::allocate(n), which unmaps when the ULT is destroyed.
     Ult(UniqueFunction f, arch::Stack stack);
 
     ~Ult() override;
@@ -55,7 +54,7 @@ class Ult final : public WorkUnit {
 
     /// Scheduler side, once the ULT reported kFinished: return a stack
     /// owed to the default source to the calling thread's cache. No-op for
-    /// caller-pooled and explicitly sized stacks.
+    /// caller-supplied stacks.
     void release_stack() noexcept;
 
     /// Whether the ULT still owns a stack (tests).

@@ -39,7 +39,6 @@ Library::Library(Config config) : config_(config) {
     const std::size_t n =
         core::Runtime::resolve_stream_count(config_.num_pes, "LWT_NUM_PES");
     config_.num_pes = n;
-    const arch::BindPolicy bind = arch::resolve_bind_policy(config_.bind);
     pools_.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
         pools_.push_back(
@@ -52,7 +51,8 @@ Library::Library(Config config) : config_(config) {
             return std::make_unique<core::Scheduler>(
                 std::vector<core::Pool*>{pools_[rank].get()});
         },
-        arch::LocalityMap(arch::Topology::from_env_or_discover(), bind, n),
+        arch::LocalityMap(arch::Topology::from_env_or_discover(),
+                          arch::resolve_bind_policy(), n),
         core::Runtime::Primary::kAdoptCaller);
     introspect_.emplace();
 }

@@ -30,12 +30,12 @@
 
 namespace lwt::cvt {
 
+/// PE pinning comes from LWT_BIND or glt::RuntimeOptions::bind
+/// (arch::resolve_bind_policy). Converse has no shared queues, so locality
+/// only affects which PEs domain-targeted sends pick.
 struct Config {
     /// Number of processors (PEs); 0 resolves via LWT_NUM_PES then hardware.
     std::size_t num_pes = 0;
-    /// PE pinning (LWT_BIND overrides). Converse has no shared queues, so
-    /// locality only affects which PEs domain-targeted sends pick.
-    arch::BindPolicy bind = arch::BindPolicy::kNone;
 };
 
 /// Converse-flavoured synchronisation: CmiNodeLock-shaped mutual exclusion

@@ -168,24 +168,18 @@ class AbtGlt final : public BatchJoin<AbtGlt> {
 
   private:
     /// any() -> -1 (library round-robin: spawn_bulk); worker(i) -> the
-    /// pool stream i takes its work from: its private pool, the shared
-    /// pool, or its domain's pool.
+    /// pool stream i takes its work from: its private pool, or the shared
+    /// pool.
     int to_pool(Placement where) const {
         if (where.kind() != Placement::Kind::kWorker) {
             return -1;
         }
-        const std::size_t i = where.index() < streams_
-                                  ? where.index()
-                                  : where.index() % streams_;
-        switch (lib_.config().pool_kind) {
-            case abt::PoolKind::kPrivate:
-                return static_cast<int>(i);
-            case abt::PoolKind::kShared:
-                return 0;
-            case abt::PoolKind::kDomainShared:
-                return static_cast<int>(lib_.locality().placement(i).domain);
+        if (lib_.config().pool_kind == abt::PoolKind::kShared) {
+            return 0;
         }
-        return -1;
+        return static_cast<int>(where.index() < streams_
+                                    ? where.index()
+                                    : where.index() % streams_);
     }
 
     abt::Library lib_;

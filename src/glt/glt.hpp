@@ -114,8 +114,8 @@ using Future = core::Future<T>;
 ///        in that worker's pool *unpinned*, and a worker whose own pools
 ///        are empty takes the oldest unpinned unit of a peer before it
 ///        idles; it is pinned from its first dispatch on. From a plain
-///        thread, round-robin over the workers' pools. Shared pool kinds:
-///        round-robin over the pools the workers drain (spawn_bulk too).
+///        thread, round-robin over the workers' pools, as spawn_bulk
+///        does. Shared pool: the one pool every worker drains.
 ///   qth  round-robin over the shepherds;
 ///   cvt  round-robin over the PEs;
 ///   mth  the creation policy (work-first/help-first) plus random work
@@ -141,13 +141,6 @@ class Placement {
     }
     [[nodiscard]] static constexpr Placement domain(std::size_t d) noexcept {
         return Placement(Kind::kDomain, d);
-    }
-
-    /// Adapter for the deprecated v1 encoding: negative -> any(), else
-    /// worker(where).
-    [[nodiscard]] static constexpr Placement from_where(int where) noexcept {
-        return where < 0 ? any()
-                         : worker(static_cast<std::size_t>(where));
     }
 
     [[nodiscard]] constexpr Kind kind() const noexcept { return kind_; }

@@ -283,10 +283,6 @@ void Runtime::cache_release(CachedWorker* worker) {
 void Runtime::parallel_for(std::size_t n,
                            const std::function<void(std::size_t)>& body,
                            std::size_t nthreads) {
-    if (config_.for_loop_taskloop) {
-        parallel_for_taskloop(n, 0, body, nthreads);
-        return;
-    }
     parallel(
         [&](std::size_t tid, std::size_t nth) {
             // Static schedule: contiguous chunks, like both runtimes'

@@ -45,10 +45,6 @@ struct Config {
     /// hardware.
     std::size_t num_threads = 0;
     WaitPolicy wait_policy = WaitPolicy::kActive;
-    /// Route parallel_for through the taskloop path: the master submits the
-    /// chunks with ONE TaskPool::submit_bulk burst (single wakeup) and the
-    /// implicit barrier drains them, instead of static per-thread chunking.
-    bool for_loop_taskloop = false;
 };
 
 /// Body of a parallel region: body(tid, nthreads).
@@ -97,9 +93,7 @@ class Runtime {
     /// flavour's spawn semantics.
     void parallel(const RegionBody& body, std::size_t nthreads = 0);
 
-    /// #pragma omp parallel for — static schedule over [0, n). With
-    /// Config::for_loop_taskloop this delegates to parallel_for_taskloop
-    /// (grain = one chunk per team thread).
+    /// #pragma omp parallel for — static schedule over [0, n).
     void parallel_for(std::size_t n, const std::function<void(std::size_t)>& body,
                       std::size_t nthreads = 0);
 

@@ -38,9 +38,8 @@ Library::Library(Config config) : config_(config) {
     const std::size_t n = core::Runtime::resolve_stream_count(
         config_.num_workers, "LWT_NUM_WORKERS");
     config_.num_workers = n;
-    const arch::BindPolicy bind = arch::resolve_bind_policy(config_.bind);
-    arch::LocalityMap locality(arch::Topology::from_env_or_discover(), bind,
-                               n);
+    arch::LocalityMap locality(arch::Topology::from_env_or_discover(),
+                               arch::resolve_bind_policy(), n);
     pools_.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
         pools_.push_back(

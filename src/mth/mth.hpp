@@ -36,14 +36,14 @@ enum class Policy {
     kHelpFirst,
 };
 
+/// Worker pinning comes from LWT_BIND or glt::RuntimeOptions::bind
+/// (arch::resolve_bind_policy). Pinned or not, the topology (LWT_TOPOLOGY
+/// override included) tiers each worker's steal order: SMT sibling first,
+/// then same package, then remote.
 struct Config {
     /// Number of workers; 0 resolves via LWT_NUM_WORKERS then hardware.
     std::size_t num_workers = 0;
     Policy policy = Policy::kWorkFirst;
-    /// Worker pinning (LWT_BIND overrides). Whatever the policy, the
-    /// topology (LWT_TOPOLOGY override included) tiers each worker's steal
-    /// order: SMT sibling first, then same package, then remote.
-    arch::BindPolicy bind = arch::BindPolicy::kNone;
 };
 
 /// MassiveThreads synchronisation objects under their myth names. All of

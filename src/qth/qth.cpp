@@ -35,9 +35,8 @@ Library::Library(Config config) : config_(config) {
     // domain either way.
     const std::size_t nworkers =
         config_.num_shepherds * config_.workers_per_shepherd;
-    const arch::BindPolicy bind = arch::resolve_bind_policy(config_.bind);
-    arch::LocalityMap locality(arch::Topology::from_env_or_discover(), bind,
-                               nworkers);
+    arch::LocalityMap locality(arch::Topology::from_env_or_discover(),
+                               arch::resolve_bind_policy(), nworkers);
     std::vector<std::size_t> dom_of(nworkers, 0);  // read before the move
     for (std::size_t r = 0; r < nworkers; ++r) {
         dom_of[r] = locality.placement(r).domain;

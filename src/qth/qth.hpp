@@ -34,6 +34,10 @@
 
 namespace lwt::qth {
 
+/// Worker pinning (Qthreads binds shepherds and workers to hardware,
+/// §III-D) comes from LWT_BIND or glt::RuntimeOptions::bind
+/// (arch::resolve_bind_policy): kCompact fills cores in order, kScatter
+/// spreads sockets.
 struct Config {
     /// Number of shepherds (queues). 0 resolves via LWT_NUM_SHEPHERDS, then
     /// the hardware thread count.
@@ -41,9 +45,6 @@ struct Config {
     /// Workers (OS threads) per shepherd. 0 resolves via
     /// LWT_NUM_WORKERS_PER_SHEPHERD, then 1.
     std::size_t workers_per_shepherd = 0;
-    /// Bind workers to CPUs (Qthreads binds shepherds/workers to hardware;
-    /// §III-D). kCompact fills cores in order, kScatter spreads sockets.
-    arch::BindPolicy bind = arch::BindPolicy::kNone;
 };
 
 /// qt_sinc-like completion counter: a scalable way to wait for N

@@ -247,26 +247,12 @@ TEST(Abt, UltsCanCreateUlts) {
 }
 
 TEST(Abt, StackReuseAcrossCreates) {
-    Config c = cfg(1);
-    c.reuse_stacks = true;
-    Library lib(c);
+    Library lib(cfg(1));
     for (int round = 0; round < 50; ++round) {
         UnitHandle h = lib.thread_create([] {}, 0);
         h.free();
     }
     SUCCEED();  // no leak/crash: stacks cycle through the pool
-}
-
-TEST(Abt, NoStackReuseStillWorks) {
-    Config c = cfg(1);
-    c.reuse_stacks = false;
-    Library lib(c);
-    std::atomic<int> ran{0};
-    for (int round = 0; round < 10; ++round) {
-        UnitHandle h = lib.thread_create([&] { ran.fetch_add(1); }, 0);
-        h.free();
-    }
-    EXPECT_EQ(ran.load(), 10);
 }
 
 // --- unpinned creates (glt Placement::any()) ----------------------------------

@@ -227,16 +227,15 @@ TEST_P(MompBulkTest, TaskloopMatchesSerialSum) {
     EXPECT_EQ(sum.load(), static_cast<std::uint64_t>(kN) * (kN - 1) / 2);
 }
 
-TEST_P(MompBulkTest, ParallelForRoutesThroughTaskloopWhenConfigured) {
+TEST_P(MompBulkTest, TaskloopOneChunkPerThreadRunsEachIndexOnce) {
     lwt::momp::Config cfg;
     cfg.flavor = GetParam();
     cfg.num_threads = 2;
-    cfg.for_loop_taskloop = true;
     lwt::momp::Runtime rt(cfg);
     constexpr std::size_t kN = 1000;
     std::vector<int> hits(kN, 0);
     std::atomic<std::size_t> ran{0};
-    rt.parallel_for(kN, [&](std::size_t i) {
+    rt.parallel_for_taskloop(kN, /*grain=*/0, [&](std::size_t i) {
         hits[i] += 1;
         ran.fetch_add(1, std::memory_order_relaxed);
     });

@@ -59,9 +59,6 @@ TEST(GltPlacement, ValueSemantics) {
     EXPECT_EQ(Placement::worker(3).index(), 3u);
     EXPECT_EQ(Placement::domain(1).kind(), Placement::Kind::kDomain);
     EXPECT_FALSE(Placement::worker(0) == Placement::domain(0));
-    // The deprecated int encoding maps -1 -> any, >= 0 -> worker.
-    EXPECT_EQ(Placement::from_where(-1), Placement::any());
-    EXPECT_EQ(Placement::from_where(2), Placement::worker(2));
 }
 
 class GltBackendTest : public ::testing::TestWithParam<Backend> {};
@@ -284,7 +281,7 @@ TEST_P(GltBackendTest, TraceWindowCollectsStatsAndExports) {
     }
     EXPECT_GE(mid.trace.of(lwt::core::TraceEvent::kCreate), 8u);
     EXPECT_GE(mid.trace.of(lwt::core::TraceEvent::kFinish), 8u);
-    const std::string path = "glt_trace_" +
+    const std::string path = ::testing::TempDir() + "glt_trace_" +
                              std::string(lwt::glt::backend_name(GetParam())) +
                              ".json";
     ASSERT_TRUE(lwt::glt::trace_end(path));
@@ -294,6 +291,7 @@ TEST_P(GltBackendTest, TraceWindowCollectsStatsAndExports) {
     ASSERT_NE(f, nullptr);
     char first = static_cast<char>(std::fgetc(f));
     std::fclose(f);
+    std::remove(path.c_str());
     EXPECT_EQ(first, '{');
 }
 

@@ -143,7 +143,8 @@ TEST_P(StackSizeSweep, DeepCallChainsFitTheStack) {
         }
     };
     int result = -1;
-    Ult ult([&] { result = Recur::go(depth); }, stack_bytes);
+    Ult ult([&] { result = Recur::go(depth); },
+            lwt::arch::Stack::allocate(stack_bytes));
     while (ult.resume_on_this_thread() != YieldStatus::kFinished) {
     }
     EXPECT_EQ(result, 0);

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -216,8 +217,10 @@ TEST(Qth, WorkersBindCompactAndStillExecute) {
     lwt::qth::Config c;
     c.num_shepherds = 2;
     c.workers_per_shepherd = 1;
-    c.bind = lwt::arch::BindPolicy::kCompact;
+    // The policy is read once, at boot.
+    lwt::arch::set_default_bind_policy(lwt::arch::BindPolicy::kCompact);
     lwt::qth::Library lib(c);
+    lwt::arch::set_default_bind_policy(std::nullopt);
     std::atomic<int> ran{0};
     lwt::qth::aligned_t r0 = 0, r1 = 0;
     lib.fork_to([&] { ran.fetch_add(1); }, &r0, 0);
