@@ -2,7 +2,8 @@
 // paper's figures are built from: context switches, stack management,
 // locks, queues, FEB operations, and work-unit create/run costs. These
 // numbers explain *why* the figure-level results look the way they do
-// (e.g. tasklet create ≈ closure alloc, ULT create ≈ + stack + context).
+// (e.g. tasklet create ≈ closure alloc, ULT create ≈ + stack; its context
+// is made at the first resume).
 #include <benchmark/benchmark.h>
 #include <pthread.h>
 #include <sched.h>
@@ -19,6 +20,7 @@
 #include "abt/abt.hpp"
 #include "arch/fcontext.hpp"
 #include "arch/stack.hpp"
+#include "core/join.hpp"
 #include "core/metrics.hpp"
 #include "core/pool.hpp"
 #include "core/runtime.hpp"
@@ -33,6 +35,7 @@
 #include "queue/global_queue.hpp"
 #include "queue/mpmc_queue.hpp"
 #include "qth/feb.hpp"
+#include "sync/parking_lot.hpp"
 #include "sync/spinlock.hpp"
 
 namespace {
@@ -75,6 +78,20 @@ void BM_StackAcquireFromPool(benchmark::State& state) {
     }
 }
 BENCHMARK(BM_StackAcquireFromPool);
+
+// The stack stage of a default ULT's create and finish: `new core::Ult(fn)`
+// pops the calling thread's cache of the default source, and the stream
+// that finishes the ULT (or the join that runs it as a call) pushes it
+// back there.
+void BM_DefaultStackAcquireRecycle(benchmark::State& state) {
+    arch::recycle_default_stack(arch::acquire_default_stack());  // warm
+    for (auto _ : state) {
+        arch::Stack s = arch::acquire_default_stack();
+        benchmark::DoNotOptimize(s.top());
+        arch::recycle_default_stack(std::move(s));
+    }
+}
+BENCHMARK(BM_DefaultStackAcquireRecycle);
 
 // --- work-unit creation (the Figure 2 story) --------------------------------
 
@@ -174,6 +191,33 @@ void BM_AbtGltCreateJoinFromUlt(benchmark::State& state) {
 }
 BENCHMARK(BM_AbtGltCreateJoinFromUlt);
 
+// The floor of that cycle: the same create+join with a tasklet child, which
+// the join runs as a call with no stack at all.
+void BM_AbtGltTaskletCreateJoinFromUlt(benchmark::State& state) {
+    auto rt = glt::Runtime::create(glt::Backend::kAbt, 1);
+    glt::UnitToken root = rt->ult_create([&rt, &state] {
+        for (auto _ : state) {
+            glt::UnitToken t = rt->tasklet_create([] {});
+            benchmark::DoNotOptimize(t);
+            rt->join(t);
+        }
+    });
+    rt->join(root);
+}
+BENCHMARK(BM_AbtGltTaskletCreateJoinFromUlt);
+
+// The terminator's publish when nobody waits in the slot yet, as for a
+// child its joiner runs itself: one exchange of the joiner slot.
+void BM_PublishTerminationNoJoiner(benchmark::State& state) {
+    core::Tasklet unit([] {});
+    for (auto _ : state) {
+        unit.joiner.store(core::kJoinerNone, std::memory_order_relaxed);
+        core::publish_termination(&unit, nullptr);
+        benchmark::DoNotOptimize(unit.joiner.load(std::memory_order_relaxed));
+    }
+}
+BENCHMARK(BM_PublishTerminationNoJoiner);
+
 void BM_MthNativeCreateJoin(benchmark::State& state) {
     mth::Library lib(
         mth::Config{.num_workers = 1, .policy = mth::Policy::kHelpFirst});
@@ -238,6 +282,24 @@ void BM_DequePoolPushPop(benchmark::State& state) {
     }
 }
 BENCHMARK(BM_DequePoolPushPop);
+
+// The pool stage of a create and a join that takes its queued child back:
+// a push of an unpinned unit (glt Placement::any() on abt) into a pool
+// with a parking lot attached and nobody parked, then remove() of that
+// unit by identity.
+void BM_DequePoolPushRemoveWithLot(benchmark::State& state) {
+    sync::ParkingLot lot;
+    core::DequePool pool;
+    pool.set_waker(&lot);
+    core::Tasklet unit([] {});
+    for (auto _ : state) {
+        unit.unpinned = true;
+        pool.push(&unit);
+        benchmark::DoNotOptimize(pool.remove(&unit));
+    }
+    pool.set_waker(nullptr);
+}
+BENCHMARK(BM_DequePoolPushRemoveWithLot);
 
 void BM_GlobalQueuePushPop(benchmark::State& state) {
     queue::GlobalQueue<void*> q;

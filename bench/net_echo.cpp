@@ -31,10 +31,13 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <cerrno>
 #include <chrono>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -76,14 +79,23 @@ void raise_fd_limit() {
     }
 }
 
+/// A positive decimal integer from the environment, or `fallback` when the
+/// variable is unset. A value that is not one, is not positive or does not
+/// fit a long is rejected with a note on stderr.
 long env_long(const char* name, long fallback) {
-    if (const char* v = std::getenv(name)) {
-        const long parsed = std::atol(v);
-        if (parsed > 0) {
-            return parsed;
-        }
+    const char* v = std::getenv(name);
+    if (v == nullptr) {
+        return fallback;
     }
-    return fallback;
+    char* end = nullptr;
+    errno = 0;
+    const long parsed = std::strtol(v, &end, 10);
+    if (end == v || *end != '\0' || errno == ERANGE || parsed <= 0) {
+        std::fprintf(stderr, "net_echo: ignoring %s=%s (want 1..%ld)\n", name,
+                     v, LONG_MAX);
+        return fallback;
+    }
+    return parsed;
 }
 
 // --- client process ----------------------------------------------------------
@@ -258,7 +270,11 @@ bool run_point(const char* self, const Point& pt, PointResult& out) {
     // Only the write end crosses the exec; the read end stays ours.
     ::fcntl(pipefd[0], F_SETFD, FD_CLOEXEC);
 
-    char port_s[16], conns_s[16], payload_s[16], reqs_s[16], fd_s[16];
+    // Room for any size_t in decimal, and the terminator.
+    constexpr std::size_t kArgChars =
+        std::numeric_limits<std::size_t>::digits10 + 2;
+    char port_s[kArgChars], conns_s[kArgChars], payload_s[kArgChars],
+        reqs_s[kArgChars], fd_s[kArgChars];
     std::snprintf(port_s, sizeof port_s, "%u", listener.port());
     std::snprintf(conns_s, sizeof conns_s, "%zu", pt.conns);
     std::snprintf(payload_s, sizeof payload_s, "%zu", pt.payload);

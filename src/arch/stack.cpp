@@ -204,10 +204,11 @@ namespace {
 // stacks from thread_local destructor chains during static destruction.
 // Cap 1024 (LWT_STACK_CACHE still overrides inside StackPool): the create
 // benchmarks keep thousands of units live per burst, and a cap that
-// swallows a whole burst is what turns per-spawn mmaps into pops.
+// swallows a whole burst is what turns per-spawn mmaps into pops. Each
+// stack maps twice the promise: the half below it hosts called children.
 SharedStackPool& default_source() {
     static SharedStackPool* pool =
-        new SharedStackPool(default_stack_size(), /*max_cached=*/1024);
+        new SharedStackPool(2 * default_stack_size(), /*max_cached=*/1024);
     return *pool;
 }
 

@@ -193,8 +193,9 @@ class StackCache {
     std::vector<Stack> drain_;  // scratch, avoids reallocating per drain
 };
 
-/// Default ULT stack size: LWT_STACKSIZE env var (bytes) or 64 KiB, read
-/// once at first use.
+/// The stack a ULT on a default stack is promised below its entry frame:
+/// LWT_STACKSIZE env var (bytes) or 64 KiB, read once at first use. The
+/// default source maps twice this per stack (see below).
 std::size_t default_stack_size() noexcept;
 
 /// Programmatic default for the per-pool free-stack cap, consulted by
@@ -232,10 +233,14 @@ void stack_thp_force_failure(bool fail) noexcept;
 // --- Process-wide default stack source --------------------------------------
 //
 // Every personality's plain `new core::Ult(fn)` draws its stack here: a
-// thread-local StackCache in front of one leaked SharedStackPool of
-// default_stack_size() stacks, capped at 1024 free stacks (LWT_STACK_CACHE
-// overrides). Creation pops a plain vector; the shared lock is paid once
-// per kBatch refill/drain.
+// thread-local StackCache in front of one leaked SharedStackPool of stacks
+// that map twice default_stack_size(), capped at 1024 free stacks
+// (LWT_STACK_CACHE overrides). The ULT is promised default_stack_size();
+// the other half is room in which its joins run queued children as plain
+// calls (core/join.cpp), each child again promised default_stack_size().
+// Mappings are lazily committed, so only touched pages cost RSS. Creation
+// pops a plain vector; the shared lock is paid once per kBatch
+// refill/drain.
 
 /// Pop a pooled default-size stack (mapping fresh ones in batches on miss).
 Stack acquire_default_stack();

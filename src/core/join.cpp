@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <cassert>
+#include <cstddef>
 #include <thread>
 
 #include "arch/cpu.hpp"
@@ -142,12 +143,21 @@ void wake_joiner(Ult* joiner, XStream* stream) noexcept {
     Ult::wake(joiner);
 }
 
+/// Stack a call needs on top of the child's promise: the frames between
+/// the room check and the child's function (run_unit's and the function
+/// wrapper's).
+constexpr std::size_t kCallFrameBytes = 1024;
+
 /// Work-first join stealing: if `unit` is still kReady and its pool can
 /// remove() by identity, pull it and run it on `stream`, the caller's own
-/// stream, from the caller's own stack — exactly as progress() would run
-/// it. A ULT child runs on top of a ULT joiner as a call: it returns here
-/// when it finishes, yields or blocks, and run_unit requeues or parks it as
-/// the scheduler would. Returns whether it ran the unit.
+/// stream, from the caller's own context — exactly as progress() would run
+/// it. A ULT joiner runs a never-started ULT child as a plain call on its
+/// own stack when the room below this frame covers the child's promise:
+/// the child's unused stack goes back to the cache, and the child runs as
+/// its host, so a block or yield inside it suspends the joiner. Any other
+/// ULT child is switched to on its own stack: it returns here when it
+/// finishes, yields or blocks, and run_unit requeues or parks it as the
+/// scheduler would. Returns whether it ran the unit.
 bool try_join_steal(WorkUnit* unit, XStream* stream) {
     if (unit->state.load(std::memory_order_acquire) != State::kReady) {
         return false;
@@ -163,7 +173,17 @@ bool try_join_steal(WorkUnit* unit, XStream* stream) {
         // stealing it would silently migrate explicitly-placed work.
         return false;
     }
-    stream->run_unit(unit);
+    bool as_call = false;
+    Ult* const host = Ult::current();
+    if (host != nullptr && unit->kind == Kind::kUlt) {
+        auto* child = static_cast<Ult*>(unit);
+        as_call = child->unstarted() &&
+                  host->room() >= child->promise() + kCallFrameBytes;
+        if (as_call) {
+            child->release_stack();
+        }
+    }
+    stream->run_unit(unit, as_call);
     return true;
 }
 

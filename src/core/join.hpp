@@ -5,11 +5,13 @@
 // parks (OS thread); the terminating stream exchanges the slot and issues
 // exactly ONE wakeup. Before suspending, the joiner first tries to *steal*
 // the join target: if the unit is still kReady in a removable pool it runs
-// the child itself, once, from its own stack, as a call (work-first, the
+// the child itself, once, from its own context (work-first, the
 // Cilk/MassiveThreads discipline), saving the full queue round-trip
-// Figures 3/8 measure. A ULT joiner that did block, and whose child
-// terminates on the joiner's own stream, resumes right behind it, as that
-// stream's next unit, instead of at the tail of its pool.
+// Figures 3/8 measure. A ULT joiner runs a never-started ULT child as a
+// plain call on its own stack when it has room for the child's promise. A
+// ULT joiner that did block, and whose child terminates on the joiner's own
+// stream, resumes right behind it, as that stream's next unit, instead of
+// at the tail of its pool.
 #pragma once
 
 #include <cstdint>

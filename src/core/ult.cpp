@@ -1,6 +1,7 @@
 #include "core/ult.hpp"
 
 #include <cassert>
+#include <cstdint>
 #include <thread>
 
 #include "arch/cpu.hpp"
@@ -42,14 +43,10 @@ void record_wake(Ult* ult) noexcept {
 Ult::Ult(UniqueFunction f)
     : WorkUnit(Kind::kUlt, std::move(f)),
       stack_(arch::acquire_default_stack()),
-      pooled_default_(true) {
-    init_context();
-}
+      pooled_default_(true) {}
 
 Ult::Ult(UniqueFunction f, arch::Stack stack)
-    : WorkUnit(Kind::kUlt, std::move(f)), stack_(std::move(stack)) {
-    init_context();
-}
+    : WorkUnit(Kind::kUlt, std::move(f)), stack_(std::move(stack)) {}
 
 Ult::~Ult() { release_stack(); }
 
@@ -60,8 +57,17 @@ void Ult::release_stack() noexcept {
     }
 }
 
-void Ult::init_context() {
-    ctx_ = arch::lwt_make_fcontext(stack_.top(), stack_.usable(), &Ult::entry);
+std::size_t Ult::promise() const noexcept {
+    return pooled_default_ ? arch::default_stack_size() : stack_.usable();
+}
+
+std::size_t Ult::room() const noexcept {
+    const auto frame =
+        reinterpret_cast<std::uintptr_t>(__builtin_frame_address(0));
+    const auto top = reinterpret_cast<std::uintptr_t>(stack_.top());
+    const std::uintptr_t low = top - stack_.usable();
+    assert(frame > low && frame <= top && "room() off the ULT's stack");
+    return frame - low;
 }
 
 Ult* Ult::current() noexcept { return tl_current_ult; }
@@ -84,6 +90,13 @@ void Ult::suspend(YieldStatus status) {
 }
 
 YieldStatus Ult::resume_on_this_thread() {
+    if (ctx_ == nullptr) {
+        // First resume: the context is made here rather than at create, so
+        // a null ctx_ marks a ULT that never started.
+        assert(stack_.valid());
+        ctx_ = arch::lwt_make_fcontext(stack_.top(), stack_.usable(),
+                                       &Ult::entry);
+    }
     Ult* prev = tl_current_ult;  // support nested scheduling (run_until)
     tl_current_ult = this;
     state.store(State::kRunning, std::memory_order_relaxed);

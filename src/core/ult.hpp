@@ -3,13 +3,18 @@
 // Invariant: every suspension returns control to the context that resumed
 // the ULT, on the same OS thread. That is the stream's scheduler context
 // (the worker's native stack), or a joiner that runs its still-queued child
-// as a call from its own stack (a ULT or a native thread, core/join.cpp).
-// In the runtime, either resume goes through XStream::run_unit, which
-// requeues or parks the ULT by the status it suspended with. `yield_to` is
-// expressed as a scheduler hint, which keeps the protocol
-// single-entry/single-exit and race-free.
+// from its own context (core/join.cpp). Either resume goes through
+// XStream::run_unit, which requeues or parks the ULT by the status it
+// suspended with. A ULT that never started, joined by a ULT with room for
+// its promise, is not resumed at all: it runs as a plain call on the
+// joiner's stack, as its host. Ult::current() stays the joiner, so a block
+// or yield inside the child suspends the joiner with the child's frames on
+// top, and the two resume and migrate together. `yield_to` is expressed as
+// a scheduler hint, which keeps the protocol single-entry/single-exit and
+// race-free.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 
 #include "arch/fcontext.hpp"
@@ -35,11 +40,13 @@ class Ult final : public WorkUnit {
     /// runs the ULT to completion hands that stack back to its own cache
     /// (release_stack), so a finished ULT awaiting its joiner holds none;
     /// destruction recycles only the stack of a ULT that never finished.
+    /// The ULT is promised arch::default_stack_size() below its entry frame.
     explicit Ult(UniqueFunction f);
 
     /// Create a ULT on a caller-supplied stack: a caller-pooled one (the
     /// caller recycles it through take_stack; see StackPool), or a fresh
     /// arch::Stack::allocate(n), which unmaps when the ULT is destroyed.
+    /// The ULT is promised all of the stack's usable bytes.
     Ult(UniqueFunction f, arch::Stack stack);
 
     ~Ult() override;
@@ -52,13 +59,27 @@ class Ult final : public WorkUnit {
         return std::move(stack_);
     }
 
-    /// Scheduler side, once the ULT reported kFinished: return a stack
-    /// owed to the default source to the calling thread's cache. No-op for
-    /// caller-supplied stacks.
+    /// Scheduler side, once the ULT reported kFinished or before it runs as
+    /// a call: return a stack owed to the default source to the calling
+    /// thread's cache. No-op for caller-supplied stacks.
     void release_stack() noexcept;
 
     /// Whether the ULT still owns a stack (tests).
     [[nodiscard]] bool holds_stack() const noexcept { return stack_.valid(); }
+
+    /// Whether the ULT was never resumed. Its context is made at the first
+    /// resume, so until then it has none.
+    [[nodiscard]] bool unstarted() const noexcept { return ctx_ == nullptr; }
+
+    /// Stack bytes the ULT is promised below its entry frame, wherever it
+    /// runs: arch::default_stack_size() on a default stack (which maps
+    /// twice that), all of a caller-supplied one.
+    [[nodiscard]] std::size_t promise() const noexcept;
+
+    /// Bytes of this ULT's stack below the caller's frame. Call only from
+    /// code running on that stack: the ULT itself, or a unit it runs as a
+    /// call.
+    [[nodiscard]] std::size_t room() const noexcept;
 
     /// The ULT currently running on this OS thread, or nullptr when the
     /// caller is ordinary thread code.
@@ -103,10 +124,10 @@ class Ult final : public WorkUnit {
 
   private:
     static void entry(arch::transfer_t t);
-    void init_context();
 
     arch::Stack stack_;
-    arch::fcontext_t ctx_ = nullptr;        // suspended ULT context
+    arch::fcontext_t ctx_ = nullptr;        // suspended context; null until
+                                            // the first resume
     arch::fcontext_t sched_ctx_ = nullptr;  // context to suspend back into
     bool pooled_default_ = false;  // stack owed to the default source
 };

@@ -221,7 +221,7 @@ void XStream::finish_unit(WorkUnit* unit) {
     publish_termination(unit, this);
 }
 
-void XStream::run_unit(WorkUnit* unit) {
+void XStream::run_unit(WorkUnit* unit, bool as_call) {
     executed_.fetch_add(1, std::memory_order_relaxed);
     // Runaway-unit stamp for the watchdog: dispatch TSC while a unit is
     // on-CPU, 0 otherwise. Unarmed (the default) this is one relaxed load.
@@ -229,9 +229,11 @@ void XStream::run_unit(WorkUnit* unit) {
     // unit's end hands the stamp back to the outer unit, not to idle.
     const bool watchdog = watchdog_armed();
     std::uint64_t outer_start = 0;
+    std::uint64_t start = 0;
     if (watchdog) {
         outer_start = exec_start_tsc_.load(std::memory_order_relaxed);
-        exec_start_tsc_.store(arch::rdtsc(), std::memory_order_relaxed);
+        start = arch::rdtsc();
+        exec_start_tsc_.store(start, std::memory_order_relaxed);
     }
     Tracer::instance().record(TraceEvent::kStart, unit);
     // Per-unit latency metrics: queue dwell on first dispatch, execution
@@ -252,15 +254,23 @@ void XStream::run_unit(WorkUnit* unit) {
     if (Pool* main = scheduler().main_pool()) {
         unit->home_pool.store(main, std::memory_order_relaxed);
     }
-    if (unit->kind == Kind::kTasklet) {
+    if (unit->kind == Kind::kTasklet || as_call) {
         unit->state.store(State::kRunning, std::memory_order_relaxed);
         unit->fn();
+        // On a ULT's stack (a join's call) the unit ran as that ULT: a
+        // block or yield inside it suspended the ULT, which may have
+        // resumed on another stream. That stream ends the unit.
+        XStream* const stream = current() != nullptr ? current() : this;
         if (metrics) {
             Metrics::instance().record_exec(arch::rdtsc() - dispatch_tsc);
         }
-        finish_unit(unit);
-        if (watchdog) {
-            exec_start_tsc_.store(outer_start, std::memory_order_relaxed);
+        stream->finish_unit(unit);
+        // The host's dispatch after such a block replaced our stamp and
+        // stays: the host has been on the CPU since.
+        if (watchdog && stream->exec_start_tsc_.load(
+                            std::memory_order_relaxed) == start) {
+            stream->exec_start_tsc_.store(outer_start,
+                                          std::memory_order_relaxed);
         }
         return;
     }

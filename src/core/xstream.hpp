@@ -201,8 +201,11 @@ class XStream {
     /// when it finishes, yields or blocks, and is requeued or parked as the
     /// scheduler would. Exposed for personalities with run-inline
     /// semantics (work-first creation, inlined task cutoffs) and for the
-    /// join-steal, which calls it from inside a running unit.
-    void run_unit(WorkUnit* unit);
+    /// join-steal, which calls it from inside a running unit. `as_call`
+    /// runs a never-started ULT as tasklets always run: a plain call to
+    /// its function on the caller's stack, with no context of its own
+    /// (the join path's call, core/join.cpp).
+    void run_unit(WorkUnit* unit, bool as_call = false);
 
   private:
     /// What one idle ladder does for the global I/O reactor while it has

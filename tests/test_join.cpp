@@ -8,6 +8,7 @@
 // fcontext switches, so every test that suspends/resumes a ULT is gated
 // out under thread sanitizer. Tasklet and OS-thread protocol tests — the
 // racy part of the handoff machinery — all stay enabled.
+#include <alloca.h>
 #include <gtest/gtest.h>
 #include <linux/futex.h>
 #include <sys/syscall.h>
@@ -16,13 +17,16 @@
 #include <atomic>
 #include <chrono>
 #include <climits>
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <new>
+#include <optional>
 #include <thread>
 #include <vector>
 
 #include "abt/abt.hpp"
+#include "arch/stack.hpp"
 #include "core/join.hpp"
 #include "core/metrics.hpp"
 #include "core/pool.hpp"
@@ -33,6 +37,7 @@
 #include "core/xstream.hpp"
 #include "cvt/cvt.hpp"
 #include "gol/gol.hpp"
+#include "idle_policy_pin.hpp"
 #include "mth/mth.hpp"
 #include "qth/qth.hpp"
 #include "sync/parking_lot.hpp"
@@ -53,6 +58,16 @@ std::unique_ptr<lwt::core::XStream> make_stream(unsigned rank,
     return std::make_unique<lwt::core::XStream>(
         rank, std::make_unique<lwt::core::Scheduler>(
                   std::vector<lwt::core::Pool*>{&pool}));
+}
+
+/// A ULT on a caller-supplied stack of twice LWT_STACKSIZE. Its promise,
+/// all of that stack, exceeds the room below any joiner's frame in this
+/// file (a default stack maps the same size), so a join switches to it on
+/// its own stack instead of calling it.
+lwt::core::Ult* own_stack_ult(lwt::core::UniqueFunction fn) {
+    return new lwt::core::Ult(
+        std::move(fn),
+        lwt::arch::Stack::allocate(2 * lwt::arch::default_stack_size()));
 }
 
 // --- kernel-level protocol ---------------------------------------------------
@@ -573,7 +588,9 @@ TEST(JoinCore, StolenChildThatYieldsLetsQueuedSiblingRun) {
 TEST(JoinCore, StolenChildRunsAsItselfInsideTheJoin) {
     // The joiner runs its queued child from its own context: inside the
     // child, Ult::current() is the child while the joiner is still running
-    // (it never blocked), and after the join it is the joiner again.
+    // (it never blocked), and after the join it is the joiner again. The
+    // child's promise exceeds the joiner's room, so it runs on its own
+    // stack.
     lwt::core::DequePool pool;
     lwt::core::XStream stream(0, std::make_unique<lwt::core::Scheduler>(
                                      std::vector<lwt::core::Pool*>{&pool}));
@@ -583,7 +600,7 @@ TEST(JoinCore, StolenChildRunsAsItselfInsideTheJoin) {
     lwt::core::State joiner_state = lwt::core::State::kReady;
     bool joined = false;
     lwt::core::Ult* parent = nullptr;
-    auto* child = new lwt::core::Ult([&] {
+    auto* child = own_stack_ult([&] {
         in_child = lwt::core::Ult::current();
         joiner_state = parent->state.load();
     });
@@ -605,12 +622,236 @@ TEST(JoinCore, StolenChildRunsAsItselfInsideTheJoin) {
     stream.detach_caller();
 }
 
+TEST(JoinCore, QueuedChildRunsAsACallOnItsJoinersStack) {
+    // StolenChildRunsAsItselfInsideTheJoin with a default-stack child: the
+    // joiner has room for its promise, so the child runs as a plain call on
+    // the joiner's stack. It runs as its host: Ult::current() is the
+    // joiner, still kRunning, and the child's own stack went back unused.
+    lwt::core::DequePool pool;
+    lwt::core::XStream stream(0, std::make_unique<lwt::core::Scheduler>(
+                                     std::vector<lwt::core::Pool*>{&pool}));
+    stream.attach_caller();
+    lwt::core::Ult* in_child = nullptr;
+    lwt::core::Ult* after_join = nullptr;
+    lwt::core::State joiner_state = lwt::core::State::kReady;
+    bool child_holds_stack = true;
+    bool joined = false;
+    lwt::core::Ult* parent = nullptr;
+    lwt::core::Ult* child = nullptr;
+    child = new lwt::core::Ult([&] {
+        in_child = lwt::core::Ult::current();
+        joiner_state = parent->state.load();
+        child_holds_stack = child->holds_stack();
+    });
+    parent = new lwt::core::Ult([&] {
+        lwt::core::join_unit(child);
+        after_join = lwt::core::Ult::current();
+        joined = true;
+    });
+    pool.push(parent);
+    pool.push(child);
+    stream.run_until([&] { return joined; });
+    EXPECT_EQ(in_child, parent);
+    EXPECT_EQ(joiner_state, lwt::core::State::kRunning);
+    EXPECT_FALSE(child_holds_stack);
+    EXPECT_EQ(after_join, parent);
+    EXPECT_TRUE(child->join_done());
+    lwt::core::join_unit(parent);
+    delete parent;
+    delete child;
+    stream.detach_caller();
+}
+
+/// A called child blocks on a counter that another stream signals once the
+/// child's host is blocked; the join must return only after the signal,
+/// with the child's slot published.
+void called_child_blocks_its_joiner() {
+    lwt::core::DequePool mine;
+    lwt::core::DequePool theirs;
+    lwt::core::Runtime rt(2, [&](unsigned rank) {
+        return std::make_unique<lwt::core::Scheduler>(
+            std::vector<lwt::core::Pool*>{rank == 0 ? &mine : &theirs});
+    });
+    lwt::core::EventCounter gate(1);
+    std::atomic<lwt::core::Ult*> host{nullptr};
+    std::atomic<bool> signalled{false};
+    lwt::core::State host_state = lwt::core::State::kReady;
+    bool signalled_before_return = false;
+    bool published_at_return = false;
+    std::atomic<bool> joined{false};
+    auto* child = new lwt::core::Ult([&] {
+        host.store(lwt::core::Ult::current());
+        gate.wait();
+    });
+    auto* parent = new lwt::core::Ult([&] {
+        lwt::core::join_unit(child);
+        signalled_before_return = signalled.load();
+        published_at_return = child->join_done();
+        joined.store(true);
+    });
+    parent->detached = true;
+    auto* signaller = new lwt::core::Tasklet([&] {
+        lwt::core::Ult* ult = nullptr;
+        while ((ult = host.load()) == nullptr ||
+               ult->state.load() != lwt::core::State::kBlocked) {
+            std::this_thread::yield();
+        }
+        host_state = ult->state.load();
+        signalled.store(true);
+        gate.signal();
+    });
+    signaller->detached = true;
+    mine.push(parent);
+    mine.push(child);
+    theirs.push(signaller);
+    rt.primary().run_until([&] { return joined.load(); });
+    EXPECT_EQ(host.load(), parent);
+    EXPECT_EQ(host_state, lwt::core::State::kBlocked);
+    EXPECT_TRUE(signalled_before_return);
+    EXPECT_TRUE(published_at_return);
+    delete child;
+}
+
+TEST(JoinCore, CalledChildBlocksItsJoinerUntilAnotherStreamSignals) {
+    called_child_blocks_its_joiner();
+}
+
+TEST(JoinCore, CalledChildBlocksItsJoinerUnderPark) {
+    // The same with both streams parking when idle: the signal's wake
+    // must reach stream 0's pool through the lot.
+    {
+        lwt::test::IdlePolicyEnvPin pin;
+        lwt::core::set_default_idle_policy(lwt::sync::IdlePolicy::kPark);
+        called_child_blocks_its_joiner();
+    }
+    lwt::core::set_default_idle_policy(std::nullopt);
+}
+
+TEST(JoinCore, CalledChildMigratesWithItsJoiner) {
+    // A called child blocks its joiner on stream A; the wake queues the
+    // joiner in a pool that only stream B is driving by then, so the two
+    // resume there together. The child's end is published from B, B keeps
+    // the stamp of its dispatch of the joiner, and A, which the joiner
+    // left, reports no unit on its CPU.
+    lwt::core::set_watchdog_armed(true);
+    lwt::core::DequePool pa;
+    lwt::core::DequePool pb;
+    lwt::core::XStream a(0, std::make_unique<lwt::core::Scheduler>(
+                                std::vector<lwt::core::Pool*>{&pa}));
+    auto b = std::make_unique<lwt::core::XStream>(
+        1, std::make_unique<lwt::core::Scheduler>(
+               std::vector<lwt::core::Pool*>{&pb, &pa}));
+    a.attach_caller();
+    lwt::core::EventCounter gate(1);
+    std::atomic<lwt::core::Ult*> host{nullptr};
+    lwt::core::XStream* child_resumed_on = nullptr;
+    std::uint64_t child_resumed_stamp = 0;
+    lwt::core::XStream* joiner_resumed_on = nullptr;
+    std::uint64_t stamp_after_join = 0;
+    std::atomic<bool> joined{false};
+    auto* child = new lwt::core::Ult([&] {
+        host.store(lwt::core::Ult::current());
+        gate.wait();
+        child_resumed_on = lwt::core::XStream::current();
+        child_resumed_stamp = child_resumed_on->exec_start_tsc();
+    });
+    auto* parent = new lwt::core::Ult([&] {
+        lwt::core::join_unit(child);
+        joiner_resumed_on = lwt::core::XStream::current();
+        stamp_after_join = joiner_resumed_on->exec_start_tsc();
+        joined.store(true);
+    });
+    parent->detached = true;
+    pa.push(parent);
+    pa.push(child);
+    a.run_until([&] {
+        lwt::core::Ult* ult = host.load();
+        return ult != nullptr &&
+               ult->state.load() == lwt::core::State::kBlocked;
+    });
+    b->start();  // from here on only B drives pa
+    gate.signal();
+    while (!joined.load()) {
+        std::this_thread::yield();
+    }
+    EXPECT_EQ(host.load(), parent);
+    EXPECT_EQ(child_resumed_on, b.get());
+    EXPECT_EQ(joiner_resumed_on, b.get());
+    EXPECT_NE(stamp_after_join, 0u);
+    EXPECT_EQ(stamp_after_join, child_resumed_stamp);
+    EXPECT_EQ(a.exec_start_tsc(), 0u);
+    EXPECT_TRUE(child->join_done());
+    b->stop_and_join();
+    delete child;
+    a.detach_caller();
+    lwt::core::set_watchdog_armed(false);
+}
+
+TEST(JoinCore, RoomRulePicksThePathAndKeepsThePromise) {
+    // Both sides of the room rule. A fresh joiner has room for its child's
+    // promise and calls it: the child sees the joiner as Ult::current(). A
+    // joiner that recursed until its room fell below the promise switches
+    // to the child's own stack, where the child is Ult::current(). On
+    // either path the child gets its promise: touching LWT_STACKSIZE less
+    // 8 KiB of locals reaches no guard page.
+    const std::size_t promise = lwt::arch::default_stack_size();
+    const std::size_t touched = promise - 8 * 1024;
+    lwt::core::DequePool pool;
+    lwt::core::XStream stream(0, std::make_unique<lwt::core::Scheduler>(
+                                     std::vector<lwt::core::Pool*>{&pool}));
+    stream.attach_caller();
+    for (const bool deep : {false, true}) {
+        lwt::core::Ult* in_child = nullptr;
+        std::size_t room_at_join = 0;
+        bool joined = false;
+        auto* child = new lwt::core::Ult([&] {
+            in_child = lwt::core::Ult::current();
+            auto* locals = static_cast<volatile char*>(alloca(touched));
+            for (std::size_t i = 0; i < touched; i += 64) {
+                locals[i] = 1;
+            }
+        });
+        ASSERT_EQ(child->promise(), promise);
+        std::function<void()> descend = [&] {
+            volatile char frame[512];
+            frame[0] = 1;
+            if (deep && lwt::core::Ult::current()->room() >= promise) {
+                descend();
+            } else {
+                room_at_join = lwt::core::Ult::current()->room();
+                lwt::core::join_unit(child);
+            }
+            frame[1] = frame[0];
+        };
+        auto* parent = new lwt::core::Ult([&] {
+            descend();
+            joined = true;
+        });
+        parent->detached = true;
+        pool.push(parent);
+        pool.push(child);
+        stream.run_until([&] { return joined; });
+        if (deep) {
+            EXPECT_LT(room_at_join, promise);
+            EXPECT_EQ(in_child, child);
+        } else {
+            EXPECT_GE(room_at_join, promise);
+            EXPECT_NE(in_child, child);
+        }
+        EXPECT_TRUE(child->join_done());
+        delete child;
+    }
+    stream.detach_caller();
+}
+
 TEST(JoinCore, DeepChainOfStolenChildrenUnwindsInnermostFirst) {
     // 64 ULTs, each joining its own queued child, so each runs the next
-    // from its own stack. The deepest blocks on a counter that another
-    // stream signals once it has blocked: every joiner above it then gets
-    // control back and blocks in its child's slot, and the signal unwinds
-    // the chain innermost first, each joiner resumed by its child's end.
+    // from its own context. Every child's promise exceeds its joiner's
+    // room, so each runs on its own stack. The deepest blocks on a counter
+    // that another stream signals once it has blocked: every joiner above
+    // it then gets control back and blocks in its child's slot, and the
+    // signal unwinds the chain innermost first, each joiner resumed by its
+    // child's end.
     constexpr int kDepth = 64;
     lwt::core::DequePool mine;
     lwt::core::DequePool theirs;
@@ -627,7 +868,7 @@ TEST(JoinCore, DeepChainOfStolenChildrenUnwindsInnermostFirst) {
             deepest.store(lwt::core::Ult::current());
             gate.wait();
         } else {
-            auto* child = new lwt::core::Ult([&, depth] { level(depth + 1); });
+            auto* child = own_stack_ult([&, depth] { level(depth + 1); });
             mine.push(child);
             lwt::core::join_unit(child);
             delete child;
@@ -658,20 +899,86 @@ TEST(JoinCore, DeepChainOfStolenChildrenUnwindsInnermostFirst) {
     other->stop_and_join();
 }
 
+TEST(JoinCore, DeepChainOfCalledChildrenBlocksTheRootOnce) {
+    // DeepChainOfStolenChildrenUnwindsInnermostFirst with default-stack
+    // children: every level runs as a call on the root's stack, so every
+    // level sees the root as Ult::current(), the deepest level's block is
+    // the root's one block, and its one resume unwinds all 64 levels. The
+    // stream dispatches the root twice and runs each child once. The root's
+    // caller-supplied stack leaves room for a child's promise below all 64
+    // levels' frames in every build (sanitizer frames are larger).
+    constexpr int kDepth = 64;
+    lwt::core::DequePool mine;
+    lwt::core::DequePool theirs;
+    lwt::core::XStream me(0, std::make_unique<lwt::core::Scheduler>(
+                                 std::vector<lwt::core::Pool*>{&mine}));
+    auto other = make_stream(1, theirs);
+    other->start();
+    me.attach_caller();
+    lwt::core::EventCounter gate(1);
+    std::atomic<lwt::core::Ult*> deepest{nullptr};
+    std::vector<int> order;
+    std::vector<lwt::core::Ult*> hosts;
+    std::function<void(int)> level = [&](int depth) {
+        hosts.push_back(lwt::core::Ult::current());
+        if (depth == kDepth) {
+            deepest.store(lwt::core::Ult::current());
+            gate.wait();
+        } else {
+            auto* child = new lwt::core::Ult([&, depth] { level(depth + 1); });
+            mine.push(child);
+            lwt::core::join_unit(child);
+            delete child;
+        }
+        order.push_back(depth);
+    };
+    auto* root = new lwt::core::Ult(
+        [&] { level(1); },
+        lwt::arch::Stack::allocate(8 * lwt::arch::default_stack_size()));
+    root->detached = true;
+    auto* signaller = new lwt::core::Tasklet([&] {
+        lwt::core::Ult* ult = nullptr;
+        while ((ult = deepest.load()) == nullptr ||
+               ult->state.load() != lwt::core::State::kBlocked) {
+            std::this_thread::yield();
+        }
+        gate.signal();
+    });
+    signaller->detached = true;
+    const std::uint64_t executed0 = me.executed();
+    mine.push(root);
+    theirs.push(signaller);
+    me.run_until(
+        [&] { return order.size() == static_cast<std::size_t>(kDepth); });
+    std::vector<int> expect;
+    for (int depth = kDepth; depth >= 1; --depth) {
+        expect.push_back(depth);
+    }
+    EXPECT_EQ(order, expect);
+    EXPECT_EQ(hosts, std::vector<lwt::core::Ult*>(kDepth, hosts.front()));
+    EXPECT_EQ(deepest.load(), hosts.front());
+    EXPECT_EQ(me.executed() - executed0,
+              static_cast<std::uint64_t>(kDepth + 1));
+    me.detach_caller();
+    other->stop_and_join();
+}
+
 TEST(JoinCore, JoinStealKeepsTheJoinersWatchdogStamp) {
     // A join-steal runs the child inside the joiner's own dispatch: when
     // the child ends, the stall watchdog's stamp must be the joiner's
     // dispatch time again, not 0 (no unit on the CPU) or the child's.
+    // Children: a tasklet, a called ULT and a ULT on its own stack.
     lwt::core::set_watchdog_armed(true);
     lwt::core::DequePool pool;
     lwt::core::XStream stream(0, std::make_unique<lwt::core::Scheduler>(
                                      std::vector<lwt::core::Pool*>{&pool}));
     stream.attach_caller();
-    for (const bool ult_child : {false, true}) {
+    for (const int kind : {0, 1, 2}) {
         lwt::core::WorkUnit* child =
-            ult_child ? static_cast<lwt::core::WorkUnit*>(
-                            new lwt::core::Ult([] {}))
-                      : new lwt::core::Tasklet([] {});
+            kind == 0   ? static_cast<lwt::core::WorkUnit*>(
+                            new lwt::core::Tasklet([] {}))
+            : kind == 1 ? new lwt::core::Ult([] {})
+                        : own_stack_ult([] {});
         std::uint64_t before = 0;
         std::uint64_t after = 0;
         bool joined = false;
@@ -685,11 +992,41 @@ TEST(JoinCore, JoinStealKeepsTheJoinersWatchdogStamp) {
         pool.push(parent);
         pool.push(child);
         stream.run_until([&] { return joined; });
-        EXPECT_NE(before, 0u) << "ult child: " << ult_child;
-        EXPECT_EQ(after, before) << "ult child: " << ult_child;
+        EXPECT_NE(before, 0u) << "child kind: " << kind;
+        EXPECT_EQ(after, before) << "child kind: " << kind;
         EXPECT_TRUE(child->join_done());
         delete child;
     }
+    // A called child that blocks suspends its joiner. The joiner's next
+    // dispatch on this stream stamps it anew, and that stamp must stay when
+    // the child ends: not 0, and not the joiner's first dispatch.
+    lwt::core::EventCounter gate(1);
+    std::uint64_t before = 0;
+    std::uint64_t resumed = 0;
+    std::uint64_t after = 0;
+    bool joined = false;
+    auto* child = new lwt::core::Ult([&] {
+        gate.wait();
+        resumed = stream.exec_start_tsc();
+    });
+    auto* opener = new lwt::core::Tasklet([&] { gate.signal(); });
+    opener->detached = true;
+    auto* parent = new lwt::core::Ult([&] {
+        before = stream.exec_start_tsc();
+        lwt::core::join_unit(child);
+        after = stream.exec_start_tsc();
+        joined = true;
+    });
+    parent->detached = true;
+    pool.push(parent);
+    pool.push(child);
+    pool.push(opener);
+    stream.run_until([&] { return joined; });
+    EXPECT_NE(after, 0u);
+    EXPECT_NE(after, before);
+    EXPECT_EQ(after, resumed);
+    EXPECT_TRUE(child->join_done());
+    delete child;
     EXPECT_EQ(stream.exec_start_tsc(), 0u);
     stream.detach_caller();
     lwt::core::set_watchdog_armed(false);

@@ -16,6 +16,7 @@
 #include <cstdlib>
 #include <memory>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -49,10 +50,14 @@ using namespace lwt::core;
 // --- observability session (must be the first test; see file comment) -------
 
 TEST(ObservabilitySessionTest, EnvArmsRecordersAndFlushWritesTrace) {
-    const char* path = "obs_session_trace_test.json";
-    std::remove(path);
-    ::setenv("LWT_TRACE", path, 1);
-    ::setenv("LWT_METRICS", "obs_session_metrics_test.json", 1);
+    const std::string path =
+        ::testing::TempDir() + "obs_session_trace_test.json";
+    const std::string metrics_path =
+        ::testing::TempDir() + "obs_session_metrics_test.json";
+    std::remove(path.c_str());
+    std::remove(metrics_path.c_str());
+    ::setenv("LWT_TRACE", path.c_str(), 1);
+    ::setenv("LWT_METRICS", metrics_path.c_str(), 1);
     {
         ObservabilitySession outer;
         EXPECT_TRUE(observability_armed());
@@ -68,13 +73,15 @@ TEST(ObservabilitySessionTest, EnvArmsRecordersAndFlushWritesTrace) {
     }
     // Outermost detach flushed: trace file exists and the tracer was
     // cleared for the next boot/teardown cycle.
-    std::FILE* f = std::fopen(path, "r");
+    std::FILE* f = std::fopen(path.c_str(), "r");
     ASSERT_NE(f, nullptr);
     std::fclose(f);
     EXPECT_EQ(Tracer::instance().stats().of(TraceEvent::kCreate), 0u);
-    std::FILE* mj = std::fopen("obs_session_metrics_test.json", "r");
+    std::FILE* mj = std::fopen(metrics_path.c_str(), "r");
     ASSERT_NE(mj, nullptr);
     std::fclose(mj);
+    std::remove(path.c_str());
+    std::remove(metrics_path.c_str());
     ::unsetenv("LWT_TRACE");
     ::unsetenv("LWT_METRICS");
     // The recorders stay enabled for the process (arming is once); quiesce
